@@ -2,9 +2,8 @@
 """Fit runtime slopes for both connectivity backends on large instances.
 
 The acceptance suite times a shortened grid so the tests stay quick; this
-script runs the full one, m = 2**10 .. 2**15 by default.  Expect minutes
-for the dfs backend at the top sizes.  Per-size timings and the fitted
-log-log slope are printed per backend.
+script runs the full one, m = 2**10 .. 2**15 by default.  Per-size
+timings and the fitted log-log slope are printed per backend.
 """
 
 import argparse

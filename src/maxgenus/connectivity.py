@@ -2,11 +2,18 @@
 
 Both backends answer the same questions about an attached graph while
 edges are deleted and re-inserted: ``connected(u, v)``,
-``connected_all()``.  They are interchangeable; only the cost model
-differs.
+``connected_all()`` and ``still_connected(ends)``, the question behind
+the greedy's pair-removal probe.  They are interchangeable; only the cost
+model differs.
 
-* :class:`DfsBackend` re-traverses on every query (O(m) per query, O(1)
-  per update).
+* :class:`DfsBackend` searches on every query, O(1) per update.
+  ``connected_all`` is one full traversal, O(m).  ``connected`` and
+  ``still_connected`` search from every endpoint in lockstep, one vertex
+  expansion per side in turn (Even and Shiloach, J. ACM 28(1), 1981): a
+  side that runs dry proves the answer false at a cost of O(smaller side),
+  and sides that meet merge, so a true answer costs the search until the
+  last meeting.  Visited vertices live in a dict, so no query pays O(n)
+  up front.
 * :class:`DynamicBackend` keeps a hierarchy of Euler-tour spanning
   forests, one per level ``0..ceil(log2 n)``.  The forest at level i spans
   the components induced by edges of level >= i, and a level-i tree
@@ -92,20 +99,50 @@ class DfsBackend:
 
     def connected(self, u: int, v: int) -> bool:
         self.stats.queries += 1
-        if u == v:
-            return True
-        seen = bytearray(self._n)
-        seen[u] = 1
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for w in self._adj[x].values():
-                if w == v:
-                    return True
-                if not seen[w]:
-                    seen[w] = 1
-                    queue.append(w)
-        return False
+        return self._joined((u, v))
+
+    def still_connected(self, ends) -> bool:
+        """Whether the graph is still connected, given that it was before
+        the last deletions and ``ends`` holds every endpoint of the deleted
+        edges: each component then holds one of ``ends``."""
+        self.stats.queries += 1
+        return self._joined(ends)
+
+    def _joined(self, ends) -> bool:
+        """True iff the vertices in ``ends`` lie in one component.
+
+        Each end starts a breadth-first side; the sides expand one vertex
+        each in turn.  A side that reaches a vertex of another merges with
+        it, and a side whose queue empties while others remain is a whole
+        component that misses some end.
+        """
+        starts = list(dict.fromkeys(ends))
+        # vertex -> id of the side that reached it; side id -> id of the
+        # merged side it now belongs to; merged side id -> its queue.
+        owner = {x: i for i, x in enumerate(starts)}
+        merged = list(range(len(starts)))
+        queues = {i: deque([x]) for i, x in enumerate(starts)}
+        adj = self._adj
+        while len(queues) > 1:
+            for sid in list(queues):
+                queue = queues.get(sid)
+                if queue is None:
+                    continue  # merged into another side this round
+                if not queue:
+                    return False
+                for w in adj[queue.popleft()].values():
+                    other = owner.get(w)
+                    if other is None:
+                        owner[w] = sid
+                        queue.append(w)
+                        continue
+                    other = merged[other]
+                    if other != sid:
+                        queue.extend(queues.pop(other))
+                        merged = [sid if m == other else m for m in merged]
+                        if len(queues) == 1:
+                            return True
+        return True
 
     def connected_all(self) -> bool:
         self.stats.queries += 1
@@ -372,6 +409,11 @@ class DynamicBackend:
         self.stats.queries += 1
         return self._comps == 1
 
+    def still_connected(self, ends) -> bool:
+        # The component counter answers for the whole graph at once.
+        self.stats.queries += 1
+        return self._comps == 1
+
     def insert_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
         if eid in self._present:
@@ -490,6 +532,11 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     """Probe whether deleting the adjacent pair {e, f} keeps the graph
     connected.
 
+    The backend's graph must be connected before the probe.  Every
+    component of the graph minus {e, f} then holds an endpoint of e or f,
+    so the graph stays connected iff those endpoints are still mutually
+    joined; that is the one query the probe makes.
+
     On success the backend is left with both edges deleted; on failure they
     are re-inserted in reverse order and the backend state is
     indistinguishable from before the probe.  The two edges must be
@@ -507,7 +554,7 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     except GraphError:
         backend.insert_edge(e)
         raise
-    ok = backend.connected_all()
+    ok = backend.still_connected((*ue, *uf))
     if not ok:
         backend.insert_edge(f)
         backend.insert_edge(e)

@@ -10,16 +10,16 @@ removable pair remains anywhere; any maximal family of k pairs satisfies
 with beta the cycle rank, so the reported interval
 ``[k, min(2k, beta // 2)]`` always contains the maximum genus.  Crucially,
 deleting edges only ever shrinks connectivity, so a pair that once failed
-the removal probe can never succeed later; the vertex worklist therefore
-only retests vertices whose incident edges changed, and a final full pass
-over all vertices certifies maximality before the result is returned.
+the removal probe can never succeed later.  One pass over the vertices,
+testing every pair at each vertex once, therefore leaves a maximal family:
+any pair still present at the end was tested and failed on a supergraph of
+the residual.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import combinations
 
 from .connectivity import BACKENDS, pair_removal_keeps_connected
@@ -98,8 +98,9 @@ class GreedyStats:
     tests: int = 0
     removed: int = 0
     candidate_budget: int = 0  # sum of C(deg, 2) over processed vertices
+    # Always 0: the single pass has no final pass.  Kept because report
+    # and benchmark readers still name the field.
     final_pass_tests: int = 0
-    final_pass_budget: int = 0
 
 
 @dataclass
@@ -161,14 +162,12 @@ def _pair_order_key(policy: str, g: MultiGraph):
     return lambda pair: pair
 
 
-def _vertex_key(policy: str, g: MultiGraph, ranks):
+def _vertex_key(policy: str, g: MultiGraph):
     if policy == "central-vertex-first":
         return lambda v: (-g.degree(v), v)
     if policy == "loops-first":
         return lambda v: (0 if g.loops_at(v) else 1, v)
-    if policy == "random":
-        return lambda v: (ranks[v], v)
-    return lambda v: (v,)
+    return None  # edge-id: ascending vertex ids
 
 
 def greedy_max_genus(
@@ -197,12 +196,11 @@ def greedy_max_genus(
     residual = g.copy()
     be = BACKENDS[backend](residual)
     rng = random.Random(seed)
-    ranks = None
+    order = list(residual.vertices())
     if policy == "random":
-        order = list(residual.vertices())
         rng.shuffle(order)
-        ranks = {v: i for i, v in enumerate(order)}
-    vkey = _vertex_key(policy, residual, ranks)
+    else:
+        order.sort(key=_vertex_key(policy, residual))
     pkey = _pair_order_key(policy, residual)
 
     stats = GreedyStats()
@@ -210,17 +208,9 @@ def greedy_max_genus(
     beta = residual.n_edges - residual.n_vertices + 1
     n_edges0 = g.n_edges
 
-    heap: list = []
-    pending: set[int] = set()
-
-    def enqueue(v: int) -> None:
-        if v not in pending:
-            pending.add(v)
-            heappush(heap, (vkey(v), v))
-
-    def process_vertex(v: int, counter: str) -> bool:
-        """Try every candidate pair at v; returns True if any was removed."""
-        nonlocal beta
+    for v in order:
+        if beta == 0:
+            break
         cands = candidate_pairs(residual, v)
         if policy == "random":
             rng.shuffle(cands)
@@ -229,51 +219,17 @@ def greedy_max_genus(
         deg = residual.degree(v)
         stats.candidate_budget += deg * (deg - 1) // 2
         stats.candidate_pairs += len(cands)
-        removed_any = False
         for e, f in cands:
             if beta == 0:
                 break
             if not (residual.has_edge(e) and residual.has_edge(f)):
                 continue  # a member was removed by an earlier pair at v
             stats.tests += 1
-            if counter == "final":
-                stats.final_pass_tests += 1
             if pair_removal_keeps_connected(be, e, f):
                 residual.delete_edges((e, f))
                 pairs.pairs.append(AdjacentPair(e, f, v))
                 stats.removed += 1
                 beta -= 2
-                removed_any = True
-                touched = set(g.endpoints(e)) | set(g.endpoints(f))
-                for w in touched:
-                    enqueue(w)
-        return removed_any
-
-    for v in residual.vertices():
-        enqueue(v)
-    while True:
-        while heap and beta > 0:
-            _, v = heappop(heap)
-            if v not in pending:
-                continue
-            pending.discard(v)
-            process_vertex(v, "main")
-        pending.clear()
-        heap.clear()
-        if beta == 0:
-            break
-        # Quiescent pass: a full scan with no removal certifies maximality.
-        stats.final_pass_tests = 0
-        stats.final_pass_budget = sum(
-            residual.degree(v) * (residual.degree(v) - 1) // 2
-            for v in residual.vertices()
-        )
-        any_removed = False
-        for v in sorted(residual.vertices(), key=vkey):
-            if process_vertex(v, "final"):
-                any_removed = True
-        if not any_removed:
-            break
 
     bounds = GenusBounds.from_pairs(len(pairs), n_edges0 - g.n_vertices + 1)
     return GreedyResult(

@@ -124,3 +124,13 @@ def random_corpus(count: int = 500) -> list[MultiGraph]:
             seed=seed,
         ))
     return graphs
+
+
+def circulant(n: int) -> MultiGraph:
+    """C_n(1, 2): vertex i joins i + 1 and i + 2 mod n, edges in that
+    order."""
+    g = MultiGraph(n)
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n)
+        g.add_edge(i, (i + 2) % n)
+    return g

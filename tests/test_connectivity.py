@@ -10,8 +10,12 @@ from maxgenus import (
     dfs_backend,
     dynamic_backend,
     gen_random_connected_multigraph,
+    is_connected,
     pair_removal_keeps_connected,
 )
+from maxgenus.greedy import candidate_pairs
+
+from _corpus import circulant
 
 
 def path(n):
@@ -95,6 +99,84 @@ class TestPairRemoval:
         be = dfs_backend(g)
         with pytest.raises(GraphError):
             pair_removal_keeps_connected(be, 0, 0)
+
+
+def multigraph(n, edges):
+    g = MultiGraph(n)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected multigraphs on up to 7 vertices with loops and parallel
+    edges, edge ids in a drawn order."""
+    n = draw(st.integers(1, 7))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return multigraph(n, draw(st.permutations(tree + extra)))
+
+
+def check_every_probe(factory, g, *, keep_removals):
+    """Probe every candidate pair at every vertex against a from-scratch
+    connectivity check.  With ``keep_removals`` the probes share one
+    backend and a successful removal stays, as in the greedy, so later
+    probes meet ever sparser graphs; otherwise each probe gets a fresh
+    backend on ``g``."""
+    mirror = g.copy()
+    be = factory(g)
+    for v in g.vertices():
+        for e, f in candidate_pairs(mirror, v):
+            if not (mirror.has_edge(e) and mirror.has_edge(f)):
+                continue
+            if not keep_removals:
+                be = factory(g)
+            before = be.stats.queries
+            ok = pair_removal_keeps_connected(be, e, f)
+            assert be.stats.queries == before + 1
+            h = mirror.copy()
+            h.delete_edges((e, f))
+            assert ok == is_connected(h)
+            if ok:
+                assert not be.has_edge(e) and not be.has_edge(f)
+                if keep_removals:
+                    mirror.delete_edges((e, f))
+            else:
+                assert be.has_edge(e) and be.has_edge(f)
+                assert be.connected_all()
+
+
+class TestProbeContract:
+    @given(connected_multigraphs())
+    def test_property_every_pair(self, g):
+        for factory in (dfs_backend, dynamic_backend):
+            check_every_probe(factory, g, keep_removals=False)
+            check_every_probe(factory, g, keep_removals=True)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 0), (0, 1)],                  # loop + bridge: fails
+        [(0, 0), (0, 1), (0, 1)],          # loop + one of a parallel pair
+        [(0, 0), (0, 0), (0, 1)],          # two loops: always removable
+        [(0, 1), (0, 1)],                  # parallel pair, nothing else
+        [(0, 1), (0, 1), (1, 2), (2, 0)],  # parallel pair on a cycle
+        [(0, 1), (1, 0), (1, 2)],          # parallel pair, swapped ends
+    ], ids=["loop-bridge", "loop-parallel", "two-loops", "parallel-only",
+            "parallel-cycle", "parallel-swapped"])
+    def test_far_endpoints_coincide(self, backend_factory, edges):
+        g = multigraph(1 + max(max(e) for e in edges), edges)
+        check_every_probe(backend_factory, g, keep_removals=False)
+        check_every_probe(backend_factory, g, keep_removals=True)
+
+    @pytest.mark.parametrize("g", [path(7), circulant(16)],
+                             ids=["path", "circulant"])
+    def test_lockstep_sides_run_dry(self, backend_factory, g):
+        # Every probe on the path fails, and the dfs lockstep finds the
+        # first or the middle of its three sides dry; the removals on the
+        # circulant leave probes where the last side runs dry too.
+        check_every_probe(backend_factory, g, keep_removals=False)
+        check_every_probe(backend_factory, g, keep_removals=True)
 
 
 class TestDifferential:

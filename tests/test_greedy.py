@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,8 @@ from maxgenus import (
     verify_pair_set,
 )
 from maxgenus.greedy import candidate_pairs
+
+from _corpus import circulant
 
 
 def has_removable_pair(g):
@@ -179,3 +183,31 @@ def test_property_greedy_contract(seed, n, extra):
     assert verify_pair_set(g, r.pairs)
     assert not has_removable_pair(r.residual)
     assert r.bounds.lower <= r.bounds.upper or r.bounds.lower == 0
+
+
+# SHA-256 of "e,f,witness;..." as the worklist greedy with a final full
+# pass produced them; a change of processing order or probe shows here.
+PINNED_PAIRS = {
+    "random-512-1024": {
+        "edge-id": "08c79c0a7a29beeb41b118ec8950e430f528202f9d7c697f655bed6dfefebbbd",
+        "loops-first": "3f12115ab13e197b5d82ca383e16a2242983f48f12c4d02784b75184cc1a767a",
+        "central-vertex-first": "5d22258f376d3beec7a3aa591ffb980922272dcbf7c81671fd7bcb39e6900b80",
+    },
+    "circulant-64": {
+        "edge-id": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
+        "loops-first": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
+        "central-vertex-first": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
+    },
+}
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_PAIRS))
+@pytest.mark.parametrize("policy",
+                         ["edge-id", "loops-first", "central-vertex-first"])
+def test_deterministic_policies_keep_their_certificates(graph, policy):
+    g = (gen_random_connected_multigraph(512, 1024, seed=1)
+         if graph == "random-512-1024" else circulant(64))
+    r = greedy_max_genus(g, policy=policy)
+    text = ";".join(f"{p.e},{p.f},{p.witness}" for p in r.pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PINNED_PAIRS[graph][policy]
