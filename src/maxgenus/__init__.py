@@ -23,8 +23,6 @@ from .connectivity import (
     BackendStats,
     DfsBackend,
     DynamicBackend,
-    dfs_backend,
-    dynamic_backend,
     pair_removal_keeps_connected,
 )
 from .embedding import (
@@ -46,6 +44,7 @@ from .generators import (
     gen_tight_star,
 )
 from .graph import (
+    CertificationError,
     DisconnectedError,
     GraphError,
     MultiGraph,
@@ -92,6 +91,7 @@ __all__ = [
     "BackendStats",
     "BenchConfig",
     "BenchSummary",
+    "CertificationError",
     "DfsBackend",
     "DisconnectedError",
     "DynamicBackend",
@@ -120,8 +120,6 @@ __all__ = [
     "XuongCertificate",
     "build_embedding",
     "cycle_rank",
-    "dfs_backend",
-    "dynamic_backend",
     "exact_max_genus_pairs",
     "exact_max_genus_rotations",
     "fit_loglog_slope",

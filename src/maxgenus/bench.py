@@ -6,12 +6,11 @@ A benchmark config is a ``key = value`` text file (``#`` comments):
     sizes       = 64,128,256    # generator size parameter per run
     edge_factor = 2.0           # random family: m = round(factor * n)
     seeds       = 0,1,2
-    backends    = dfs,dynamic
     policies    = edge-id
     preprocess  = true
     jobs        = 1
 
-Every (size, seed, backend, policy) combination becomes one job.  Jobs
+Every (size, seed, policy) combination becomes one job.  Jobs
 are independent processes when ``jobs > 1``.  Slopes are least-squares
 fits on log-log (edge count vs mean elapsed time / connectivity tests).
 """
@@ -46,7 +45,6 @@ def run_pipeline(
     g: MultiGraph,
     *,
     label: str = "input",
-    backend: str = "dfs",
     policy: str = "edge-id",
     seed: int = 0,
     preprocess: bool = True,
@@ -64,7 +62,7 @@ def run_pipeline(
         work, pre_pairs, pre_ops = pre.reduced, pre.pairs, pre.ops
     else:
         work, pre_pairs = g, PairSet()
-    res = greedy_max_genus(work, backend=backend, policy=policy, seed=seed)
+    res = greedy_max_genus(work, policy=policy, seed=seed)
     merged = merge_pairs(pre_pairs, res.pairs)
     elapsed = time.perf_counter() - t0
 
@@ -80,7 +78,7 @@ def run_pipeline(
     bounds = GenusBounds.from_pairs(len(merged.pairs), beta)
     report = RunReport(
         instance=InstanceInfo(label, g.n_vertices, g.n_edges, beta),
-        config=RunConfig(backend, policy, seed, preprocess),
+        config=RunConfig("dfs", policy, seed, preprocess),
         lower=bounds.lower,
         upper=bounds.upper,
         pairs=[[p.e, p.f, p.witness] for p in merged.pairs],
@@ -101,7 +99,6 @@ class BenchConfig:
     sizes: tuple[int, ...] = (64, 128, 256)
     edge_factor: float = 2.0
     seeds: tuple[int, ...] = (0,)
-    backends: tuple[str, ...] = ("dfs", "dynamic")
     policies: tuple[str, ...] = ("edge-id",)
     preprocess: bool = True
     loop_prob: float = 0.15
@@ -121,7 +118,6 @@ class BenchConfig:
             "sizes": "ints",
             "edge_factor": float,
             "seeds": "ints",
-            "backends": "strs",
             "policies": "strs",
             "preprocess": "bool",
             "loop_prob": float,
@@ -163,12 +159,12 @@ def _spec_for(cfg: BenchConfig, size: int, seed: int) -> GeneratorSpec:
 
 
 def _run_job(args: tuple) -> RunReport:
-    cfg_fields, size, seed, backend, policy = args
+    cfg_fields, size, seed, policy = args
     cfg = BenchConfig(**cfg_fields)
     g = _spec_for(cfg, size, seed).build()
     label = f"{cfg.family}-{size}-s{seed}"
     return run_pipeline(
-        g, label=label, backend=backend, policy=policy, seed=seed,
+        g, label=label, policy=policy, seed=seed,
         preprocess=cfg.preprocess,
     ).report
 
@@ -177,10 +173,9 @@ def run_bench(cfg: BenchConfig, *, jobs: int | None = None) -> list[RunReport]:
     jobs = cfg.jobs if jobs is None else jobs
     cfg_fields = asdict(cfg)
     arglist = [
-        (cfg_fields, size, seed, backend, policy)
+        (cfg_fields, size, seed, policy)
         for size in cfg.sizes
         for seed in cfg.seeds
-        for backend in cfg.backends
         for policy in cfg.policies
     ]
     if jobs > 1:
@@ -213,49 +208,48 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
 
 @dataclass(frozen=True)
 class BenchSummary:
-    """Per (backend, policy): rows of (n, m, mean elapsed, mean tests)
-    sorted by m, plus log-log slopes of both quantities against m."""
+    """Per policy: rows of (n, m, mean elapsed, mean tests) sorted by m,
+    plus log-log slopes of both quantities against m."""
 
-    rows: dict[tuple[str, str], list[tuple[int, int, float, float]]]
-    elapsed_slopes: dict[tuple[str, str], float]
-    test_slopes: dict[tuple[str, str], float]
+    rows: dict[str, list[tuple[int, int, float, float]]]
+    elapsed_slopes: dict[str, float]
+    test_slopes: dict[str, float]
 
 
 def summarize(reports: list[RunReport]) -> BenchSummary:
-    groups: dict[tuple[str, str], dict[tuple[int, int], list[RunReport]]] = {}
+    groups: dict[str, dict[tuple[int, int], list[RunReport]]] = {}
     for r in reports:
-        key = (r.config.backend, r.config.policy)
+        key = r.config.policy
         size_key = (r.instance.n_vertices, r.instance.n_edges)
         groups.setdefault(key, {}).setdefault(size_key, []).append(r)
-    rows: dict[tuple[str, str], list[tuple[int, int, float, float]]] = {}
-    elapsed_slopes: dict[tuple[str, str], float] = {}
-    test_slopes: dict[tuple[str, str], float] = {}
-    for key, by_size in groups.items():
+    rows: dict[str, list[tuple[int, int, float, float]]] = {}
+    elapsed_slopes: dict[str, float] = {}
+    test_slopes: dict[str, float] = {}
+    for policy, by_size in groups.items():
         table = []
         for (n, m), rs in sorted(by_size.items(), key=lambda kv: kv[0][1]):
             mean_t = sum(r.elapsed_s for r in rs) / len(rs)
             mean_q = sum(r.stats["tests"] for r in rs) / len(rs)
             table.append((n, m, mean_t, mean_q))
-        rows[key] = table
+        rows[policy] = table
         if len({m for _, m, _, _ in table}) >= 2:
-            elapsed_slopes[key] = fit_loglog_slope(
+            elapsed_slopes[policy] = fit_loglog_slope(
                 [(m, t) for _, m, t, _ in table])
-            test_slopes[key] = fit_loglog_slope(
+            test_slopes[policy] = fit_loglog_slope(
                 [(m, q) for _, m, _, q in table])
     return BenchSummary(rows, elapsed_slopes, test_slopes)
 
 
 def format_summary(summary: BenchSummary) -> str:
     lines = []
-    for key in sorted(summary.rows):
-        backend, policy = key
-        lines.append(f"backend={backend} policy={policy}")
+    for policy in sorted(summary.rows):
+        lines.append(f"policy={policy}")
         lines.append(f"  {'n':>8} {'m':>8} {'elapsed_s':>12} {'tests':>10}")
-        for n, m, t, q in summary.rows[key]:
+        for n, m, t, q in summary.rows[policy]:
             lines.append(f"  {n:>8} {m:>8} {t:>12.4f} {q:>10.0f}")
-        if key in summary.elapsed_slopes:
+        if policy in summary.elapsed_slopes:
             lines.append(
-                f"  slope(elapsed~m)={summary.elapsed_slopes[key]:.2f} "
-                f"slope(tests~m)={summary.test_slopes[key]:.2f}"
+                f"  slope(elapsed~m)={summary.elapsed_slopes[policy]:.2f} "
+                f"slope(tests~m)={summary.test_slopes[policy]:.2f}"
             )
     return "\n".join(lines)

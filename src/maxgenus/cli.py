@@ -6,7 +6,8 @@ embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
 
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
 disconnected graph (also argparse usage errors), 3 edge-list or rotation
-parse error, 4 exact-oracle limit exceeded.
+parse error, 4 exact-oracle limit exceeded, 5 certification failure (the
+exact oracles disagree).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .bench import BenchConfig, format_summary, run_bench, run_pipeline, summari
 from .embedding import RotationSystem, build_embedding, genus_of, trace_faces
 from .generators import FAMILIES, GeneratorSpec
 from .graph import (
+    CertificationError,
     DisconnectedError,
     GraphError,
     MultiGraph,
@@ -41,6 +43,7 @@ EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_LIMIT = 4
+EXIT_CERT = 5
 
 
 def _read_text(path: str | None) -> str:
@@ -60,7 +63,6 @@ def _add_graph_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_greedy_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("dfs", "dynamic"), default="dfs")
     p.add_argument("--policy", choices=POLICIES, default="edge-id")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--raw", action="store_true",
@@ -70,8 +72,8 @@ def _add_greedy_opts(p: argparse.ArgumentParser) -> None:
 def cmd_greedy(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     out = run_pipeline(
-        g, label=args.graph or "stdin", backend=args.backend,
-        policy=args.policy, seed=args.seed, preprocess=not args.raw,
+        g, label=args.graph or "stdin", policy=args.policy,
+        seed=args.seed, preprocess=not args.raw,
     )
     rep = out.report
     if args.embed:
@@ -124,7 +126,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if not values:
         raise LimitExceededError("all exact methods exceeded their limits")
     distinct = set(values.values())
-    assert len(distinct) == 1, f"oracle disagreement: {values}"
+    if len(distinct) != 1:
+        raise CertificationError(f"oracle disagreement: {values}")
     print(f"gamma_M = {distinct.pop()}")
     return EXIT_OK
 
@@ -139,8 +142,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
               f"sizes={','.join(map(str, faces.sizes()))}")
         return EXIT_OK
     out = run_pipeline(
-        g, label=args.graph or "stdin", backend=args.backend,
-        policy=args.policy, seed=args.seed, preprocess=not args.raw,
+        g, label=args.graph or "stdin", policy=args.policy,
+        seed=args.seed, preprocess=not args.raw,
     )
     emb = build_embedding(g, out.pairs, check=args.check)
     sys.stdout.write(emb.rotation.to_text())
@@ -251,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERT
     except DisconnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

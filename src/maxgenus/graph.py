@@ -39,6 +39,10 @@ class DisconnectedError(GraphError):
     """An operation that requires a connected graph got a disconnected one."""
 
 
+class CertificationError(GraphError):
+    """Independent computations that must agree on a result did not."""
+
+
 # ---------------------------------------------------------------------------
 # Darts
 # ---------------------------------------------------------------------------

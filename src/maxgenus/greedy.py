@@ -111,7 +111,6 @@ class GreedyResult:
     stats: GreedyStats
     policy: str
     seed: int
-    backend_kind: str
     backend_stats: object
 
 
@@ -183,8 +182,10 @@ def greedy_max_genus(
     the lexicographic default, ``random`` shuffles with ``seed``,
     ``loops-first`` favours loop-bearing vertices and loop pairs, and
     ``central-vertex-first`` processes highest-degree vertices first (the
-    adversarial order on the doubled-star family).  Identical inputs and
-    options give identical results.  Raises on disconnected input.
+    adversarial order on the doubled-star family).  ``backend`` names the
+    connectivity structure in ``BACKENDS``; both give the same pairs.
+    Identical inputs and options give identical results.  Raises on
+    disconnected input.
     """
     if policy not in POLICIES:
         raise GraphError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
@@ -239,6 +240,5 @@ def greedy_max_genus(
         stats=stats,
         policy=policy,
         seed=seed,
-        backend_kind=backend,
         backend_stats=be.stats,
     )

@@ -184,7 +184,9 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
 
     Deletion/contraction on the lowest-id undecided edge; the deletion
     branch is taken only when the edge is not a bridge of the contracted
-    remainder, so every leaf of the recursion is a distinct tree.
+    remainder, so every leaf of the search is a distinct tree.  The search
+    runs on an explicit stack, so its depth (one level per decided edge)
+    is not bounded by the interpreter's recursion limit.
     """
     _require_connected(g)
     n = g.n_vertices
@@ -203,18 +205,35 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
                 comps -= 1
         return comps == 1
 
-    def rec(uf: _UnionFind, chosen: list[int], removed: set[int], idx: int):
-        nonlocal count
-        roots = {uf.find(v) for v in range(n)}
-        if len(roots) == 1:
+    # Stack entries are (step, union-find of the contracted edges, edge,
+    # index of the first undecided edge).  VISIT branches on a node.  Once
+    # the contract branch of ``edge`` is exhausted, DELETE takes the edge
+    # back out of the tree and tries the delete branch; RESTORE ends that.
+    VISIT, DELETE, RESTORE = 0, 1, 2
+    chosen: list[int] = []
+    removed: set[int] = set()
+    stack = [(VISIT, _UnionFind(n), -1, 0)]
+    while stack:
+        step, uf, eid, i = stack.pop()
+        if step == RESTORE:
+            removed.remove(eid)
+            continue
+        if step == DELETE:
+            chosen.pop()
+            if connects(uf.parent, removed, eid):
+                removed.add(eid)
+                stack.append((RESTORE, uf, eid, i))
+                stack.append((VISIT, uf, -1, i + 1))
+            continue
+        # every contracted edge joined two components
+        if len(chosen) == n - 1:
             count += 1
             if count > limit:
                 raise LimitExceededError(
                     f"spanning-tree count exceeds limit {limit}"
                 )
             yield frozenset(chosen)
-            return
-        i = idx
+            continue
         while True:
             eid = edges[i]
             if eid not in removed and uf.find(g.endpoints(eid)[0]) != uf.find(
@@ -223,20 +242,13 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
                 break
             i += 1
         u, v = g.endpoints(eid)
-        # contract branch: eid in the tree
+        # contract branch first: eid in the tree
         sub = _UnionFind(n)
         sub.parent = list(uf.parent)
         sub.union(u, v)
         chosen.append(eid)
-        yield from rec(sub, chosen, removed, i + 1)
-        chosen.pop()
-        # delete branch: allowed only if the remainder still connects
-        if connects(uf.parent, removed, eid):
-            removed.add(eid)
-            yield from rec(uf, chosen, removed, i + 1)
-            removed.remove(eid)
-
-    yield from rec(_UnionFind(n), [], set(), 0)
+        stack.append((DELETE, uf, eid, i))
+        stack.append((VISIT, sub, -1, i + 1))
 
 
 def xuong_max_genus(

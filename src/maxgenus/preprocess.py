@@ -25,15 +25,13 @@ class PreprocessResult:
     """Reduced graph plus the pairs harvested on the way down.
 
     ``reduced`` is a copy; the input graph is untouched.  Edge ids are
-    preserved verbatim, and ``id_map`` (reduced id to original id) is the
-    identity on the surviving edges; it exists so downstream code never
-    has to assume that.  ``ops`` counts grouping and removal steps and
-    stays linear in the edge count.
+    preserved verbatim: every edge of ``reduced`` keeps its id and its
+    endpoints from the input.  ``ops`` counts grouping and removal steps
+    and stays linear in the edge count.
     """
 
     reduced: MultiGraph
     pairs: PairSet
-    id_map: dict[int, int]
     ops: int
 
     def accounting_ok(self, original: MultiGraph) -> bool:
@@ -83,8 +81,7 @@ def reduce_multiedges(g: MultiGraph) -> PreprocessResult:
             pairs.append(AdjacentPair(e, f, v))
             ops += 1
 
-    id_map = {eid: eid for eid in reduced.edge_ids()}
-    return PreprocessResult(reduced, PairSet(pairs), id_map, ops)
+    return PreprocessResult(reduced, PairSet(pairs), ops)
 
 
 def merge_pairs(first: PairSet, second: PairSet) -> PairSet:

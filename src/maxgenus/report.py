@@ -18,7 +18,7 @@ class InstanceInfo:
 
 @dataclass(frozen=True)
 class RunConfig:
-    backend: str
+    backend: str  # always "dfs"; kept so schema-1 reports round-trip
     policy: str
     seed: int
     preprocess: bool

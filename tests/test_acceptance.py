@@ -16,12 +16,12 @@ import time
 import pytest
 
 from maxgenus import (
+    DfsBackend,
+    DynamicBackend,
     MultiGraph,
     POLICIES,
     build_embedding,
     cycle_rank,
-    dfs_backend,
-    dynamic_backend,
     exact_max_genus_pairs,
     exact_max_genus_rotations,
     fit_loglog_slope,
@@ -36,6 +36,8 @@ from maxgenus import (
     xuong_max_genus,
 )
 from maxgenus.oracle import rotation_count
+
+from _reference import MirrorGraph
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -171,12 +173,13 @@ def test_criterion_6(full_corpus, corpus_gamma, greedy_runs):
             assert chi == 2 - 2 * emb.genus
 
 
-@_record(7, "dfs and dynamic connectivity backends are interchangeable")
+@_record(7, "both backends agree with a from-scratch traversal under churn")
 def test_criterion_7(full_corpus):
     g = gen_random_connected_multigraph(
         64, 160, seed=7, loop_prob=0.1, parallel_prob=0.15)
-    A = dfs_backend(g)
-    B = dynamic_backend(g)
+    A = DfsBackend(g)
+    B = DynamicBackend(g)
+    ref = MirrorGraph(g)
     rng = random.Random(2024)
     present = sorted(g.edge_ids())
     absent: list[int] = []
@@ -187,19 +190,21 @@ def test_criterion_7(full_corpus):
             e = present.pop(rng.randrange(len(present)))
             A.delete_edge(e)
             B.delete_edge(e)
+            ref.delete_edge(e)
             absent.append(e)
         elif roll < 0.65 and absent:
             e = absent.pop(rng.randrange(len(absent)))
             A.insert_edge(e)
             B.insert_edge(e)
+            ref.insert_edge(e)
             present.append(e)
         else:
             u = rng.randrange(64)
             v = rng.randrange(64)
-            assert A.connected(u, v) == B.connected(u, v)
+            assert A.connected(u, v) == B.connected(u, v) == ref.connected(u, v)
         ops += 1
         if ops % 500 == 0:
-            assert A.connected_all() == B.connected_all()
+            assert A.connected_all() == B.connected_all() == ref.connected_all()
     assert ops >= 10_000
     # same greedy answer on every corpus instance, not just same speed
     for policy, seed in (("edge-id", 0), ("loops-first", 0), ("random", 3)):

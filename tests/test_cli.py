@@ -1,8 +1,10 @@
 """End-to-end command line checks, run through subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,19 @@ from maxgenus import (
     parse_edge_list,
     verify_pair_set,
 )
+from maxgenus import cli
 
 CLI = [sys.executable, "-m", "maxgenus.cli"]
+# the child imports the same package copy as this process
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*argv, stdin=None, check=True):
     proc = subprocess.run(
         CLI + list(argv), input=stdin, capture_output=True, text=True,
+        env=ENV,
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -65,17 +73,6 @@ class TestGreedy:
         assert raw.preprocess_pairs == 0
         assert cooked.lower == raw.lower == 1
 
-    def test_backends_agree(self):
-        gen = run_cli("gen", "--family", "random", "-n", "8", "-m", "14",
-                      "--seed", "5")
-        out = {}
-        for backend in ("dfs", "dynamic"):
-            proc = run_cli("greedy", "--json", "--backend", backend,
-                           stdin=gen.stdout)
-            rep = RunReport.from_json(proc.stdout)
-            out[backend] = (rep.lower, rep.pairs)
-        assert out["dfs"] == out["dynamic"]
-
 
 class TestExact:
     def test_all_methods_agree(self):
@@ -104,6 +101,24 @@ class TestExact:
         proc = run_cli("exact", "--method", "pairs", "--max-edges", "4",
                        stdin=gen.stdout, check=False)
         assert proc.returncode == 4
+
+    def test_long_cycle(self):
+        # the tree oracle decides one edge per search level: 3000 levels
+        text = "".join(f"{v} {(v + 1) % 3000}\n" for v in range(3000))
+        proc = run_cli("exact", stdin=text, check=False)
+        assert proc.returncode == 0
+        assert "gamma_M = 0" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_oracle_disagreement(self, tmp_path, monkeypatch, capsys):
+        graph_file = tmp_path / "k4.edges"
+        graph_file.write_text(K4_TEXT)
+        monkeypatch.setattr(cli, "exact_max_genus_rotations",
+                            lambda g, limit: 0)
+        assert cli.main(["exact", str(graph_file)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle disagreement")
+        assert "Traceback" not in err
 
 
 class TestEmbed:
@@ -155,7 +170,6 @@ class TestBench:
             "family=random\n"
             "sizes=16,32\n"
             "seeds=0,1\n"
-            "backends=dfs,dynamic\n"
             "policies=loops-first\n"
             "jobs=1\n"
         )
@@ -163,7 +177,7 @@ class TestBench:
         proc = run_cli("bench", str(cfg), "--json", str(dump))
         assert "slope" in proc.stdout
         reports = json.loads(dump.read_text())
-        assert len(reports) == 2 * 2 * 2  # sizes x seeds x backends
+        assert len(reports) == 2 * 2  # sizes x seeds
         assert all(r["schema_version"] == 1 for r in reports)
 
     def test_bad_config_key(self, tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxgenus import (
+    DfsBackend,
+    DynamicBackend,
     GraphError,
     MultiGraph,
-    dfs_backend,
-    dynamic_backend,
     gen_random_connected_multigraph,
     is_connected,
     pair_removal_keeps_connected,
@@ -16,6 +16,7 @@ from maxgenus import (
 from maxgenus.greedy import candidate_pairs
 
 from _corpus import circulant
+from _reference import MirrorGraph
 
 
 def path(n):
@@ -27,7 +28,7 @@ def path(n):
 
 @pytest.fixture(params=["dfs", "dynamic"])
 def backend_factory(request):
-    return {"dfs": dfs_backend, "dynamic": dynamic_backend}[request.param]
+    return {"dfs": DfsBackend, "dynamic": DynamicBackend}[request.param]
 
 
 class TestBackendBasics:
@@ -75,7 +76,7 @@ class TestPairRemoval:
         a = g.add_edge(0, 1)
         b = g.add_edge(0, 1)
         c = g.add_edge(0, 1)
-        be = dfs_backend(g)
+        be = DfsBackend(g)
         assert pair_removal_keeps_connected(be, a, b)
         # third parallel edge still holds the graph together
         assert not be.has_edge(a) and not be.has_edge(b)
@@ -83,20 +84,20 @@ class TestPairRemoval:
 
     def test_failure_rolls_back(self):
         g = path(3)
-        be = dfs_backend(g)
+        be = DfsBackend(g)
         assert not pair_removal_keeps_connected(be, 0, 1)
         assert be.has_edge(0) and be.has_edge(1)
         assert be.connected_all()
 
     def test_rejects_non_adjacent(self):
         g = path(4)
-        be = dfs_backend(g)
+        be = DfsBackend(g)
         with pytest.raises(GraphError):
             pair_removal_keeps_connected(be, 0, 2)  # no shared endpoint
 
     def test_rejects_same_edge(self):
         g = path(3)
-        be = dfs_backend(g)
+        be = DfsBackend(g)
         with pytest.raises(GraphError):
             pair_removal_keeps_connected(be, 0, 0)
 
@@ -151,7 +152,7 @@ def check_every_probe(factory, g, *, keep_removals):
 class TestProbeContract:
     @given(connected_multigraphs())
     def test_property_every_pair(self, g):
-        for factory in (dfs_backend, dynamic_backend):
+        for factory in (DfsBackend, DynamicBackend):
             check_every_probe(factory, g, keep_removals=False)
             check_every_probe(factory, g, keep_removals=True)
 
@@ -180,12 +181,15 @@ class TestProbeContract:
 
 
 class TestDifferential:
+    """Both backends against a mirror graph searched from scratch."""
+
     def test_randomized_ops_agree(self):
         rng = random.Random(99)
         n = 32
         g = gen_random_connected_multigraph(n, 70, seed=4)
-        A = dfs_backend(g)
-        B = dynamic_backend(g)
+        A = DfsBackend(g)
+        B = DynamicBackend(g)
+        ref = MirrorGraph(g)
         present = sorted(g.edge_ids())
         absent = []
         for _ in range(2000):
@@ -194,21 +198,23 @@ class TestDifferential:
                 e = present.pop(rng.randrange(len(present)))
                 A.delete_edge(e)
                 B.delete_edge(e)
+                ref.delete_edge(e)
                 absent.append(e)
             elif roll < 0.6 and absent:
                 e = absent.pop(rng.randrange(len(absent)))
                 A.insert_edge(e)
                 B.insert_edge(e)
+                ref.insert_edge(e)
                 present.append(e)
             else:
                 u, v = rng.randrange(n), rng.randrange(n)
-                assert A.connected(u, v) == B.connected(u, v)
-                assert A.connected_all() == B.connected_all()
+                assert A.connected(u, v) == B.connected(u, v) == ref.connected(u, v)
+                assert A.connected_all() == B.connected_all() == ref.connected_all()
 
     def test_promotion_budget(self):
         n = 64
         g = gen_random_connected_multigraph(n, 160, seed=8)
-        be = dynamic_backend(g)
+        be = DynamicBackend(g)
         rng = random.Random(5)
         ids = sorted(g.edge_ids())
         for _ in range(1500):
@@ -224,8 +230,9 @@ class TestDifferential:
     def test_property_small_graphs_agree(self, seed, n):
         rng = random.Random(seed)
         g = gen_random_connected_multigraph(n, n + 4, seed=seed % 1000)
-        A = dfs_backend(g)
-        B = dynamic_backend(g)
+        A = DfsBackend(g)
+        B = DynamicBackend(g)
+        ref = MirrorGraph(g)
         present = sorted(g.edge_ids())
         absent = []
         for _ in range(60):
@@ -234,13 +241,15 @@ class TestDifferential:
                 e = present.pop(rng.randrange(len(present)))
                 A.delete_edge(e)
                 B.delete_edge(e)
+                ref.delete_edge(e)
                 absent.append(e)
             elif roll < 0.6 and absent:
                 e = absent.pop(rng.randrange(len(absent)))
                 A.insert_edge(e)
                 B.insert_edge(e)
+                ref.insert_edge(e)
                 present.append(e)
             else:
                 u, v = rng.randrange(n), rng.randrange(n)
-                assert A.connected(u, v) == B.connected(u, v)
-        assert A.connected_all() == B.connected_all()
+                assert A.connected(u, v) == B.connected(u, v) == ref.connected(u, v)
+        assert A.connected_all() == B.connected_all() == ref.connected_all()

@@ -151,8 +151,7 @@ class TestGreedy:
 
     def test_backend_stats_attached(self):
         g = gen_complete(4)
-        r = greedy_max_genus(g, backend="dynamic")
-        assert r.backend_kind == "dynamic"
+        r = greedy_max_genus(g)
         assert r.backend_stats.queries == r.stats.tests
 
     def test_rejects_disconnected(self):

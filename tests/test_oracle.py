@@ -83,6 +83,13 @@ class TestSpanningTrees:
         with pytest.raises(LimitExceededError):
             list(spanning_trees(gen_complete(5), limit=10))
 
+    def test_search_deeper_than_recursion_limit(self):
+        # one search level per decided edge: 3000 on the first tree
+        g = cycle(3000)
+        first = next(spanning_trees(g))
+        assert first == frozenset(range(2999))
+        assert xuong_max_genus(g)[0] == 0
+
 
 class TestOddComponents:
     def test_cotree_of_k4_path_tree(self):
