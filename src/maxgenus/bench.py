@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from .generators import FAMILIES, GeneratorSpec
-from .graph import GraphError, MultiGraph
+from .graph import CertificationError, GraphError, MultiGraph
 from .greedy import GenusBounds, PairSet, greedy_max_genus
 from .preprocess import merge_pairs, reduce_multiedges
 from .report import InstanceInfo, RunConfig, RunReport
@@ -68,8 +68,10 @@ def run_pipeline(
 
     st = res.stats
     be = res.backend_stats
-    assert be.queries == st.tests, "one connectivity probe per tested pair"
-    assert st.tests <= st.candidate_pairs
+    if be.queries != st.tests or st.tests > st.candidate_pairs:
+        raise CertificationError(
+            f"{be.queries} connectivity probes for {st.tests} tested pairs "
+            f"of {st.candidate_pairs} candidates")
     stats = dict(asdict(st))
     stats.update({f"backend_{k}": v for k, v in asdict(be).items()})
     stats["preprocess_ops"] = pre_ops

@@ -7,7 +7,7 @@ embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
 disconnected graph (also argparse usage errors), 3 edge-list or rotation
 parse error, 4 exact-oracle limit exceeded, 5 certification failure (the
-exact oracles disagree).
+exact oracles disagree, or a certificate check fails).
 """
 
 from __future__ import annotations

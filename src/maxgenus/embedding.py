@@ -17,14 +17,22 @@ a split followed by a forced merge, then place the leftover edges.
 A corner is named by the dart it precedes: inserting at corner ``r``
 splices the new dart immediately before ``r`` in the vertex rotation.
 The gap before ``r`` lies on ``face_id[r]``.
+
+Corners are picked without walking faces.  Before each pair there is
+one face, so ``first_dart`` of every vertex is a corner on it; after the
+pair's first edge splits it, one ``face_id`` comparison tells which of
+the two corners flanking the witness dart lies on the other face.  A
+leftover edge scans the rotations at its two ends for a face holding
+corners at both (a split) and otherwise takes the first darts (a merge).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .graph import (
+    CertificationError,
     DisconnectedError,
     GraphError,
     MultiGraph,
@@ -85,6 +93,8 @@ class RotationSystem:
 
 
 def _canonical_cycle(cyc: list[int]) -> tuple[int, ...]:
+    if not cyc:
+        return ()
     i = cyc.index(min(cyc))
     return tuple(cyc[i:] + cyc[:i])
 
@@ -105,13 +115,14 @@ class FaceSet:
         return sorted(len(f) for f in self.faces)
 
 
+def _sigma_next(order: Mapping[int, Sequence[int]]) -> dict[int, int]:
+    return {d: cyc[(i + 1) % len(cyc)]
+            for cyc in order.values() for i, d in enumerate(cyc)}
+
+
 def _face_count(order: Mapping[int, Sequence[int]]) -> int:
     """Orbit count of ``d -> sigma_next[twin(d)]``.  No validation."""
-    sigma_next: dict[int, int] = {}
-    for cyc in order.values():
-        k = len(cyc)
-        for i in range(k):
-            sigma_next[cyc[i]] = cyc[(i + 1) % k]
+    sigma_next = _sigma_next(order)
     seen: set[int] = set()
     count = 0
     for d in sigma_next:
@@ -130,11 +141,7 @@ def trace_faces(g: MultiGraph, rot: "RotationSystem | Mapping") -> FaceSet:
     if not isinstance(rot, RotationSystem):
         rot = RotationSystem({v: tuple(c) for v, c in rot.items()})
     rot.validate(g)
-    sigma_next: dict[int, int] = {}
-    for cyc in rot.order.values():
-        k = len(cyc)
-        for i in range(k):
-            sigma_next[cyc[i]] = cyc[(i + 1) % k]
+    sigma_next = _sigma_next(rot.order)
     faces = []
     seen: set[int] = set()
     for d in sorted(sigma_next):
@@ -165,7 +172,8 @@ def genus_of(
         RotationSystem({v: tuple(c) for v, c in order.items()}).validate(g)
     f = _face_count(order) if g.n_edges else 1
     chi = g.n_vertices - g.n_edges + f
-    assert chi <= 2 and chi % 2 == 0
+    if chi > 2 or chi % 2:
+        raise CertificationError(f"Euler characteristic {chi} is odd or > 2")
     return (2 - chi) // 2
 
 
@@ -285,20 +293,20 @@ class EmbeddingState:
                              "span connectedly")
         return (2 - chi) // 2
 
+    def darts_around(self, v: int) -> Iterator[int]:
+        """Darts at v in rotation order, from ``first_dart[v]``."""
+        start = d = self.first_dart.get(v)
+        while d is not None:
+            yield d
+            d = self.sigma_next[d]
+            if d == start:
+                return
+
     def rotation(self) -> RotationSystem:
-        order: dict[int, tuple[int, ...]] = {}
-        for v in range(self.n_vertices):
-            d = self.first_dart.get(v)
-            if d is None:
-                order[v] = ()
-                continue
-            cyc = [d]
-            x = self.sigma_next[d]
-            while x != d:
-                cyc.append(x)
-                x = self.sigma_next[x]
-            order[v] = _canonical_cycle(cyc)
-        return RotationSystem(order)
+        return RotationSystem({
+            v: _canonical_cycle(list(self.darts_around(v)))
+            for v in range(self.n_vertices)
+        })
 
     def _walk_face(self, fid: int) -> list[int]:
         start = self.face_start[fid]
@@ -379,12 +387,7 @@ class EmbeddingState:
             small_darts = self._walk_face(lose)
 
         self._splice(d0, u, corner_u)
-        if corner_v is None and corner_u is None:
-            self._splice(d1, v, d0)
-        elif corner_v is None:
-            self._splice(d1, v, None)
-        else:
-            self._splice(d1, v, corner_v)
+        self._splice(d1, v, d0 if kind == "first-loop" else corner_v)
 
         p0 = self.sigma_prev[d0]
         p1 = self.sigma_prev[d1]
@@ -446,71 +449,43 @@ class EmbeddingState:
             self._audit()
         return kind
 
-    def _first_face_dart_at(self, fid: int, v: int) -> int | None:
-        for d in self._walk_face(fid):
-            if self.vertex_of[d] == v:
-                return d
-        return None
-
     def insert_adjacent_pair(
         self, g: MultiGraph, pair: AdjacentPair, *, check: bool = False
     ) -> None:
         """Insert both edges of an adjacent pair, raising the genus by one.
 
-        Requires a single current face.  The first edge splits it; the
-        witness dart of that edge then has its two flanking corners on
-        the two distinct faces, so the second edge can always be routed
-        corner-to-corner across them, forcing a merge back to one face.
+        Requires a single current face, so every dart is a corner on it.
+        The first edge goes in at ``first_dart`` of its ends and splits
+        that face.  Its witness dart ``d_w`` is then flanked by corners on
+        the two new faces: before ``d_w`` and before ``sigma_next[d_w]``.
+        The second edge takes ``first_dart`` of its far end (or
+        ``sigma_next[d_w]`` if it is a loop) and enters the witness at
+        the flanking corner on the other face, merging the two back into
+        one.  Raises :class:`CertificationError` if it does not.
         """
         if self.n_faces != 1:
             raise GraphError("pair insertion needs a single face")
         w = pair.witness
         eu, ev = g.endpoints(pair.e)
+        fu, fv = g.endpoints(pair.f)
         if w not in (eu, ev):
             raise GraphError("witness is not an endpoint of the first edge")
-        if eu == ev:
-            ref = self.first_dart.get(eu)
-            kind = self.insert_edge(pair.e, eu, ev, ref, ref, check=check)
-            assert kind in ("split", "first-loop")
-            d_w = dart(pair.e, 0)
-        else:
-            fid = next(iter(self.face_size))
-            ref_u = self._first_face_dart_at(fid, eu)
-            ref_v = self._first_face_dart_at(fid, ev)
-            if ref_u is None or ref_v is None:
-                raise GraphError("pair endpoints not embedded yet")
-            kind = self.insert_edge(pair.e, eu, ev, ref_u, ref_v, check=check)
-            assert kind == "split"
-            d_w = dart(pair.e, 0) if eu == w else dart(pair.e, 1)
-
-        side_a = self.face_id[d_w]
+        if w not in (fu, fv):
+            raise GraphError("witness is not an endpoint of the second edge")
+        self.insert_edge(pair.e, eu, ev, self.first_dart.get(eu),
+                         self.first_dart.get(ev), check=check)
+        d_w = dart(pair.e, 0 if eu == w else 1)
         after = self.sigma_next[d_w]
-        side_b = self.face_id[after]
-        assert side_a != side_b
-
-        fu, fv = g.endpoints(pair.f)
-        if fu == fv:
-            if fu != w:
-                raise GraphError("loop of the pair is not at the witness")
-            kind = self.insert_edge(pair.f, fu, fv, d_w, after, check=check)
-        else:
-            if w not in (fu, fv):
-                raise GraphError("witness is not an endpoint of the second "
-                                 "edge")
-            x = fv if fu == w else fu
-            ref_x = self._first_face_dart_at(side_a, x)
-            ref_w = after if ref_x is not None else d_w
-            if ref_x is None:
-                ref_x = self._first_face_dart_at(side_b, x)
-                assert ref_x is not None
-            if fu == w:
-                kind = self.insert_edge(pair.f, fu, fv, ref_w, ref_x,
-                                        check=check)
-            else:
-                kind = self.insert_edge(pair.f, fu, fv, ref_x, ref_w,
-                                        check=check)
-        assert kind == "merge"
-        assert self.n_faces == 1
+        x = fv if fu == w else fu
+        ref_x = after if x == w else self.first_dart.get(x)
+        # a bare far end (None) absorbs instead of merging: caught below
+        ref_w = d_w if self.face_id.get(ref_x) == self.face_id[after] else after
+        corners = (ref_w, ref_x) if fu == w else (ref_x, ref_w)
+        kind = self.insert_edge(pair.f, fu, fv, *corners, check=check)
+        if kind != "merge" or self.n_faces != 1:
+            raise CertificationError(
+                f"pair ({pair.e}, {pair.f}) at {w} left {self.n_faces} "
+                "faces instead of merging back to one")
 
     # -- auditing ----------------------------------------------------------
 
@@ -582,9 +557,11 @@ def build_embedding(
 
     Verifies the pair family first, embeds a spanning tree that avoids
     the pair edges, applies the pairs in order (each raises the genus by
-    exactly one), then inserts the leftover edges, preferring same-face
-    corners so they split instead of merging.  Leftover merges can only
-    push the genus higher; the result's genus is the achieved value.
+    exactly one), then inserts the leftover edges.  A leftover edge uv
+    splits a face holding corners at both u and v (the first such darts
+    in their rotations) and otherwise merges at ``first_dart``; merges
+    only push the genus higher.  Raises :class:`CertificationError` if an
+    edge is missing or the genus ends below the pair count.
     """
     if not isinstance(pairs, PairSet):
         pairs = PairSet(list(pairs))
@@ -600,27 +577,23 @@ def build_embedding(
                 if e not in tree and e not in pair_edges]
     for eid in leftover:
         u, v = g.endpoints(eid)
-        corner_u = corner_v = None
-        for fid in sorted(st.face_size):
-            du = st._first_face_dart_at(fid, u)
-            if du is None:
-                continue
-            dv = st._first_face_dart_at(fid, v)
-            if dv is not None:
-                corner_u, corner_v = du, dv  # same face: will split
+        corner_u, corner_v = st.first_dart.get(u), st.first_dart.get(v)
+        at_u: dict[int, int] = {}
+        for d in st.darts_around(u):
+            at_u.setdefault(st.face_id[d], d)
+        for d in st.darts_around(v):
+            du = at_u.get(st.face_id[d])
+            if du is not None:  # same face: will split
+                corner_u, corner_v = du, d
                 break
-            if corner_u is None:
-                corner_u = du
-        if corner_v is None:
-            for fid in sorted(st.face_size):
-                dv = st._first_face_dart_at(fid, v)
-                if dv is not None:
-                    corner_v = dv
-                    break
         st.insert_edge(eid, u, v, corner_u, corner_v, check=check)
-    assert st.m_emb == g.n_edges
+    if st.m_emb != g.n_edges:
+        raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
     genus = st.genus
-    assert genus >= len(pairs.pairs)
+    k = len(pairs.pairs)
+    if genus < k:
+        raise CertificationError(
+            f"embedding genus {genus} is below the {k} certified pairs")
     rot = st.rotation()
     if check:
         rebuilt = EmbeddingState.from_rotation(g, rot)
@@ -633,5 +606,5 @@ def build_embedding(
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
         n_faces=st.n_faces,
-        pairs_used=len(pairs.pairs),
+        pairs_used=k,
     )

@@ -87,13 +87,13 @@ class MultiGraph:
     """Mutable multigraph over vertices ``0..n-1``.
 
     Incidence is stored per vertex as an ordered set of darts, so edge
-    deletion and restoration are O(1) dictionary edits.  ``delete_edges`` /
-    ``restore_edges`` form a LIFO pair: restores must unwind deletions in
-    exactly the reverse order, which is what the tentative-removal loop of
-    the greedy needs.  Single-writer: no concurrent mutation.
+    deletion and restoration are O(1) dictionary edits.  ``delete_edges``
+    returns the removed ``(eid, u, v)`` records and ``restore_edges`` puts
+    them back under their old ids, in any order; the graph keeps no undo
+    history.  Single-writer: no concurrent mutation.
     """
 
-    __slots__ = ("_n", "_edges", "_inc", "_next_id", "_undo", "labels")
+    __slots__ = ("_n", "_edges", "_inc", "_next_id", "labels")
 
     def __init__(self, n_vertices: int):
         if n_vertices < 1:
@@ -103,7 +103,6 @@ class MultiGraph:
         # dart -> None, used as an ordered set; O(1) add/remove.
         self._inc: list[dict[int, None]] = [dict() for _ in range(n_vertices)]
         self._next_id = 0
-        self._undo: list[tuple[int, int, int]] = []
         self.labels: dict[int, str] | None = None
 
     # -- construction -------------------------------------------------------
@@ -188,27 +187,28 @@ class MultiGraph:
         del self._edges[eid]
         del self._inc[u][2 * eid]
         del self._inc[v][2 * eid + 1]
-        self._undo.append((eid, u, v))
 
-    def delete_edges(self, eids: Iterable[int]) -> None:
-        """Delete ``eids`` in order, pushing each onto the undo stack."""
+    def delete_edges(
+        self, eids: Iterable[int]
+    ) -> list[tuple[int, int, int]]:
+        """Delete ``eids`` in order; returns their ``(eid, u, v)`` records
+        for :meth:`restore_edges`."""
         eids = list(eids)
         if len(set(eids)) != len(eids):
             raise GraphError("duplicate edge id in deletion batch")
         for eid in eids:
             if eid not in self._edges:
                 raise GraphError(f"unknown edge id {eid}")
+        records = [(eid, *self._edges[eid]) for eid in eids]
         for eid in eids:
             self.delete_edge(eid)
+        return records
 
-    def restore_edges(self, eids: Iterable[int]) -> None:
-        """Undo ``delete_edges(eids)``.  Must match the stack top (LIFO)."""
-        for eid in reversed(list(eids)):
-            if not self._undo or self._undo[-1][0] != eid:
-                raise GraphError(
-                    f"restore of edge {eid} out of LIFO order"
-                )
-            _, u, v = self._undo.pop()
+    def restore_edges(self, records: Iterable[tuple[int, int, int]]) -> None:
+        """Re-insert edges from :meth:`delete_edges` records."""
+        for eid, u, v in records:
+            if eid in self._edges:
+                raise GraphError(f"cannot restore edge {eid}: it is present")
             self._edges[eid] = (u, v)
             self._inc[u][2 * eid] = None
             self._inc[v][2 * eid + 1] = None

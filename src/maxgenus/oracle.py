@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .graph import DisconnectedError, GraphError, MultiGraph, is_connected
+from .graph import (
+    CertificationError,
+    DisconnectedError,
+    GraphError,
+    MultiGraph,
+    is_connected,
+)
 from .greedy import AdjacentPair, PairSet, candidate_pairs
 
 DEFAULT_PAIRS_EDGE_LIMIT = 16
@@ -94,16 +100,15 @@ def exact_max_genus_pairs(
             p = cands[i]
             if not (work.has_edge(p.e) and work.has_edge(p.f)):
                 continue
-            work.delete_edges((p.e, p.f))
+            removed = work.delete_edges((p.e, p.f))
+            done = False
             if is_connected(work):
                 chosen.append(p)
                 done = search(i + 1)
                 chosen.pop()
-                work.restore_edges((p.e, p.f))
-                if done:
-                    return True
-            else:
-                work.restore_edges((p.e, p.f))
+            work.restore_edges(removed)
+            if done:
+                return True
         return False
 
     search(0)
@@ -271,8 +276,9 @@ def xuong_max_genus(
             best_tree = tree
             if odd == beta % 2:
                 break  # cannot do better than the parity floor
-    assert best_odd is not None and best_tree is not None
-    assert (beta - best_odd) % 2 == 0
+    if best_odd is None or (beta - best_odd) % 2:
+        raise CertificationError(
+            f"tree search gave odd count {best_odd} for beta={beta}")
     genus = (beta - best_odd) // 2
     return genus, XuongCertificate(best_tree, best_odd, genus)
 

@@ -9,23 +9,19 @@ from maxgenus import MultiGraph, is_connected
 
 class MirrorGraph:
     """A ``MultiGraph`` that receives the backend's deletes and inserts and
-    answers its queries by plain traversal.
-
-    ``MultiGraph`` restores edges only in LIFO order, so a re-inserted edge
-    enters the mirror under a fresh id; ``_ids`` maps backend ids to the
-    mirror's current ones.
+    answers its queries by plain traversal.  A re-inserted edge comes
+    back under its own id, from the record its deletion returned.
     """
 
     def __init__(self, g: MultiGraph):
         self.g = g.copy()
-        self._ends = {e: g.endpoints(e) for e in g.edge_ids()}
-        self._ids = {e: e for e in g.edge_ids()}
+        self._removed: dict[int, list[tuple[int, int, int]]] = {}
 
     def delete_edge(self, eid: int) -> None:
-        self.g.delete_edge(self._ids.pop(eid))
+        self._removed[eid] = self.g.delete_edges((eid,))
 
     def insert_edge(self, eid: int) -> None:
-        self._ids[eid] = self.g.add_edge(*self._ends[eid])
+        self.g.restore_edges(self._removed.pop(eid))
 
     def connected(self, u: int, v: int) -> bool:
         seen = {u}

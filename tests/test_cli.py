@@ -205,6 +205,24 @@ class TestExitCodes:
         proc = run_cli("greedy", stdin="", check=False)
         assert proc.returncode == 3
 
+    def test_wrong_embedding_genus_under_optimize(self):
+        # with asserts stripped by -O, a wrong genus must still be caught
+        script = (
+            "import sys\n"
+            "from maxgenus import cli\n"
+            "from maxgenus.embedding import EmbeddingState\n"
+            "EmbeddingState.genus = property(lambda self: 0)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "greedy", "--embed"],
+            input=K4_TEXT, capture_output=True, text=True, env=ENV,
+        )
+        assert proc.returncode == 5
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "embedding genus" not in proc.stdout
+
     def test_version(self):
         proc = run_cli("--version")
         assert "maxgenus" in proc.stdout

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxgenus import (
+    POLICIES,
     AdjacentPair,
+    CertificationError,
     DisconnectedError,
     EmbeddingState,
     GraphError,
@@ -17,10 +19,14 @@ from maxgenus import (
     greedy_max_genus,
     gen_random_connected_multigraph,
     gen_tight_star,
+    run_pipeline,
     trace_faces,
     verify_pair_set,
 )
 from maxgenus.embedding import _bfs_tree
+from maxgenus.graph import dart
+
+from _corpus import circulant
 
 
 def path_graph(n):
@@ -133,6 +139,11 @@ class TestTraceFaces:
     def test_single_vertex_no_edges(self):
         g = MultiGraph(1)
         assert genus_of(g, {0: ()}) == 0
+
+    def test_euler_check_is_typed(self):
+        # unvalidated and disconnected: n - m + f = 3 has no genus
+        with pytest.raises(CertificationError):
+            genus_of(MultiGraph(2), {0: (), 1: ()}, validate=False)
 
 
 class TestEmbeddingState:
@@ -283,6 +294,83 @@ class TestInsertAdjacentPair:
             state.insert_adjacent_pair(g, AdjacentPair(ex1, ex2, 1))
 
 
+def _path_plus(*extra):
+    """Path 0-1-2 (edges 0, 1) plus ``extra`` edges from id 2 on."""
+    g = path_graph(3)
+    for uv in extra:
+        g.add_edge(*uv)
+    return g
+
+
+def _witness_corner(state, g, pair):
+    """Which corner flanking the witness dart d_w took the second edge:
+    ``"after"`` (between d_w and sigma_next[d_w]) or ``"d_w"`` (before
+    d_w)."""
+    w = pair.witness
+    d_w = dart(pair.e, 0 if g.endpoints(pair.e)[0] == w else 1)
+    f_w = dart(pair.f, 0 if g.endpoints(pair.f)[0] == w else 1)
+    if state.sigma_prev[f_w] == d_w:
+        return "after"
+    assert state.sigma_next[f_w] == d_w
+    return "d_w"
+
+
+class TestCornerRule:
+    """The second edge's far end sits at ``first_dart[x]``; its witness
+    end goes to whichever corner beside d_w lies on the other face."""
+
+    @pytest.mark.parametrize("extra, witness, corner", [
+        # first_dart[x] lies on d_w's own face: enter after d_w
+        (((0, 2), (0, 1)), 0, "after"),
+        (((1, 1), (1, 0)), 1, "after"),
+        # first_dart[x] lies on the face after d_w: enter before d_w
+        (((0, 2), (1, 2)), 2, "d_w"),
+        (((1, 2), (1, 0)), 1, "d_w"),
+    ], ids=["own-face-chord", "own-face-loop-first", "other-face-chord",
+            "other-face-at-middle"])
+    def test_far_end_face_picks_witness_corner(self, extra, witness, corner):
+        g = _path_plus(*extra)
+        state = EmbeddingState.tree_embedding(g, {0, 1})
+        pair = AdjacentPair(2, 3, witness)
+        state.insert_adjacent_pair(g, pair, check=True)
+        assert _witness_corner(state, g, pair) == corner
+        assert state.n_faces == 1
+        assert state.genus == 1
+
+    @pytest.mark.parametrize("extra", [
+        ((0, 1), (0, 1)),  # parallel pair
+        ((1, 1), (1, 0)),  # loop + edge
+        ((1, 0), (1, 1)),  # edge + loop
+        ((1, 1), (1, 1)),  # two loops
+    ], ids=["parallel", "loop+edge", "edge+loop", "two-loops"])
+    def test_pair_shapes_raise_genus_by_one(self, extra):
+        g = _path_plus(*extra)
+        state = EmbeddingState.tree_embedding(g, {0, 1})
+        state.insert_adjacent_pair(g, AdjacentPair(2, 3, 1), check=True)
+        assert state.n_faces == 1
+        assert state.genus == 1
+        assert genus_of(g, state.rotation()) == 1
+
+    def test_absorbed_first_edge_is_a_certification_failure(self):
+        # a bare endpoint turns the first edge into an absorb, not a split,
+        # so the second edge cannot merge two faces
+        g = MultiGraph(3)
+        g.add_edge(0, 1)
+        g.add_edge(0, 2)
+        g.add_edge(0, 0)
+        state = EmbeddingState.tree_embedding(path_graph(2), {0})
+        state.n_vertices = 3
+        with pytest.raises(CertificationError):
+            state.insert_adjacent_pair(g, AdjacentPair(1, 2, 0))
+
+
+def _assert_certified_embedding(g, policy):
+    pairs = run_pipeline(g, policy=policy, seed=3).pairs
+    emb = build_embedding(g, pairs, check=True)
+    assert emb.genus >= len(pairs.pairs)
+    assert genus_of(g, emb.rotation) == emb.genus
+
+
 class TestBuildEmbedding:
     def test_k4_certificate(self):
         g = k4()
@@ -300,6 +388,19 @@ class TestBuildEmbedding:
         assert emb.genus == 0
         assert emb.pairs_used == 0
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1)] * 4,
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    ], ids=["dipole", "k4"])
+    def test_leftover_edges_prefer_split(self, edges):
+        # both are planar; with no pairs, a leftover edge only merges two
+        # faces when no face holds corners at both of its ends
+        g = MultiGraph(max(max(uv) for uv in edges) + 1)
+        for uv in edges:
+            g.add_edge(*uv)
+        emb = build_embedding(g, [], check=True)
+        assert emb.genus == 0
+
     def test_rejects_bad_certificate(self):
         g = k4()
         with pytest.raises(GraphError):
@@ -313,6 +414,27 @@ class TestBuildEmbedding:
         assert emb.n_vertices - emb.n_edges + emb.n_faces == 2 - 2 * emb.genus
         rot = RotationSystem.from_text(emb.rotation.to_text())
         assert genus_of(g, rot) == emb.genus
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n, m, seed", [(24, 64, 11), (96, 256, 12)],
+                             ids=["m64", "m256"])
+    def test_seeded_multigraphs(self, policy, n, m, seed):
+        g = gen_random_connected_multigraph(
+            n, m, seed=seed, loop_prob=0.2, parallel_prob=0.2)
+        _assert_certified_embedding(g, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["natural", "shuffled"])
+    def test_circulant_edge_orders(self, policy, shuffled):
+        g = circulant(64)
+        if shuffled:
+            edges = [g.endpoints(e) for e in g.edge_ids()]
+            random.Random(64).shuffle(edges)
+            g = MultiGraph(64)
+            for uv in edges:
+                g.add_edge(*uv)
+        _assert_certified_embedding(g, policy)
 
     def test_planar_k4_exists(self):
         # sanity on the face tracer: K4 admits both a planar and a toroidal

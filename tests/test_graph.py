@@ -73,17 +73,21 @@ class TestMultiGraph:
     def test_delete_restore_round_trip(self):
         g = triangle()
         snapshot = g.copy()
-        g.delete_edges((0, 2))
+        removed = g.delete_edges((0, 2))
+        assert removed == [(0, 0, 1), (2, 2, 0)]
         assert g.n_edges == 1
-        g.restore_edges((0, 2))
+        g.restore_edges(removed)
         assert g == snapshot
 
-    def test_restore_must_be_lifo(self):
+    def test_restore_present_edge_rejected(self):
         g = triangle()
-        g.delete_edge(0)
-        g.delete_edge(1)
+        first = g.delete_edges((0,))
+        second = g.delete_edges((1,))
+        g.restore_edges(first)  # any order, not only the last deletion
         with pytest.raises(GraphError):
-            g.restore_edges((0,))  # 1 was deleted last
+            g.restore_edges(first)
+        g.restore_edges(second)
+        assert g == triangle()
 
     def test_unknown_edge_errors(self):
         g = triangle()
@@ -212,6 +216,6 @@ def test_property_delete_restore_identity(edges, data):
     half = ids[: len(ids) // 2]
     if not half:
         return
-    g.delete_edges(half)
-    g.restore_edges(half)
+    removed = g.delete_edges(half)
+    g.restore_edges(data.draw(st.permutations(removed)))
     assert g == snapshot

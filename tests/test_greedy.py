@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from maxgenus import (
     AdjacentPair,
+    CertificationError,
     DisconnectedError,
     GenusBounds,
     GraphError,
@@ -20,6 +21,7 @@ from maxgenus import (
     is_connected,
     verify_pair_set,
 )
+from maxgenus import bench
 from maxgenus.greedy import candidate_pairs
 
 from _corpus import circulant
@@ -153,6 +155,18 @@ class TestGreedy:
         g = gen_complete(4)
         r = greedy_max_genus(g)
         assert r.backend_stats.queries == r.stats.tests
+
+    def test_pipeline_probe_count_mismatch_is_typed(self, monkeypatch):
+        real = bench.greedy_max_genus
+
+        def skewed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.backend_stats.queries += 1
+            return res
+
+        monkeypatch.setattr(bench, "greedy_max_genus", skewed)
+        with pytest.raises(CertificationError):
+            bench.run_pipeline(gen_complete(4))
 
     def test_rejects_disconnected(self):
         g = MultiGraph(3)
