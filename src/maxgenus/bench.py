@@ -112,6 +112,14 @@ class BenchConfig:
             raise GraphError(f"unknown family {self.family!r}")
         if not self.sizes:
             raise GraphError("sizes must be non-empty")
+        if not math.isfinite(self.edge_factor):
+            raise GraphError(f"edge_factor must be finite, "
+                             f"got {self.edge_factor}")
+        if self.jobs < 1:
+            raise GraphError(f"jobs must be at least 1, got {self.jobs}")
+        # GeneratorSpec rejects probabilities outside [0, 1] or summing above 1
+        GeneratorSpec(self.family, loop_prob=self.loop_prob,
+                      parallel_prob=self.parallel_prob)
 
     @classmethod
     def parse(cls, text: str) -> "BenchConfig":
@@ -136,16 +144,21 @@ class BenchConfig:
             if not sep or key not in fields:
                 raise GraphError(f"config line {no}: unknown entry {raw!r}")
             kind = fields[key]
-            if kind == "ints":
-                out[key] = tuple(int(t) for t in value.split(","))
-            elif kind == "strs":
-                out[key] = tuple(t.strip() for t in value.split(","))
-            elif kind == "bool":
+            if kind == "bool":
                 if value not in ("true", "false"):
                     raise GraphError(f"config line {no}: expected true/false")
                 out[key] = value == "true"
-            else:
-                out[key] = kind(value)
+                continue
+            try:
+                if kind == "ints":
+                    out[key] = tuple(int(t) for t in value.split(","))
+                elif kind == "strs":
+                    out[key] = tuple(t.strip() for t in value.split(","))
+                else:
+                    out[key] = kind(value)
+            except ValueError:
+                raise GraphError(f"config line {no}: bad value {value!r} "
+                                 f"for {key}") from None
         return cls(**out)
 
 
@@ -172,7 +185,11 @@ def _run_job(args: tuple) -> RunReport:
 
 
 def run_bench(cfg: BenchConfig, *, jobs: int | None = None) -> list[RunReport]:
+    """Run every cell of the grid, with at most one worker process per
+    cell; ``jobs`` overrides ``cfg.jobs`` and must be at least 1."""
     jobs = cfg.jobs if jobs is None else jobs
+    if jobs < 1:
+        raise GraphError(f"jobs must be at least 1, got {jobs}")
     cfg_fields = asdict(cfg)
     arglist = [
         (cfg_fields, size, seed, policy)
@@ -180,6 +197,8 @@ def run_bench(cfg: BenchConfig, *, jobs: int | None = None) -> list[RunReport]:
         for seed in cfg.seeds
         for policy in cfg.policies
     ]
+    # a fork pool starts all its workers at the first submit
+    jobs = min(jobs, len(arglist))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_job, arglist))

@@ -5,9 +5,11 @@ Subcommands: ``greedy`` (2-approximation with certificate), ``exact``
 embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
 
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
-disconnected graph (also argparse usage errors), 3 edge-list or rotation
-parse error, 4 exact-oracle limit exceeded, 5 certification failure (the
-exact oracles disagree, or a certificate check fails).
+disconnected graph or invalid option value (also argparse usage errors,
+bench jobs below 1 and generator probabilities outside [0, 1]), 3
+edge-list or rotation parse error, 4 exact-oracle limit exceeded, 5
+certification failure (the exact oracles disagree, or a certificate
+check or a ``--check`` audit fails).
 """
 
 from __future__ import annotations

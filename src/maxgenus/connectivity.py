@@ -2,16 +2,15 @@
 
 Both backends answer the same questions about an attached graph while
 edges are deleted and re-inserted: ``connected(u, v)``, ``connected_all()``
-and ``still_connected(ends)``, the question behind the greedy's
-pair-removal probe.  They give identical answers; only the cost model
-differs.  The greedy defaults to :class:`DfsBackend`, and the pipeline
-and the CLI use nothing else.  :class:`DynamicBackend` is slower on every
-benchmark workload; it stays only for the certify benchmark's traced
-comparison run.
+and ``cut_side(ends)``, the question behind the greedy's pair-removal
+probe.  They give identical answers; only the cost model differs.  The
+greedy defaults to :class:`DfsBackend`, and the pipeline and the CLI use
+nothing else.  :class:`DynamicBackend` is slower on every benchmark
+workload; it stays only for the certify benchmark's traced comparison run.
 
 * :class:`DfsBackend` searches on every query, O(1) per update.
   ``connected_all`` is one full traversal, O(m).  ``connected`` and
-  ``still_connected`` search from every endpoint in lockstep, one vertex
+  ``cut_side`` search from every endpoint in lockstep, one vertex
   expansion per side in turn (Even and Shiloach, J. ACM 28(1), 1981): a
   side that runs dry proves the answer false at a cost of O(smaller side),
   and sides that meet merge, so a true answer costs the search until the
@@ -30,6 +29,15 @@ comparison run.
 Loop edges never enter the dynamic structure: they cannot affect
 connectivity, so they are tracked only for existence.  ``connected_all``
 on the dynamic backend is an incrementally maintained component counter.
+
+Every backend carries ``bridges``, a memo of edges proved to be bridges of
+its present graph.  :func:`pair_removal_keeps_connected` fills it from the
+side a failed ``DfsBackend`` search found dry and answers any pair holding
+a memoised bridge at once.  Deleting edges never turns a bridge into a
+non-bridge, so only an insertion can make the memo stale; ``insert_edge``
+empties it, and the probe's own rollback, which restores the graph the
+memo was proved on, keeps it.  ``DynamicBackend`` reports no dry side, so
+its memo stays empty.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ class BackendStats:
     deletes: int = 0
     inserts: int = 0
     promotions: int = 0
+    memo_answers: int = 0  # probes answered from the bridge memo
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +77,7 @@ class DfsBackend:
                 self._adj[u][eid] = v
                 self._adj[v][eid] = u
         self.stats = BackendStats(inserts=len(self._present))
+        self.bridges: set[int] = set()
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:
@@ -94,23 +104,30 @@ class DfsBackend:
             raise GraphError(f"edge {eid} already present")
         self._present.add(eid)
         self.stats.inserts += 1
+        self.bridges.clear()  # the new edge may join a bridge's two sides
         if u != v:
             self._adj[u][eid] = v
             self._adj[v][eid] = u
 
     def connected(self, u: int, v: int) -> bool:
         self.stats.queries += 1
-        return self._joined((u, v))
+        return self._dry_side((u, v)) is None
 
-    def still_connected(self, ends) -> bool:
-        """Whether the graph is still connected, given that it was before
-        the last deletions and ``ends`` holds every endpoint of the deleted
-        edges: each component then holds one of ``ends``."""
+    def cut_side(self, ends) -> frozenset[int] | None:
+        """None if the vertices in ``ends`` lie in one component, else the
+        ends that one component missing some end holds.
+
+        The probe asks this after deleting edges from a connected graph,
+        with ``ends`` holding every endpoint of the deleted edges; each
+        component then holds one of ``ends``, so None means the graph is
+        still connected.
+        """
         self.stats.queries += 1
-        return self._joined(ends)
+        return self._dry_side(ends)
 
-    def _joined(self, ends) -> bool:
-        """True iff the vertices in ``ends`` lie in one component.
+    def _dry_side(self, ends) -> frozenset[int] | None:
+        """None if the vertices in ``ends`` lie in one component, else the
+        ends inside the first side that ran dry.
 
         Each end starts a breadth-first side; the sides expand one vertex
         each in turn.  A side that reaches a vertex of another merges with
@@ -130,7 +147,8 @@ class DfsBackend:
                 if queue is None:
                     continue  # merged into another side this round
                 if not queue:
-                    return False
+                    return frozenset(x for x in starts
+                                     if merged[owner[x]] == sid)
                 for w in adj[queue.popleft()].values():
                     other = owner.get(w)
                     if other is None:
@@ -142,8 +160,8 @@ class DfsBackend:
                         queue.extend(queues.pop(other))
                         merged = [sid if m == other else m for m in merged]
                         if len(queues) == 1:
-                            return True
-        return True
+                            return None
+        return None
 
     def connected_all(self) -> bool:
         self.stats.queries += 1
@@ -386,6 +404,7 @@ class DynamicBackend:
         self._present: set[int] = set()
         self._comps = self._n
         self.stats = BackendStats()
+        self.bridges: set[int] = set()  # stays empty: cut_side names no side
         for eid in sorted(self._endpoints):
             self.insert_edge(eid)
 
@@ -408,10 +427,11 @@ class DynamicBackend:
         self.stats.queries += 1
         return self._comps == 1
 
-    def still_connected(self, ends) -> bool:
-        # The component counter answers for the whole graph at once.
+    def cut_side(self, ends) -> frozenset[int] | None:
+        # The component counter answers for the whole graph at once; it
+        # cannot tell which ends a component holds.
         self.stats.queries += 1
-        return self._comps == 1
+        return None if self._comps == 1 else frozenset()
 
     def insert_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
@@ -529,10 +549,19 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     so the graph stays connected iff those endpoints are still mutually
     joined; that is the one query the probe makes.
 
+    A pair holding an edge in ``backend.bridges`` is answered False from
+    that memo, counted as one query (and one memo answer) with no delete
+    or insert.  The memo is exact: when the search fails, the side that ran
+    dry is a whole component S of the graph minus {e, f}, and e and f are
+    the only edges that can leave S.  If exactly one of them has exactly
+    one end in S, that edge alone joins S to the rest, so it is a bridge.
+    Deleting edges keeps a bridge a bridge, and the rollback restores the
+    graph the memo holds for.
+
     On success the backend is left with both edges deleted; on failure they
-    are re-inserted in reverse order and the backend state is
-    indistinguishable from before the probe.  The two edges must be
-    distinct, present, and share an endpoint.
+    are re-inserted in reverse order and the backend's graph is as before
+    the probe.  The two edges must be distinct, present, and share an
+    endpoint.
     """
     if e == f:
         raise GraphError("pair must consist of two distinct edges")
@@ -540,14 +569,30 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     uf = backend.endpoints(f)
     if not set(ue) & set(uf):
         raise GraphError(f"edges {e} and {f} do not share an endpoint")
+    bridges = backend.bridges
+    if e in bridges or f in bridges:
+        if not (backend.has_edge(e) and backend.has_edge(f)):
+            raise GraphError(f"edge {e} or {f} is not present")
+        backend.stats.queries += 1
+        backend.stats.memo_answers += 1
+        return False
     backend.delete_edge(e)
     try:
         backend.delete_edge(f)
     except GraphError:
         backend.insert_edge(e)
         raise
-    ok = backend.still_connected((*ue, *uf))
-    if not ok:
-        backend.insert_edge(f)
-        backend.insert_edge(e)
-    return ok
+    side = backend.cut_side((*ue, *uf))
+    if side is None:
+        return True
+    # insert_edge empties the memo; this rollback restores the graph the
+    # memo was proved on, so detach it meanwhile
+    backend.bridges = set()
+    backend.insert_edge(f)
+    backend.insert_edge(e)
+    backend.bridges = bridges
+    crossing = [eid for eid, (a, b) in ((e, ue), (f, uf))
+                if (a in side) != (b in side)]
+    if len(crossing) == 1:
+        bridges.add(crossing[0])
+    return False

@@ -18,12 +18,17 @@ A corner is named by the dart it precedes: inserting at corner ``r``
 splices the new dart immediately before ``r`` in the vertex rotation.
 The gap before ``r`` lies on ``face_id[r]``.
 
-Corners are picked without walking faces.  Before each pair there is
-one face, so ``first_dart`` of every vertex is a corner on it; after the
-pair's first edge splits it, one ``face_id`` comparison tells which of
-the two corners flanking the witness dart lies on the other face.  A
-leftover edge scans the rotations at its two ends for a face holding
-corners at both (a split) and otherwise takes the first darts (a merge).
+Corners are picked without relabelling faces.  Before each pair there
+is one face, so ``first_dart`` of every vertex is a corner on it; after
+the pair's first edge splits it, a read-only lockstep walk of the two new
+faces tells which of the two corners flanking the witness dart lies on the
+face without the second edge's far end.  The pair then merges the two
+faces back into one, so every old ``face_id`` is right again and only the
+four new darts are labelled.  A leftover edge scans the rotations at its
+two ends for a face holding corners at both (a split) and otherwise takes
+the first darts (a merge).  Since pair insertion sets face ids by this
+argument rather than by walks, :func:`build_embedding` checks its face
+count against one trace of the emitted rotation.
 """
 
 from __future__ import annotations
@@ -136,15 +141,12 @@ def _face_count(order: Mapping[int, Sequence[int]]) -> int:
     return count
 
 
-def trace_faces(g: MultiGraph, rot: "RotationSystem | Mapping") -> FaceSet:
-    """Face orbits of the embedding given by ``rot``."""
-    if not isinstance(rot, RotationSystem):
-        rot = RotationSystem({v: tuple(c) for v, c in rot.items()})
-    rot.validate(g)
-    sigma_next = _sigma_next(rot.order)
+def _face_set(order: Mapping[int, Sequence[int]]) -> FaceSet:
+    """Orbits of ``d -> sigma_next[twin(d)]``.  No validation."""
+    sigma_next = _sigma_next(order)
     faces = []
     seen: set[int] = set()
-    for d in sorted(sigma_next):
+    for d in sigma_next:
         if d in seen:
             continue
         cyc = []
@@ -155,6 +157,14 @@ def trace_faces(g: MultiGraph, rot: "RotationSystem | Mapping") -> FaceSet:
             x = sigma_next[x ^ 1]
         faces.append(_canonical_cycle(cyc))
     return FaceSet(tuple(sorted(faces)))
+
+
+def trace_faces(g: MultiGraph, rot: "RotationSystem | Mapping") -> FaceSet:
+    """Face orbits of the embedding given by ``rot``."""
+    if not isinstance(rot, RotationSystem):
+        rot = RotationSystem({v: tuple(c) for v, c in rot.items()})
+    rot.validate(g)
+    return _face_set(rot.order)
 
 
 def genus_of(
@@ -337,6 +347,44 @@ class EmbeddingState:
         self.sigma_next[d] = ref
         self.sigma_prev[ref] = d
 
+    def _splice_edge(
+        self, eid: int, u: int, v: int,
+        corner_u: int | None, corner_v: int | None,
+    ) -> None:
+        """Splice edge ``eid``'s darts in before the given corners and
+        refresh the ``face_next`` entries that can change.  A bare end
+        (corner None) gets a one-dart rotation; a loop on a bare vertex
+        puts its second dart next to the first."""
+        d0, d1 = dart(eid, 0), dart(eid, 1)
+        self._splice(d0, u, corner_u)
+        if corner_v is None and u == v:
+            corner_v = d0
+        self._splice(d1, v, corner_v)
+        p0, p1 = self.sigma_prev[d0], self.sigma_prev[d1]
+        for x in {twin(p0), d1, twin(p1), d0}:
+            self.face_next[x] = self.sigma_next[twin(x)]
+        self.m_emb += 1
+
+    def _on_face_of(self, target: int, a: int, b: int) -> bool:
+        """Whether dart ``target`` lies on the face of dart ``a`` rather
+        than on that of ``b``, given that it lies on one of the two.
+
+        Walks both orbits in lockstep, reading ``face_next`` only, and
+        stops when one of them meets ``target`` or closes.
+        """
+        fn = self.face_next
+        x, y = a, b
+        while True:
+            if x == target:
+                return True
+            if y == target:
+                return False
+            x, y = fn[x], fn[y]
+            if x == a:
+                return False
+            if y == b:
+                return True
+
     def _check_corner(self, v: int, corner: int | None) -> None:
         if not 0 <= v < self.n_vertices:
             raise GraphError(f"vertex {v} out of range")
@@ -386,13 +434,7 @@ class EmbeddingState:
             ) else (fb, fa)
             small_darts = self._walk_face(lose)
 
-        self._splice(d0, u, corner_u)
-        self._splice(d1, v, d0 if kind == "first-loop" else corner_v)
-
-        p0 = self.sigma_prev[d0]
-        p1 = self.sigma_prev[d1]
-        for x in {twin(p0), d1, twin(p1), d0}:
-            self.face_next[x] = self.sigma_next[twin(x)]
+        self._splice_edge(eid, u, v, corner_u, corner_v)
 
         if kind == "first-loop":
             for d in (d0, d1):
@@ -444,7 +486,6 @@ class EmbeddingState:
             del self.face_start[lose]
             self.face_start[keep] = d0
 
-        self.m_emb += 1
         if check:
             self._audit()
         return kind
@@ -459,9 +500,16 @@ class EmbeddingState:
         that face.  Its witness dart ``d_w`` is then flanked by corners on
         the two new faces: before ``d_w`` and before ``sigma_next[d_w]``.
         The second edge takes ``first_dart`` of its far end (or
-        ``sigma_next[d_w]`` if it is a loop) and enters the witness at
-        the flanking corner on the other face, merging the two back into
-        one.  Raises :class:`CertificationError` if it does not.
+        ``sigma_next[d_w]`` if it is a loop).  Walking the two new faces
+        from ``sigma_next[d_w]`` and from ``d_w`` in lockstep, reading
+        ``face_next`` only, until one meets that corner or closes, tells
+        which face holds it; the witness end enters at the flanking corner
+        on the other face, merging the two back into one.  Every old dart
+        is then on that one face again, so only the four new darts get its
+        id: nothing is relabelled.  :func:`build_embedding` checks the
+        final face count against a trace of the emitted rotation.  Raises
+        :class:`CertificationError` if an end of the pair carries no dart
+        (then the first edge cannot split the face).
         """
         if self.n_faces != 1:
             raise GraphError("pair insertion needs a single face")
@@ -472,42 +520,69 @@ class EmbeddingState:
             raise GraphError("witness is not an endpoint of the first edge")
         if w not in (fu, fv):
             raise GraphError("witness is not an endpoint of the second edge")
-        self.insert_edge(pair.e, eu, ev, self.first_dart.get(eu),
-                         self.first_dart.get(ev), check=check)
+        for eid in pair.edges():
+            if dart(eid, 0) in self.vertex_of:
+                raise GraphError(f"edge {eid} already embedded")
+        # only two loops on the vertex of a dartless state may start bare
+        bare = {y for y in (eu, ev, fu, fv) if y not in self.first_dart}
+        if bare and (self.first_dart or len(bare) > 1):
+            raise CertificationError(
+                f"pair ({pair.e}, {pair.f}) at {w} has an end without "
+                "darts, so it cannot split and merge the one face")
+        fid = next(iter(self.face_size), None)
+        self._splice_edge(pair.e, eu, ev, self.first_dart.get(eu),
+                          self.first_dart.get(ev))
         d_w = dart(pair.e, 0 if eu == w else 1)
         after = self.sigma_next[d_w]
         x = fv if fu == w else fu
-        ref_x = after if x == w else self.first_dart.get(x)
-        # a bare far end (None) absorbs instead of merging: caught below
-        ref_w = d_w if self.face_id.get(ref_x) == self.face_id[after] else after
+        ref_x = after if x == w else self.first_dart[x]
+        ref_w = d_w if self._on_face_of(ref_x, after, d_w) else after
         corners = (ref_w, ref_x) if fu == w else (ref_x, ref_w)
-        kind = self.insert_edge(pair.f, fu, fv, *corners, check=check)
-        if kind != "merge" or self.n_faces != 1:
-            raise CertificationError(
-                f"pair ({pair.e}, {pair.f}) at {w} left {self.n_faces} "
-                "faces instead of merging back to one")
+        self._splice_edge(pair.f, fu, fv, *corners)
+        if fid is None:  # a dartless state: the pair makes the first face
+            fid = self._next_face
+            self._next_face += 1
+            self.face_size[fid] = 0
+            self.face_start[fid] = d_w
+        for d in (dart(pair.e, 0), dart(pair.e, 1),
+                  dart(pair.f, 0), dart(pair.f, 1)):
+            self.face_id[d] = fid
+        self.face_size[fid] += 4
+        if check:
+            self._audit()
 
     # -- auditing ----------------------------------------------------------
 
     def _audit(self) -> None:
+        """Check every invariant from scratch.  Raises
+        :class:`CertificationError`, also under ``python -O``."""
         for d, nxt in self.sigma_next.items():
-            assert self.sigma_prev[nxt] == d
-            assert self.vertex_of[nxt] == self.vertex_of[d]
-            assert self.face_next[d] == self.sigma_next[twin(d)]
+            _require(self.sigma_prev.get(nxt) == d,
+                     f"sigma_prev of dart {nxt}")
+            _require(self.vertex_of.get(nxt) == self.vertex_of[d],
+                     f"rotation of dart {d} leaves its vertex")
+            _require(self.face_next.get(d) == self.sigma_next.get(twin(d)),
+                     f"face_next of dart {d}")
         seen: set[int] = set()
         for fid, start in self.face_start.items():
             walk = self._walk_face(fid)
-            assert len(walk) == self.face_size[fid]
+            _require(len(walk) == self.face_size.get(fid),
+                     f"size of face {fid}")
             for d in walk:
-                assert self.face_id[d] == fid
-                assert d not in seen
+                _require(self.face_id.get(d) == fid, f"face id of dart {d}")
+                _require(d not in seen, f"dart {d} on two faces")
                 seen.add(d)
-            assert start in walk
-        assert seen == set(self.sigma_next)
+            _require(start in walk, f"start of face {fid}")
+        _require(seen == set(self.sigma_next), "a dart is on no face")
         # Euler parity only makes sense once every vertex carries a dart
         if len(self.first_dart) == self.n_vertices:
             chi = self.n_vertices - self.m_emb + self.n_faces
-            assert chi % 2 == 0
+            _require(chi % 2 == 0, f"odd Euler characteristic {chi}")
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificationError(f"embedding check failed: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +636,9 @@ def build_embedding(
     splits a face holding corners at both u and v (the first such darts
     in their rotations) and otherwise merges at ``first_dart``; merges
     only push the genus higher.  Raises :class:`CertificationError` if an
-    edge is missing or the genus ends below the pair count.
+    edge is missing, the genus ends below the pair count, or the face
+    count differs from one trace of the emitted rotation (pair insertion
+    sets face ids by the one-face argument, not by walks).
     """
     if not isinstance(pairs, PairSet):
         pairs = PairSet(list(pairs))
@@ -595,13 +672,18 @@ def build_embedding(
         raise CertificationError(
             f"embedding genus {genus} is below the {k} certified pairs")
     rot = st.rotation()
+    faces = _face_set(rot.order)
+    if g.n_edges and len(faces) != st.n_faces:
+        raise CertificationError(
+            f"the emitted rotation has {len(faces)} faces, the build "
+            f"counted {st.n_faces}")
     if check:
         rebuilt = EmbeddingState.from_rotation(g, rot)
-        assert rebuilt.faces() == st.faces()
-        assert genus_of(g, rot) == genus
+        _require(rebuilt.faces() == st.faces(), "faces of the rebuilt state")
+        _require(genus_of(g, rot) == genus, "genus of the emitted rotation")
     return EmbeddingResult(
         rotation=rot,
-        faces=st.faces(),
+        faces=faces,
         genus=genus,
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,

@@ -142,6 +142,16 @@ class GeneratorSpec:
     loop_prob: float = 0.15
     parallel_prob: float = 0.15
 
+    def __post_init__(self):
+        for name in ("loop_prob", "parallel_prob"):
+            p = getattr(self, name)
+            if not 0 <= p <= 1:
+                raise GraphError(f"{name} must lie in [0, 1], got {p}")
+        if self.loop_prob + self.parallel_prob > 1:
+            raise GraphError(
+                f"loop_prob + parallel_prob must be at most 1, got "
+                f"{self.loop_prob} + {self.parallel_prob}")
+
     def build(self) -> MultiGraph:
         if self.family == "tight-star":
             self._need("n")

@@ -1,21 +1,27 @@
 """End-to-end command line checks, run through subprocesses."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from maxgenus import (
+    POLICIES,
     AdjacentPair,
     RunReport,
     gen_tight_star,
     parse_edge_list,
     verify_pair_set,
 )
-from maxgenus import cli
+from maxgenus import BenchConfig, bench, cli
+from maxgenus.graph import format_dart
 
 CLI = [sys.executable, "-m", "maxgenus.cli"]
 # the child imports the same package copy as this process
@@ -162,6 +168,13 @@ class TestGen:
         proc = run_cli("gen", "--family", "bouquet", check=False)
         assert proc.returncode == 2
 
+    def test_probability_out_of_range(self):
+        proc = run_cli("gen", "--family", "random", "-n", "4", "-m", "4",
+                       "--loop-prob", "2", check=False)
+        assert proc.returncode == 2
+        assert "loop_prob" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestBench:
     def test_mini_run(self, tmp_path):
@@ -185,6 +198,42 @@ class TestBench:
         cfg.write_text("familly=random\n")
         proc = run_cli("bench", str(cfg), check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("jobs, cells, workers", [
+        (5000, 2, [2]),  # one worker per cell at most
+        (5000, 1, []),   # a single cell runs in this process
+        (2, 4, [2]),
+    ])
+    def test_jobs_clamped_to_cells(self, monkeypatch, jobs, cells, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        cfg = BenchConfig(sizes=(8,), seeds=tuple(range(cells)), jobs=jobs)
+        assert len(bench.run_bench(cfg)) == cells
+        assert started == workers
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--jobs", "0"], "sizes=8\n"),
+        ([], "sizes=8\njobs=-1\n"),
+    ], ids=["option", "config"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, argv, text):
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text(text)
+        assert cli.main(["bench", str(cfg), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be")
 
 
 class TestExitCodes:
@@ -223,6 +272,29 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "embedding genus" not in proc.stdout
 
+    def test_check_audits_under_optimize(self):
+        # --check must audit even with asserts stripped by -O
+        script = (
+            "import sys\n"
+            "from maxgenus import cli\n"
+            "from maxgenus.embedding import EmbeddingState\n"
+            "audit = EmbeddingState._audit\n"
+            "def corrupted(self):\n"
+            "    d = next(iter(self.face_id))\n"
+            "    self.face_id[d] = -1\n"
+            "    audit(self)\n"
+            "EmbeddingState._audit = corrupted\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "greedy", "--embed",
+             "--check"],
+            input=K4_TEXT, capture_output=True, text=True, env=ENV,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("error: embedding check failed")
+        assert "Traceback" not in proc.stderr
+
     def test_version(self):
         proc = run_cli("--version")
         assert "maxgenus" in proc.stdout
@@ -241,3 +313,112 @@ class TestReportSchema:
         rep = RunReport.from_json(proc.stdout)
         again = RunReport.from_json(rep.to_json())
         assert again == rep
+
+
+def _text(lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _with_junk(lines, junk):
+    """Texts of mostly valid lines, at times with one junk line among
+    them."""
+    return st.tuples(st.lists(lines, max_size=12), st.lists(junk, max_size=1),
+                     st.integers(0, 12)).map(
+        lambda t: _text(t[0][:t[2]] + t[1] + t[0][t[2]:]))
+
+
+LABELS = st.sampled_from(["a", "b", "c", "d", "e", "0", "1"])
+EDGE_TEXTS = _with_junk(
+    st.tuples(LABELS, LABELS).map(" ".join)
+    | st.sampled_from(["", "# comment", "a b # trailing"]),
+    st.lists(LABELS, min_size=1, max_size=3).map(" ".join)
+    | st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+              max_size=8))
+K4 = parse_edge_list(K4_TEXT)
+K4_ROTATIONS = st.tuples(*(st.permutations(sorted(K4.darts_at(v)))
+                           for v in K4.vertices())).map(
+    lambda cycs: _text(f"{v}: {' '.join(map(format_dart, cyc))}"
+                       for v, cyc in enumerate(cycs)))
+DARTS = st.builds("{}.{}".format, st.integers(0, 7), st.integers(0, 2))
+ROTATION_TEXTS = _with_junk(
+    st.builds(lambda v, ds: f"{v}: {' '.join(ds)}",
+              st.integers(0, 5), st.lists(DARTS, max_size=6)),
+    st.sampled_from(["x: 0.0", "3 0.1", "1: 0.x", "1: 0.0 0.0"]))
+CONFIG_VALUES = {
+    "family": st.sampled_from(["random", "tight-star", "bouquet", "dipole",
+                               "complete", "petersen"]),
+    "sizes": st.lists(st.integers(-1, 8).map(str), min_size=1,
+                      max_size=3).map(",".join) | st.just("4,x"),
+    "edge_factor": st.sampled_from(["0.5", "2.0", "4", "inf", "nan", "x"]),
+    "seeds": st.lists(st.integers(0, 9).map(str), min_size=1,
+                      max_size=2).map(",".join) | st.just(""),
+    "policies": st.lists(st.sampled_from(POLICIES + ("spiral",)),
+                         min_size=1, max_size=2).map(",".join),
+    "preprocess": st.sampled_from(["true", "false", "yes"]),
+    "loop_prob": st.sampled_from(["0", "0.15", "0.5", "1.5", "-1", "nan"]),
+    "parallel_prob": st.sampled_from(["0", "0.15", "0.6", "x"]),
+    "jobs": st.integers(1, 2).map(str),
+}
+CONFIG_TEXTS = st.tuples(
+    st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+    st.lists(st.sampled_from(["familly = random", "sizes", "jobs = 1 2"]),
+             max_size=1),
+).map(lambda t: _text([f"{k} = {v}" for k, v in t[0].items()] + t[1]))
+
+
+def main_in_process(argv, files):
+    """Exit code and stderr of ``cli.main(argv)``, each ``{}`` in argv
+    replaced in turn by the path of a temporary file holding the next
+    text of ``files``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(files):
+            path = os.path.join(tmp, f"in{i}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            paths.append(path)
+        paths.reverse()
+        argv = [paths.pop() if a == "{}" else a for a in argv]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    """Any input ends in a documented exit code, never a traceback: an
+    exception escaping ``main`` fails the test."""
+
+    @given(EDGE_TEXTS, st.sampled_from([
+        ["greedy", "{}"],
+        ["greedy", "--embed", "--check", "--json", "{}"],
+        ["greedy", "--raw", "--policy", "random", "--seed", "3", "{}"],
+        ["embed", "--check", "{}"],
+    ]))
+    def test_edge_lists(self, text, argv):
+        code, err = main_in_process(argv, [text])
+        event(f"exit {code}")
+        assert code in range(6)
+        assert "Traceback" not in err
+
+    @given(st.tuples(st.just(K4_TEXT), K4_ROTATIONS)
+           | st.tuples(EDGE_TEXTS | st.just(K4_TEXT), ROTATION_TEXTS))
+    def test_rotations(self, texts):
+        graph, rotation = texts
+        code, err = main_in_process(["embed", "{}", "--rotation", "{}"],
+                                    [graph, rotation])
+        event(f"exit {code}")
+        assert code in range(6)
+        assert "Traceback" not in err
+
+    @settings(max_examples=30)
+    @given(CONFIG_TEXTS, st.sampled_from([[], ["--jobs", "1"],
+                                          ["--jobs", "2"]]))
+    def test_bench_configs(self, config, jobs):
+        code, err = main_in_process(["bench", "{}", *jobs], [config])
+        event(f"exit {code}")
+        assert code in range(6)
+        assert "Traceback" not in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxgenus import (
+    BackendStats,
     DfsBackend,
     DynamicBackend,
     GraphError,
@@ -178,6 +179,68 @@ class TestProbeContract:
         # circulant leave probes where the last side runs dry too.
         check_every_probe(backend_factory, g, keep_removals=False)
         check_every_probe(backend_factory, g, keep_removals=True)
+
+
+    @given(connected_multigraphs(),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)),
+                    max_size=30))
+    def test_property_probe_sequences(self, g, steps):
+        # Probes share one backend, so failed probes fill the bridge memo;
+        # re-inserting removed edges in between must not leave it stale.
+        for factory in (DfsBackend, DynamicBackend):
+            be = factory(g)
+            ref = MirrorGraph(g)
+            removed = []
+            for reinsert, pick in steps:
+                if reinsert and removed:
+                    eid = removed.pop(pick % len(removed))
+                    be.insert_edge(eid)
+                    ref.insert_edge(eid)
+                    continue
+                pairs = [p for v in ref.g.vertices()
+                         for p in candidate_pairs(ref.g, v)]
+                if not pairs:
+                    continue
+                e, f = pairs[pick % len(pairs)]
+                ref.delete_edge(e)
+                ref.delete_edge(f)
+                expected = ref.connected_all()
+                if expected:
+                    removed += [e, f]
+                else:
+                    ref.insert_edge(f)
+                    ref.insert_edge(e)
+                before = be.stats.queries
+                assert pair_removal_keeps_connected(be, e, f) == expected
+                assert be.stats.queries == before + 1
+                assert be.has_edge(e) == be.has_edge(f) == (not expected)
+
+    def test_memo_answer_is_one_query_without_updates(self):
+        # triangle 0-1-2 with the pendant edge 3 = (2, 3)
+        g = multigraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        be = DfsBackend(g)
+        assert not pair_removal_keeps_connected(be, 1, 3)
+        assert be.bridges == {3}
+        before = BackendStats(**vars(be.stats))
+        assert not pair_removal_keeps_connected(be, 2, 3)
+        assert be.stats == BackendStats(
+            queries=before.queries + 1, deletes=before.deletes,
+            inserts=before.inserts, memo_answers=before.memo_answers + 1)
+        assert be.has_edge(2) and be.has_edge(3)
+        be.delete_edge(1)
+        with pytest.raises(GraphError):  # a memo hit still needs both edges
+            pair_removal_keeps_connected(be, 1, 3)
+
+    def test_insert_forgets_memoised_bridges(self):
+        # edge 4 = (3, 0) closes a second cycle through the pendant edge 3
+        g = multigraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
+        be = DfsBackend(g)
+        be.delete_edge(4)
+        assert not pair_removal_keeps_connected(be, 1, 3)
+        assert be.bridges == {3}
+        be.insert_edge(4)  # edge 3 is no longer a bridge
+        assert pair_removal_keeps_connected(be, 2, 3)
+        assert be.connected_all()
 
 
 class TestDifferential:

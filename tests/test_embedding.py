@@ -1,5 +1,6 @@
 """Rotation systems, face tracing, and incremental embedding construction."""
 
+import hashlib
 import random
 
 import pytest
@@ -364,6 +365,29 @@ class TestCornerRule:
             state.insert_adjacent_pair(g, AdjacentPair(1, 2, 0))
 
 
+class TestFinalChecks:
+    def test_wrong_corner_fails_the_final_trace(self, monkeypatch):
+        # pair insertion labels faces by the one-face argument; if the
+        # corner choice were wrong, only the final trace could tell
+        on_face_of = EmbeddingState._on_face_of
+        monkeypatch.setattr(EmbeddingState, "_on_face_of",
+                            lambda self, *a: not on_face_of(self, *a))
+        g = gen_random_connected_multigraph(32, 64, seed=1)
+        pairs = greedy_max_genus(g).pairs
+        assert pairs
+        with pytest.raises(CertificationError, match="faces"):
+            build_embedding(g, pairs)
+
+    def test_audit_failure_is_typed(self):
+        g = k4()
+        state = EmbeddingState.tree_embedding(g, _bfs_tree(g, frozenset()))
+        state._audit()
+        d = next(iter(state.face_id))
+        state.face_id[d] += 1
+        with pytest.raises(CertificationError, match="face id"):
+            state._audit()
+
+
 def _assert_certified_embedding(g, policy):
     pairs = run_pipeline(g, policy=policy, seed=3).pairs
     emb = build_embedding(g, pairs, check=True)
@@ -450,6 +474,36 @@ class TestBuildEmbedding:
                 order[v] = tuple(darts)
             seen.add(genus_of(g, order, validate=False))
         assert seen == {0, 1}
+
+
+# SHA-256 of build_embedding(g, greedy pairs).rotation.to_text(), computed
+# with the face-relabelling pair insertion; the relabel-free one must emit
+# the same rotations.
+PINNED_ROTATIONS = {
+    "random-512-1024": {
+        "edge-id": "9b731f4ad9d1b49e0ede3b7efc5e9cbc43921a56c676713519ddeabb4ef08ad4",
+        "random": "379a31da7a6499851094b076d5c51fcc7c4aceceda4373ca78a5cae38007ad63",
+        "loops-first": "f92ccb1a6c5b0837332a87f38abbdd60ffb291c961510b2b4a9d7c1426f79cd7",
+        "central-vertex-first": "01e21a25154ced2d7149e2ca758d723659e50dbb4d87d8535e68727cd565cc5e",
+    },
+    "circulant-64": {
+        "edge-id": "209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36",
+        "random": "ea185fbf8b36699ac40b060a2f25d67fec3338da2b51ab90a77938809a28693f",
+        "loops-first": "209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36",
+        "central-vertex-first": "209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36",
+    },
+}
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_ROTATIONS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_rotations_are_pinned(graph, policy):
+    g = (gen_random_connected_multigraph(512, 1024, seed=1)
+         if graph == "random-512-1024" else circulant(64))
+    pairs = greedy_max_genus(g, policy=policy).pairs
+    text = build_embedding(g, pairs).rotation.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PINNED_ROTATIONS[graph][policy]
 
 
 @given(seed=st.integers(0, 10_000))

@@ -124,3 +124,20 @@ class TestGeneratorSpec:
         assert set(FAMILIES) == {
             "tight-star", "random", "bouquet", "dipole", "complete"
         }
+
+    @pytest.mark.parametrize("probs, match", [
+        ({"loop_prob": 2.0}, "loop_prob must lie"),
+        ({"loop_prob": -0.1}, "loop_prob must lie"),
+        ({"parallel_prob": 1.5}, "parallel_prob must lie"),
+        ({"parallel_prob": float("nan")}, "parallel_prob must lie"),
+        ({"loop_prob": 0.6, "parallel_prob": 0.6}, "at most 1"),
+    ], ids=["loop-above", "loop-below", "parallel-above", "parallel-nan",
+            "sum-above"])
+    def test_probabilities_rejected(self, probs, match):
+        with pytest.raises(GraphError, match=match):
+            GeneratorSpec("random", n=4, m=4, **probs)
+
+    def test_probability_bounds_accepted(self):
+        g = GeneratorSpec("random", n=4, m=8, loop_prob=1.0,
+                          parallel_prob=0.0).build()
+        assert sum(len(g.loops_at(v)) for v in g.vertices()) == 5
