@@ -3,21 +3,36 @@
 instances.
 
 The acceptance suite times a shortened grid so the tests stay quick; this
-script runs the full one, m = 2**10 .. 2**15 by default.  Each greedy
-result is turned into a certified embedding with ``build_embedding``.
-Per-size timings of both phases and their fitted log-log slopes are
-printed.
+script runs the full one, m = 2**10 .. 2**15 by default, on any generator
+family (``random`` by default; ``--family circulant`` is C_{m/2}(1,2) in
+natural edge order, the probe's adversarial input).  Each greedy result
+is turned into a certified embedding with ``build_embedding``.  Per-size
+timings of both phases and their fitted log-log slopes are printed.
+Families with one vertex of degree about m (bouquet, dipole, tight-star)
+have about m^2 / 2 candidate pairs there, so keep their sizes small.
 """
 
 import argparse
 import time
+from math import isqrt
 
 from maxgenus import (
+    FAMILIES,
+    GeneratorSpec,
     build_embedding,
     fit_loglog_slope,
-    gen_random_connected_multigraph,
     greedy_max_genus,
 )
+
+# Family parameters that give a graph with about m edges.
+PARAMS = {
+    "random": lambda m: {"n": m // 2, "m": m},
+    "circulant": lambda m: {"n": m // 2},
+    "tight-star": lambda m: {"n": max(1, m // 6)},
+    "complete": lambda m: {"n": (1 + isqrt(1 + 8 * m)) // 2},
+    "bouquet": lambda m: {"k": m},
+    "dipole": lambda m: {"k": m},
+}
 
 
 def main() -> None:
@@ -26,13 +41,16 @@ def main() -> None:
     ap.add_argument("--max-pow", type=int, default=15)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--policy", default="edge-id")
+    ap.add_argument("--family", choices=FAMILIES, default="random")
     args = ap.parse_args()
 
     sizes = [2 ** p for p in range(args.min_pow, args.max_pow + 1)]
     points = []
     embed_points = []
-    for m in sizes:
-        g = gen_random_connected_multigraph(m // 2, m, seed=args.seed)
+    for size in sizes:
+        g = GeneratorSpec(args.family, seed=args.seed,
+                          **PARAMS[args.family](size)).build()
+        m = g.n_edges
         t0 = time.perf_counter()
         res = greedy_max_genus(g, policy=args.policy)
         t1 = time.perf_counter()

@@ -38,6 +38,7 @@ from .generators import (
     FAMILIES,
     GeneratorSpec,
     gen_bouquet,
+    gen_circulant,
     gen_complete,
     gen_dipole,
     gen_random_connected_multigraph,
@@ -126,6 +127,7 @@ __all__ = [
     "format_edge_list",
     "format_summary",
     "gen_bouquet",
+    "gen_circulant",
     "gen_complete",
     "gen_dipole",
     "gen_random_connected_multigraph",

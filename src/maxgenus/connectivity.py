@@ -30,14 +30,20 @@ Loop edges never enter the dynamic structure: they cannot affect
 connectivity, so they are tracked only for existence.  ``connected_all``
 on the dynamic backend is an incrementally maintained component counter.
 
-Every backend carries ``bridges``, a memo of edges proved to be bridges of
-its present graph.  :func:`pair_removal_keeps_connected` fills it from the
-side a failed ``DfsBackend`` search found dry and answers any pair holding
-a memoised bridge at once.  Deleting edges never turns a bridge into a
-non-bridge, so only an insertion can make the memo stale; ``insert_edge``
-empties it, and the probe's own rollback, which restores the graph the
-memo was proved on, keeps it.  ``DynamicBackend`` reports no dry side, so
-its memo stays empty.
+Every backend carries a cut memo: ``bridges``, edges proved to be bridges
+of its present graph, and ``cut_key``, which maps both edges of a proved
+cut pair {t, b} to b.  :func:`pair_removal_keeps_connected` answers a
+pair from the memo when it can (see there for the rule and why it is
+exact).  A failed ``DfsBackend`` search adds the bridge its dry side
+shows, if any.  Once failed searches since the last scan have expanded
+``SCAN_FACTOR`` times n + m vertices, the probe has ``DfsBackend`` run the
+cut scan (``scan_cuts``): one iterative DFS, O(n + m), that records every
+bridge and every tree edge covered by exactly one non-tree edge.
+Deleting edges never turns a cut into a non-cut, so only an insertion can
+make the memo stale; ``insert_edge`` empties it, and the probe's own
+rollback, which restores the graph the memo was proved on, keeps it.
+``DynamicBackend`` reports no dry side and never scans, so its memo stays
+empty.
 """
 
 from __future__ import annotations
@@ -55,7 +61,13 @@ class BackendStats:
     deletes: int = 0
     inserts: int = 0
     promotions: int = 0
-    memo_answers: int = 0  # probes answered from the bridge memo
+    memo_answers: int = 0  # probes answered from the cut memo
+    scans: int = 0  # cut scans run (DfsBackend.scan_cuts)
+
+
+# A DfsBackend scans for cuts once failed searches have expanded this many
+# vertices per vertex and edge of the graph since its last scan.
+SCAN_FACTOR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +90,8 @@ class DfsBackend:
                 self._adj[v][eid] = u
         self.stats = BackendStats(inserts=len(self._present))
         self.bridges: set[int] = set()
+        self.cut_key: dict[int, int] = {}
+        self._dry_work = 0  # vertices failed searches expanded since a scan
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:
@@ -104,7 +118,9 @@ class DfsBackend:
             raise GraphError(f"edge {eid} already present")
         self._present.add(eid)
         self.stats.inserts += 1
-        self.bridges.clear()  # the new edge may join a bridge's two sides
+        # the new edge may join the two sides of a memoised cut
+        self.bridges.clear()
+        self.cut_key.clear()
         if u != v:
             self._adj[u][eid] = v
             self._adj[v][eid] = u
@@ -129,39 +145,119 @@ class DfsBackend:
         """None if the vertices in ``ends`` lie in one component, else the
         ends inside the first side that ran dry.
 
-        Each end starts a breadth-first side; the sides expand one vertex
-        each in turn.  A side that reaches a vertex of another merges with
-        it, and a side whose queue empties while others remain is a whole
-        component that misses some end.
+        Each distinct end starts a breadth-first side: the list of vertices
+        it reached, in reach order, and the index of the next one to
+        expand.  The sides expand one vertex each in turn.  A side that
+        reaches a vertex of another absorbs it: the other side's vertices
+        are relabelled and its unexpanded tail is appended.  A side with
+        nothing left to expand while others remain is a whole component
+        that misses some end.
         """
         starts = list(dict.fromkeys(ends))
-        # vertex -> id of the side that reached it; side id -> id of the
-        # merged side it now belongs to; merged side id -> its queue.
-        owner = {x: i for i, x in enumerate(starts)}
-        merged = list(range(len(starts)))
-        queues = {i: deque([x]) for i, x in enumerate(starts)}
+        if len(starts) < 2:
+            return None
+        sides = [[x] for x in starts]
+        heads = [0] * len(sides)
+        owner = {x: side for x, side in zip(starts, sides)}
+        get = owner.get
         adj = self._adj
-        while len(queues) > 1:
-            for sid in list(queues):
-                queue = queues.get(sid)
-                if queue is None:
-                    continue  # merged into another side this round
-                if not queue:
-                    return frozenset(x for x in starts
-                                     if merged[owner[x]] == sid)
-                for w in adj[queue.popleft()].values():
-                    other = owner.get(w)
-                    if other is None:
-                        owner[w] = sid
-                        queue.append(w)
+        expanded = 0
+        i = 0
+        while True:
+            if i >= len(sides):
+                i = 0
+            side = sides[i]
+            head = heads[i]
+            if head == len(side):
+                self._dry_work += expanded
+                return frozenset(x for x in starts if owner[x] is side)
+            heads[i] = head + 1
+            expanded += 1
+            for w in adj[side[head]].values():
+                other = get(w)
+                if other is None:
+                    owner[w] = side
+                    side.append(w)
+                elif other is not side:
+                    j = 0
+                    while sides[j] is not other:
+                        j += 1
+                    del sides[j]
+                    tail = other[heads.pop(j):]
+                    if j < i:
+                        i -= 1
+                    if len(sides) == 1:
+                        return None
+                    for y in other:
+                        owner[y] = side
+                    side.extend(tail)
+            i += 1
+
+    def scan_if_due(self) -> None:
+        """Run :meth:`scan_cuts` once failed searches since the last scan
+        have expanded ``SCAN_FACTOR * (n + present edges)`` vertices.
+
+        The probe calls this after a failed probe's rollback, so a scan
+        sees the graph the probe started from.
+        """
+        if self._dry_work >= SCAN_FACTOR * (self._n + len(self._present)):
+            self.scan_cuts()
+
+    def scan_cuts(self) -> None:
+        """Replace ``bridges`` and ``cut_key`` by every bridge and every
+        cut pair {tree edge, its only covering edge} of one DFS forest.
+
+        For the tree edge above x, the non-tree edges that leave x's
+        subtree for a proper ancestor are counted (and their ids XORed):
+        +1 at each end below, -1 at each end above, summed up the tree.
+        A count of 0 makes the tree edge a bridge; a count of 1 makes it
+        and the covering edge, whose id the XOR is, the boundary of x's
+        subtree.  Such a pair {t, b} is recorded as ``cut_key[t] = b``
+        and ``cut_key[b] = b``.
+        """
+        self.stats.scans += 1
+        self._dry_work = 0
+        adj = self._adj
+        # 0: unreached, 1: on the DFS path, 2: finished
+        state = bytearray(self._n)
+        count = [0] * self._n
+        xor = [0] * self._n
+        bridges: set[int] = set()
+        cut_key: dict[int, int] = {}
+        for root in range(self._n):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, -1, iter(adj[root].items()))]
+            while stack:
+                x, up, it = stack[-1]
+                for eid, w in it:
+                    if eid == up:
                         continue
-                    other = merged[other]
-                    if other != sid:
-                        queue.extend(queues.pop(other))
-                        merged = [sid if m == other else m for m in merged]
-                        if len(queues) == 1:
-                            return None
-        return None
+                    seen = state[w]
+                    if not seen:
+                        state[w] = 1
+                        stack.append((w, eid, iter(adj[w].items())))
+                        break
+                    # a reached neighbour is an ancestor while it is on
+                    # the path, and a descendant once it is finished
+                    count[x] += 1 if seen == 1 else -1
+                    xor[x] ^= eid
+                else:
+                    stack.pop()
+                    state[x] = 2
+                    if not stack:
+                        continue
+                    c = count[x]
+                    if c == 0:
+                        bridges.add(up)
+                    elif c == 1:
+                        cut_key[up] = cut_key[xor[x]] = xor[x]
+                    p = stack[-1][0]
+                    count[p] += c
+                    xor[p] ^= xor[x]
+        self.bridges = bridges
+        self.cut_key = cut_key
 
     def connected_all(self) -> bool:
         self.stats.queries += 1
@@ -404,7 +500,9 @@ class DynamicBackend:
         self._present: set[int] = set()
         self._comps = self._n
         self.stats = BackendStats()
-        self.bridges: set[int] = set()  # stays empty: cut_side names no side
+        # the cut memo stays empty: cut_side names no side, and nothing scans
+        self.bridges: set[int] = set()
+        self.cut_key: dict[int, int] = {}
         for eid in sorted(self._endpoints):
             self.insert_edge(eid)
 
@@ -426,6 +524,9 @@ class DynamicBackend:
     def connected_all(self) -> bool:
         self.stats.queries += 1
         return self._comps == 1
+
+    def scan_if_due(self) -> None:
+        """Nothing to scan for: this backend's cut memo stays empty."""
 
     def cut_side(self, ends) -> frozenset[int] | None:
         # The component counter answers for the whole graph at once; it
@@ -549,14 +650,24 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     so the graph stays connected iff those endpoints are still mutually
     joined; that is the one query the probe makes.
 
-    A pair holding an edge in ``backend.bridges`` is answered False from
-    that memo, counted as one query (and one memo answer) with no delete
-    or insert.  The memo is exact: when the search fails, the side that ran
-    dry is a whole component S of the graph minus {e, f}, and e and f are
-    the only edges that can leave S.  If exactly one of them has exactly
-    one end in S, that edge alone joins S to the rest, so it is a bridge.
-    Deleting edges keeps a bridge a bridge, and the rollback restores the
-    graph the memo holds for.
+    Some pairs are answered False from the backend's cut memo, counted as
+    one query (and one memo answer) with no delete or insert: a pair
+    holding an edge in ``backend.bridges``, a pair with an edge whose
+    ``backend.cut_key`` is in ``bridges``, and a pair whose two edges
+    share a ``cut_key``.  Each memo entry stands for a vertex set S whose
+    boundary in the graph it was found on is the bridge alone, or the cut
+    pair {t, b} (``cut_key[t] == cut_key[b] == b``).  Deleting edges
+    shrinks every such boundary to its present part, and over GF(2)
+    boundaries add: records {e, b} and {f, b} give a set whose boundary
+    is {e, f}, and record {e, b} with bridge b gives one whose boundary
+    is {e}.  A nonempty boundary means the graph minus it is
+    disconnected, so the memo stays exact while edges are deleted.
+
+    A failed search adds a bridge: the side that ran dry is a whole
+    component S of the graph minus {e, f}, and e and f are the only edges
+    that can leave S.  If exactly one of them has exactly one end in S,
+    that edge alone joins S to the rest, so it is a bridge.  After a
+    failed probe the backend may also rescan its cuts (``scan_if_due``).
 
     On success the backend is left with both edges deleted; on failure they
     are re-inserted in reverse order and the backend's graph is as before
@@ -570,7 +681,11 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     if not set(ue) & set(uf):
         raise GraphError(f"edges {e} and {f} do not share an endpoint")
     bridges = backend.bridges
-    if e in bridges or f in bridges:
+    cut_key = backend.cut_key
+    ke = cut_key.get(e)
+    kf = cut_key.get(f)
+    if (e in bridges or f in bridges or ke in bridges or kf in bridges
+            or (ke is not None and ke == kf)):
         if not (backend.has_edge(e) and backend.has_edge(f)):
             raise GraphError(f"edge {e} or {f} is not present")
         backend.stats.queries += 1
@@ -587,12 +702,13 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
         return True
     # insert_edge empties the memo; this rollback restores the graph the
     # memo was proved on, so detach it meanwhile
-    backend.bridges = set()
+    backend.bridges, backend.cut_key = set(), {}
     backend.insert_edge(f)
     backend.insert_edge(e)
-    backend.bridges = bridges
+    backend.bridges, backend.cut_key = bridges, cut_key
     crossing = [eid for eid, (a, b) in ((e, ue), (f, uf))
                 if (a in side) != (b in side)]
     if len(crossing) == 1:
         bridges.add(crossing[0])
+    backend.scan_if_due()
     return False

@@ -121,7 +121,26 @@ def gen_complete(n: int) -> MultiGraph:
     return g
 
 
-FAMILIES = ("tight-star", "random", "bouquet", "dipole", "complete")
+def gen_circulant(n: int) -> MultiGraph:
+    """The circulant C_n(1, 2) in natural edge order: vertex i joins
+    i + 1 and i + 2 mod n, edges 2i and 2i + 1.
+
+    It is 4-regular with cycle rank n + 1 (for n < 5 through loops and
+    parallel edges).  In this order the ``edge-id`` greedy's successful
+    probes must search most of the way round, which makes it the
+    adversarial input for the connectivity probe.
+    """
+    if n <= 0:
+        raise GraphError(f"family parameter must be positive, got {n}")
+    g = MultiGraph(n)
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n)
+        g.add_edge(i, (i + 2) % n)
+    return g
+
+
+FAMILIES = ("tight-star", "random", "bouquet", "dipole", "complete",
+            "circulant")
 
 
 @dataclass(frozen=True)
@@ -131,7 +150,7 @@ class GeneratorSpec:
     ``family`` is one of :data:`FAMILIES`; parameter meaning per family:
     tight-star uses ``n`` (the half-leaf count), random uses ``n``/``m``
     plus probabilities and seed, bouquet and dipole use ``k``, complete
-    uses ``n``.  Identical specs build identical graphs, edge ids included.
+    and circulant use ``n``.  Identical specs build identical graphs, edge ids included.
     """
 
     family: str
@@ -175,6 +194,9 @@ class GeneratorSpec:
         if self.family == "complete":
             self._need("n")
             return gen_complete(self.n)
+        if self.family == "circulant":
+            self._need("n")
+            return gen_circulant(self.n)
         raise GraphError(
             f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}"
         )

@@ -346,7 +346,7 @@ ROTATION_TEXTS = _with_junk(
     st.sampled_from(["x: 0.0", "3 0.1", "1: 0.x", "1: 0.0 0.0"]))
 CONFIG_VALUES = {
     "family": st.sampled_from(["random", "tight-star", "bouquet", "dipole",
-                               "complete", "petersen"]),
+                               "complete", "circulant", "petersen"]),
     "sizes": st.lists(st.integers(-1, 8).map(str), min_size=1,
                       max_size=3).map(",".join) | st.just("4,x"),
     "edge_factor": st.sampled_from(["0.5", "2.0", "4", "inf", "nan", "x"]),

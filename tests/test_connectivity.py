@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,13 +11,13 @@ from maxgenus import (
     DynamicBackend,
     GraphError,
     MultiGraph,
+    gen_circulant,
     gen_random_connected_multigraph,
     is_connected,
     pair_removal_keeps_connected,
 )
 from maxgenus.greedy import candidate_pairs
 
-from _corpus import circulant
 from _reference import MirrorGraph
 
 
@@ -150,6 +151,40 @@ def check_every_probe(factory, g, *, keep_removals):
                 assert be.connected_all()
 
 
+def run_probe_sequence(be, g, steps):
+    """Run ``(action, pick)`` steps on ``be`` and on a mirror of ``g``:
+    ``probe`` a picked candidate pair, ``reinsert`` a picked removed edge,
+    or ``scan`` for cuts.  Every probe answer must match the mirror."""
+    ref = MirrorGraph(g)
+    removed = []
+    for action, pick in steps:
+        if action == "scan":
+            be.scan_cuts()
+            continue
+        if action == "reinsert" and removed:
+            eid = removed.pop(pick % len(removed))
+            be.insert_edge(eid)
+            ref.insert_edge(eid)
+            continue
+        pairs = [p for v in ref.g.vertices()
+                 for p in candidate_pairs(ref.g, v)]
+        if not pairs:
+            continue
+        e, f = pairs[pick % len(pairs)]
+        ref.delete_edge(e)
+        ref.delete_edge(f)
+        expected = ref.connected_all()
+        if expected:
+            removed += [e, f]
+        else:
+            ref.insert_edge(f)
+            ref.insert_edge(e)
+        before = be.stats.queries
+        assert pair_removal_keeps_connected(be, e, f) == expected
+        assert be.stats.queries == before + 1
+        assert be.has_edge(e) == be.has_edge(f) == (not expected)
+
+
 class TestProbeContract:
     @given(connected_multigraphs())
     def test_property_every_pair(self, g):
@@ -171,7 +206,7 @@ class TestProbeContract:
         check_every_probe(backend_factory, g, keep_removals=False)
         check_every_probe(backend_factory, g, keep_removals=True)
 
-    @pytest.mark.parametrize("g", [path(7), circulant(16)],
+    @pytest.mark.parametrize("g", [path(7), gen_circulant(16)],
                              ids=["path", "circulant"])
     def test_lockstep_sides_run_dry(self, backend_factory, g):
         # Every probe on the path fails, and the dfs lockstep finds the
@@ -187,33 +222,9 @@ class TestProbeContract:
     def test_property_probe_sequences(self, g, steps):
         # Probes share one backend, so failed probes fill the bridge memo;
         # re-inserting removed edges in between must not leave it stale.
+        steps = [("reinsert" if r else "probe", pick) for r, pick in steps]
         for factory in (DfsBackend, DynamicBackend):
-            be = factory(g)
-            ref = MirrorGraph(g)
-            removed = []
-            for reinsert, pick in steps:
-                if reinsert and removed:
-                    eid = removed.pop(pick % len(removed))
-                    be.insert_edge(eid)
-                    ref.insert_edge(eid)
-                    continue
-                pairs = [p for v in ref.g.vertices()
-                         for p in candidate_pairs(ref.g, v)]
-                if not pairs:
-                    continue
-                e, f = pairs[pick % len(pairs)]
-                ref.delete_edge(e)
-                ref.delete_edge(f)
-                expected = ref.connected_all()
-                if expected:
-                    removed += [e, f]
-                else:
-                    ref.insert_edge(f)
-                    ref.insert_edge(e)
-                before = be.stats.queries
-                assert pair_removal_keeps_connected(be, e, f) == expected
-                assert be.stats.queries == before + 1
-                assert be.has_edge(e) == be.has_edge(f) == (not expected)
+            run_probe_sequence(factory(g), g, steps)
 
     def test_memo_answer_is_one_query_without_updates(self):
         # triangle 0-1-2 with the pendant edge 3 = (2, 3)
@@ -241,6 +252,104 @@ class TestProbeContract:
         be.insert_edge(4)  # edge 3 is no longer a bridge
         assert pair_removal_keeps_connected(be, 2, 3)
         assert be.connected_all()
+
+
+class TestCutScan:
+    """``DfsBackend.scan_cuts`` and the probe's answers from its records."""
+
+    @given(connected_multigraphs(),
+           st.lists(st.integers(0, 10**6), max_size=8),
+           st.lists(st.integers(0, 10**6), max_size=8))
+    def test_property_records_are_cuts(self, g, before, after):
+        # A record must stay a cut while further edges are deleted; right
+        # after the scan, the bridges must be every bridge.
+        be = DfsBackend(g)
+        ref = MirrorGraph(g)
+
+        def delete(picks):
+            for pick in picks:
+                present = sorted(ref.g.edge_ids())
+                if present:
+                    eid = present[pick % len(present)]
+                    be.delete_edge(eid)
+                    ref.delete_edge(eid)
+
+        def separates(*edges):
+            for eid in edges:
+                ref.delete_edge(eid)
+            split = not ref.connected(*g.endpoints(edges[0]))
+            for eid in reversed(edges):
+                ref.insert_edge(eid)
+            return split
+
+        delete(before)
+        be.scan_cuts()
+        assert be.stats.scans == 1
+        present = sorted(ref.g.edge_ids())
+        assert be.bridges == {e for e in present if separates(e)}
+        delete(after)
+        present = set(ref.g.edge_ids())
+        keyed = sorted((k, e) for e, k in be.cut_key.items() if e in present)
+        for b in be.bridges & present:
+            assert separates(b)
+        for k, e in keyed:
+            if k in be.bridges:
+                assert separates(e)
+        for (k, e), (k2, f) in combinations(keyed, 2):
+            if k == k2:
+                assert separates(e, f)
+
+    @given(connected_multigraphs(),
+           st.lists(st.tuples(st.sampled_from(["probe", "reinsert", "scan"]),
+                              st.integers(0, 10**6)),
+                    max_size=30))
+    def test_property_probe_sequences_with_scans(self, g, steps):
+        run_probe_sequence(DfsBackend(g), g, steps)
+
+    def test_records_of_a_scan(self):
+        # 4-cycle 0-1-2-3 with chord 4 = (0, 2) and pendant bridge 5 = (3, 4)
+        g = multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)])
+        be = DfsBackend(g)
+        be.scan_cuts()
+        assert be.bridges == {5}
+        # The DFS from 0 walks the tree 0, 1, 2, 5.  Only edge 3 covers
+        # tree edge 2, so {2, 3} is recorded.  The 2-edge cut {0, 1} is
+        # not: both its tree edges are covered by 3 and 4.
+        assert be.cut_key == {2: 3, 3: 3}
+
+    def test_cut_key_answer_is_one_query_without_updates(self):
+        g = multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        be = DfsBackend(g)
+        be.scan_cuts()
+        assert len(set(be.cut_key.values())) == 1 and len(be.cut_key) == 4
+        before = BackendStats(**vars(be.stats))
+        assert not pair_removal_keeps_connected(be, 0, 1)
+        assert be.stats == BackendStats(
+            queries=before.queries + 1, deletes=before.deletes,
+            inserts=before.inserts, memo_answers=before.memo_answers + 1,
+            scans=before.scans)
+        assert be.has_edge(0) and be.has_edge(1)
+
+    def test_insert_clears_cut_key(self):
+        g = multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        be = DfsBackend(g)
+        be.delete_edge(4)
+        be.scan_cuts()
+        assert len(be.cut_key) == 4
+        be.insert_edge(4)  # the chord splits the cycle's one 4-edge class
+        assert be.cut_key == {} and be.bridges == set()
+        assert pair_removal_keeps_connected(be, 1, 2)
+
+    def test_failed_searches_trigger_a_scan(self):
+        # every probe on a path fails; the scan waits for enough work
+        g = path(40)
+        be = DfsBackend(g)
+        budget = 8 * (g.n_vertices + g.n_edges)
+        while be.stats.scans == 0:
+            v = 1 + be.stats.queries % 38
+            assert be.stats.queries < budget
+            assert not pair_removal_keeps_connected(be, v - 1, v)
+        assert be.bridges == set(g.edge_ids())
 
 
 class TestDifferential:

@@ -16,6 +16,7 @@ from maxgenus import (
     MultiGraph,
     RotationSystem,
     build_embedding,
+    gen_circulant,
     genus_of,
     greedy_max_genus,
     gen_random_connected_multigraph,
@@ -26,8 +27,6 @@ from maxgenus import (
 )
 from maxgenus.embedding import _bfs_tree
 from maxgenus.graph import dart
-
-from _corpus import circulant
 
 
 def path_graph(n):
@@ -451,7 +450,7 @@ class TestBuildEmbedding:
     @pytest.mark.parametrize("shuffled", [False, True],
                              ids=["natural", "shuffled"])
     def test_circulant_edge_orders(self, policy, shuffled):
-        g = circulant(64)
+        g = gen_circulant(64)
         if shuffled:
             edges = [g.endpoints(e) for e in g.edge_ids()]
             random.Random(64).shuffle(edges)
@@ -499,7 +498,7 @@ PINNED_ROTATIONS = {
 @pytest.mark.parametrize("policy", POLICIES)
 def test_rotations_are_pinned(graph, policy):
     g = (gen_random_connected_multigraph(512, 1024, seed=1)
-         if graph == "random-512-1024" else circulant(64))
+         if graph == "random-512-1024" else gen_circulant(64))
     pairs = greedy_max_genus(g, policy=policy).pairs
     text = build_embedding(g, pairs).rotation.to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == \

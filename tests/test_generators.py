@@ -7,6 +7,7 @@ from maxgenus import (
     GraphError,
     cycle_rank,
     gen_bouquet,
+    gen_circulant,
     gen_complete,
     gen_dipole,
     gen_tight_star,
@@ -100,6 +101,23 @@ class TestNamedFamilies:
         assert g.n_edges == 10
         assert cycle_rank(g) == 6
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16])
+    def test_circulant(self, n):
+        g = gen_circulant(n)
+        assert g.n_vertices == n
+        assert g.n_edges == 2 * n
+        assert all(g.degree(v) == 4 for v in g.vertices())
+        assert is_connected(g)
+        assert cycle_rank(g) == n + 1
+        assert g == gen_circulant(n)
+        # natural order: the edges at vertex i are 2i and 2i + 1
+        assert [g.endpoints(e) for e in g.edge_ids()] == \
+            [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+
+    def test_circulant_rejects_nonpositive(self):
+        with pytest.raises(GraphError):
+            gen_circulant(0)
+
 
 class TestGeneratorSpec:
     def test_dispatch(self):
@@ -107,6 +125,7 @@ class TestGeneratorSpec:
         assert GeneratorSpec("bouquet", k=3).build() == gen_bouquet(3)
         assert GeneratorSpec("dipole", k=3).build() == gen_dipole(3)
         assert GeneratorSpec("complete", n=4).build() == gen_complete(4)
+        assert GeneratorSpec("circulant", n=6).build() == gen_circulant(6)
         r = GeneratorSpec("random", n=6, m=10, seed=2).build()
         assert r == gen_random_connected_multigraph(6, 10, seed=2)
 
@@ -122,7 +141,8 @@ class TestGeneratorSpec:
 
     def test_family_registry(self):
         assert set(FAMILIES) == {
-            "tight-star", "random", "bouquet", "dipole", "complete"
+            "tight-star", "random", "bouquet", "dipole", "complete",
+            "circulant",
         }
 
     @pytest.mark.parametrize("probs, match", [

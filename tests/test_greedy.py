@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,17 +15,17 @@ from maxgenus import (
     POLICIES,
     cycle_rank,
     gen_bouquet,
+    gen_circulant,
     gen_complete,
     gen_tight_star,
     gen_random_connected_multigraph,
     greedy_max_genus,
     is_connected,
+    parse_edge_list,
     verify_pair_set,
 )
 from maxgenus import bench
 from maxgenus.greedy import candidate_pairs
-
-from _corpus import circulant
 
 
 def has_removable_pair(g):
@@ -219,8 +220,29 @@ PINNED_PAIRS = {
                          ["edge-id", "loops-first", "central-vertex-first"])
 def test_deterministic_policies_keep_their_certificates(graph, policy):
     g = (gen_random_connected_multigraph(512, 1024, seed=1)
-         if graph == "random-512-1024" else circulant(64))
+         if graph == "random-512-1024" else gen_circulant(64))
     r = greedy_max_genus(g, policy=policy)
     text = ";".join(f"{p.e},{p.f},{p.witness}" for p in r.pairs)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         PINNED_PAIRS[graph][policy]
+
+
+def shuffled_circulant(n, seed):
+    """C_n(1, 2) as edge-list text with edge order and orientation drawn
+    from ``seed``, parsed, so vertex and edge ids follow that order."""
+    rng = random.Random(seed)
+    edges = [(i, (i + d) % n) for d in (1, 2) for i in range(n)]
+    rng.shuffle(edges)
+    return parse_edge_list("".join(
+        f"{v} {u}\n" if rng.random() < 0.5 else f"{u} {v}\n"
+        for u, v in edges))
+
+
+def test_cut_scans_keep_the_certificate():
+    # Failed probes on the shuffled circulant pay for cut scans, whose
+    # records then answer probes; the pairs are those of the search alone.
+    r = greedy_max_genus(shuffled_circulant(512, 1))
+    text = ";".join(f"{p.e},{p.f},{p.witness}" for p in r.pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "813f59badb199649f69247d2882d7c89d045f52e74689ce9420dc42429cc25ed"
+    assert r.backend_stats.scans >= 1
