@@ -26,7 +26,8 @@ class GraphError(Exception):
 
 
 class ParseError(GraphError):
-    """Malformed edge-list input.  Carries the 1-based line number."""
+    """Malformed edge-list or rotation text.  Carries the 1-based line
+    number."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -73,8 +74,9 @@ def format_dart(d: int) -> str:
 
 
 def parse_dart(text: str) -> int:
+    """Inverse of :func:`format_dart`; the edge id is an ASCII decimal."""
     eid, sep, end = text.partition(".")
-    if not sep or end not in ("0", "1") or not eid.isdigit():
+    if not (sep and end in ("0", "1") and eid.isascii() and eid.isdigit()):
         raise ValueError(f"bad dart {text!r}, expected edgeId.end")
     return (int(eid) << 1) | int(end)
 

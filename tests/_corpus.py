@@ -17,9 +17,18 @@ itself an isomorphism, so the key is sound in both directions.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import permutations, product
 
-from maxgenus import MultiGraph, gen_random_connected_multigraph
+from maxgenus import (
+    CertificationError,
+    MultiGraph,
+    build_embedding,
+    gen_random_connected_multigraph,
+    genus_of,
+    run_pipeline,
+    verify_pair_set,
+)
 
 Edges = tuple[tuple[int, int], ...]
 
@@ -125,3 +134,21 @@ def random_corpus(count: int = 500) -> list[MultiGraph]:
         ))
     return graphs
 
+
+def certify_digest(graphs: list[MultiGraph]) -> str:
+    """SHA-256 over the certify path of each graph: the pairs of
+    ``run_pipeline``, the rotation text of ``build_embedding`` and the
+    genus ``genus_of`` traces from it.  A pair family that fails
+    ``verify_pair_set`` raises ``CertificationError``.  Nothing here is an
+    ``assert``, so it checks the same under ``python -O``."""
+    h = hashlib.sha256()
+    for g in graphs:
+        pairs = run_pipeline(g).pairs
+        res = verify_pair_set(g, pairs)
+        if not res:
+            raise CertificationError(f"pair family fails: {res.reason}")
+        emb = build_embedding(g, pairs)
+        genus = genus_of(g, emb.rotation)
+        triples = [(p.e, p.f, p.witness) for p in pairs]
+        h.update(f"{triples}\n{emb.rotation.to_text()}{genus}\n".encode())
+    return h.hexdigest()

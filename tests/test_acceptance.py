@@ -1,4 +1,4 @@
-"""Acceptance suite: nine exact-tolerance checks over the shared corpus.
+"""Acceptance suite: ten exact-tolerance checks over the shared corpus.
 
 Each test appends one PASS or FAIL line to ``ACCEPTANCE_LINES``; the
 conftest terminal-summary hook prints them after the run.  Criterion 9
@@ -11,10 +11,14 @@ import functools
 import math
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import maxgenus
 from maxgenus import (
     DfsBackend,
     DynamicBackend,
@@ -37,6 +41,7 @@ from maxgenus import (
 )
 from maxgenus.oracle import rotation_count
 
+from _corpus import certify_digest, random_corpus
 from _reference import MirrorGraph
 
 ACCEPTANCE_LINES: list[str] = []
@@ -287,3 +292,21 @@ def test_criterion_9():
         ACCEPTANCE_LINES.append(
             f"INFO criterion 9: slope(elapsed~m, {backend}) = {slope:.2f} "
             f"over m = {span}")
+
+
+@_record(10, "the certify path gives the same digest under python -O")
+def test_criterion_10():
+    # -O strips assert statements, so the child only prints; every
+    # comparison is made here
+    script = ("import sys\n"
+              "from _corpus import certify_digest, random_corpus\n"
+              "print(sys.flags.optimize, certify_digest(random_corpus(100)))\n")
+    here = Path(__file__).resolve().parent
+    src = Path(maxgenus.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), str(here), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "1", certify_digest(random_corpus(100))]

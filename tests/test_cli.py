@@ -149,6 +149,16 @@ class TestEmbed:
                        str(rot_file), check=False)
         assert proc.returncode == 2
 
+    def test_unparsable_rotation_is_a_parse_error(self, tmp_path):
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text(K4_TEXT)
+        rot_file = tmp_path / "bad.rot"
+        rot_file.write_text("garbage\n")
+        proc = run_cli("embed", str(graph_file), "--rotation",
+                       str(rot_file), check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: line 1:")
+
 
 class TestGen:
     def test_output_file(self, tmp_path):
@@ -255,12 +265,14 @@ class TestExitCodes:
         assert proc.returncode == 3
 
     def test_wrong_embedding_genus_under_optimize(self):
-        # with asserts stripped by -O, a wrong genus must still be caught
+        # with asserts stripped by -O, a wrong genus must still be caught:
+        # a trace that counts every face twice puts K4's genus at 0
         script = (
             "import sys\n"
-            "from maxgenus import cli\n"
-            "from maxgenus.embedding import EmbeddingState\n"
-            "EmbeddingState.genus = property(lambda self: 0)\n"
+            "from maxgenus import cli, embedding\n"
+            "face_set = embedding._face_set\n"
+            "embedding._face_set = lambda order: embedding.FaceSet(\n"
+            "    face_set(order).faces * 2)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         proc = subprocess.run(
@@ -280,8 +292,8 @@ class TestExitCodes:
             "from maxgenus.embedding import EmbeddingState\n"
             "audit = EmbeddingState._audit\n"
             "def corrupted(self):\n"
-            "    d = next(iter(self.face_id))\n"
-            "    self.face_id[d] = -1\n"
+            "    d = next(iter(self.sigma_prev))\n"
+            "    self.sigma_prev[d] = -1\n"
             "    audit(self)\n"
             "EmbeddingState._audit = corrupted\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
@@ -343,7 +355,8 @@ DARTS = st.builds("{}.{}".format, st.integers(0, 7), st.integers(0, 2))
 ROTATION_TEXTS = _with_junk(
     st.builds(lambda v, ds: f"{v}: {' '.join(ds)}",
               st.integers(0, 5), st.lists(DARTS, max_size=6)),
-    st.sampled_from(["x: 0.0", "3 0.1", "1: 0.x", "1: 0.0 0.0"]))
+    st.sampled_from(["x: 0.0", "3 0.1", "1: 0.x", "1: 0.0 0.0", "²: 0.0",
+                     "٣: 0.0", "0: ².0"]))
 CONFIG_VALUES = {
     "family": st.sampled_from(["random", "tight-star", "bouquet", "dipole",
                                "complete", "circulant", "petersen"]),

@@ -14,6 +14,7 @@ from maxgenus import (
     EmbeddingState,
     GraphError,
     MultiGraph,
+    ParseError,
     RotationSystem,
     build_embedding,
     gen_circulant,
@@ -24,6 +25,7 @@ from maxgenus import (
     run_pipeline,
     trace_faces,
     verify_pair_set,
+    xuong_max_genus,
 )
 from maxgenus.embedding import _bfs_tree
 from maxgenus.graph import dart
@@ -91,6 +93,23 @@ class TestRotationText:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             RotationSystem.from_text("# nothing here\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 0.0\n", 1),
+        ("0: 0.0\nx: 0.1\n", 2),
+        ("0: 0.0\n0: 0.1\n", 2),
+        ("0: 0.0\n1: 0.2\n", 2),
+        ("²: 0.0\n", 1),
+        ("٣: 0.0\n", 1),
+        ("0: ².0\n", 1),
+        ("# nothing here\n", None),
+    ], ids=["missing-colon", "bad-vertex", "repeated-vertex", "bad-dart",
+            "superscript-vertex", "arabic-indic-vertex", "superscript-dart",
+            "empty"])
+    def test_syntax_errors_are_parse_errors(self, text, line):
+        with pytest.raises(ParseError) as info:
+            RotationSystem.from_text(text)
+        assert info.value.line_no == line
 
     def test_validate_wrong_vertices(self):
         g = MultiGraph(2)
@@ -175,8 +194,7 @@ class TestEmbeddingState:
         face = next(iter(state.faces()))
         corner_u = next(d for d in face if state.vertex_of[d] == 0)
         corner_v = next(d for d in face if state.vertex_of[d] == 3)
-        kind = state.insert_edge(eid, 0, 3, corner_u, corner_v, check=True)
-        assert kind == "split"
+        state.insert_edge(eid, 0, 3, corner_u, corner_v, check=True)
         assert state.n_faces == 2
         assert state.genus == 0
 
@@ -185,21 +203,19 @@ class TestEmbeddingState:
         state = EmbeddingState.tree_embedding(g, set(g.edge_ids()))
         eid = g.add_edge(0, 1)
         f0 = next(iter(state.faces()))
-        kind = state.insert_edge(
+        state.insert_edge(
             eid, 0, 1,
             next(d for d in f0 if state.vertex_of[d] == 0),
             next(d for d in f0 if state.vertex_of[d] == 1),
             check=True,
         )
-        assert kind == "split"
         assert state.n_faces == 2
         # a third parallel edge routed across the two faces merges them
         eid2 = g.add_edge(0, 1)
         fa, fb = state.faces()
         corner_u = next(d for d in fa if state.vertex_of[d] == 0)
         corner_v = next(d for d in fb if state.vertex_of[d] == 1)
-        kind = state.insert_edge(eid2, 0, 1, corner_u, corner_v, check=True)
-        assert kind == "merge"
+        state.insert_edge(eid2, 0, 1, corner_u, corner_v, check=True)
         assert state.n_faces == 1
         assert state.genus == 1
 
@@ -212,8 +228,7 @@ class TestEmbeddingState:
         for v in (1, 2):
             eid = g.add_edge(v, v + 1)
             corner = state.first_dart[v]
-            kind = state.insert_edge(eid, v, v + 1, corner, None, check=True)
-            assert kind == "absorb"
+            state.insert_edge(eid, v, v + 1, corner, None, check=True)
         assert state.n_faces == 1
         assert state.genus == 0
         (face,) = state.faces()
@@ -235,18 +250,9 @@ class TestEmbeddingState:
         g = MultiGraph(1)
         eid = g.add_edge(0, 0)
         state = EmbeddingState.tree_embedding(g, set())
-        kind = state.insert_edge(eid, 0, 0, None, None, check=True)
-        assert kind == "first-loop"
+        state.insert_edge(eid, 0, 0, None, None, check=True)
         assert state.n_faces == 2
         assert state.genus == 0
-
-    def test_rotation_round_trip(self):
-        g = k4()
-        pairs = greedy_max_genus(g).pairs
-        emb = build_embedding(g, pairs, check=True)
-        state = EmbeddingState.from_rotation(g, emb.rotation)
-        assert state.genus == emb.genus
-        assert sorted(state.faces()) == sorted(tuple(f) for f in emb.faces)
 
     def test_spanning_tree_state_is_planar(self):
         g = k4()
@@ -292,6 +298,29 @@ class TestInsertAdjacentPair:
         ex2 = g.add_edge(1, 1)
         with pytest.raises(GraphError):
             state.insert_adjacent_pair(g, AdjacentPair(ex1, ex2, 1))
+
+    def test_accepts_a_face_merged_back_by_insert_edge(self):
+        # insert_edge clears one_face, so the pair must trace to see that
+        # the split and the merge left one face
+        g = path_graph(2)
+        state = EmbeddingState.tree_embedding(g, {0})
+        for _ in range(2):
+            eid = g.add_edge(0, 1)
+            faces = list(state.faces())
+            state.insert_edge(
+                eid, 0, 1,
+                next(d for d in faces[0] if state.vertex_of[d] == 0),
+                next(d for d in faces[-1] if state.vertex_of[d] == 1),
+                check=True,
+            )
+        assert state.n_faces == 1
+        assert not state.one_face
+        ex1 = g.add_edge(0, 1)
+        ex2 = g.add_edge(1, 1)
+        state.insert_adjacent_pair(g, AdjacentPair(ex1, ex2, 1), check=True)
+        assert state.one_face
+        assert state.n_faces == 1
+        assert state.genus == 2
 
 
 def _path_plus(*extra):
@@ -366,7 +395,7 @@ class TestCornerRule:
 
 class TestFinalChecks:
     def test_wrong_corner_fails_the_final_trace(self, monkeypatch):
-        # pair insertion labels faces by the one-face argument; if the
+        # pair insertion keeps one face by the corner rule alone; if the
         # corner choice were wrong, only the final trace could tell
         on_face_of = EmbeddingState._on_face_of
         monkeypatch.setattr(EmbeddingState, "_on_face_of",
@@ -374,16 +403,25 @@ class TestFinalChecks:
         g = gen_random_connected_multigraph(32, 64, seed=1)
         pairs = greedy_max_genus(g).pairs
         assert pairs
-        with pytest.raises(CertificationError, match="faces"):
+        with pytest.raises(CertificationError, match="below"):
             build_embedding(g, pairs)
 
     def test_audit_failure_is_typed(self):
         g = k4()
         state = EmbeddingState.tree_embedding(g, _bfs_tree(g, frozenset()))
         state._audit()
-        d = next(iter(state.face_id))
-        state.face_id[d] += 1
-        with pytest.raises(CertificationError, match="face id"):
+        d = state.first_dart[0]
+        state.sigma_prev[d] = d
+        with pytest.raises(CertificationError, match="sigma_prev"):
+            state._audit()
+
+    def test_audit_checks_the_one_face_flag(self):
+        g = path_graph(2)
+        state = EmbeddingState.tree_embedding(g, {0})
+        eid = g.add_edge(0, 1)
+        state.insert_edge(eid, 0, 1, 0, 1)  # a split: two faces
+        state.one_face = True
+        with pytest.raises(CertificationError, match="one face expected"):
             state._audit()
 
 
@@ -415,14 +453,14 @@ class TestBuildEmbedding:
         [(0, 1)] * 4,
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     ], ids=["dipole", "k4"])
-    def test_leftover_edges_prefer_split(self, edges):
-        # both are planar; with no pairs, a leftover edge only merges two
-        # faces when no face holds corners at both of its ends
+    def test_leftover_edges_at_first_darts(self, edges):
+        # with no pairs, the leftover edges at first_dart of both ends
+        # still reach the maximum genus of these two graphs
         g = MultiGraph(max(max(uv) for uv in edges) + 1)
         for uv in edges:
             g.add_edge(*uv)
         emb = build_embedding(g, [], check=True)
-        assert emb.genus == 0
+        assert emb.genus == 1 == xuong_max_genus(g)[0]
 
     def test_rejects_bad_certificate(self):
         g = k4()
@@ -475,21 +513,21 @@ class TestBuildEmbedding:
         assert seen == {0, 1}
 
 
-# SHA-256 of build_embedding(g, greedy pairs).rotation.to_text(), computed
-# with the face-relabelling pair insertion; the relabel-free one must emit
-# the same rotations.
+# SHA-256 of build_embedding(g, greedy pairs).rotation.to_text() and the
+# embedding's genus.  Leftover edges go in at first_dart of both ends;
+# pair corners follow the one-face corner rule.
 PINNED_ROTATIONS = {
     "random-512-1024": {
-        "edge-id": "9b731f4ad9d1b49e0ede3b7efc5e9cbc43921a56c676713519ddeabb4ef08ad4",
-        "random": "379a31da7a6499851094b076d5c51fcc7c4aceceda4373ca78a5cae38007ad63",
-        "loops-first": "f92ccb1a6c5b0837332a87f38abbdd60ffb291c961510b2b4a9d7c1426f79cd7",
-        "central-vertex-first": "01e21a25154ced2d7149e2ca758d723659e50dbb4d87d8535e68727cd565cc5e",
+        "edge-id": ("57aeae4bf80b6c170b6b847ac2201c8af8305a708b19170e55bc1f376d76769e", 232),
+        "random": ("f83e74e6b410918d0e15fcb5a3b78c8b0934f5334d081031950b22512ec21057", 236),
+        "loops-first": ("3d31e86fe31ea91b8f3531ea04cecfe61a419a433eeac3869dd2614a0500a594", 248),
+        "central-vertex-first": ("e15d5367269c86b17e5fdd8c4c32d5eab0f672e2c0c4d022de78b8dae40cff1a", 230),
     },
     "circulant-64": {
-        "edge-id": "209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36",
-        "random": "ea185fbf8b36699ac40b060a2f25d67fec3338da2b51ab90a77938809a28693f",
-        "loops-first": "209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36",
-        "central-vertex-first": "209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36",
+        "edge-id": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
+        "random": ("ea185fbf8b36699ac40b060a2f25d67fec3338da2b51ab90a77938809a28693f", 30),
+        "loops-first": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
+        "central-vertex-first": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
     },
 }
 
@@ -500,9 +538,9 @@ def test_rotations_are_pinned(graph, policy):
     g = (gen_random_connected_multigraph(512, 1024, seed=1)
          if graph == "random-512-1024" else gen_circulant(64))
     pairs = greedy_max_genus(g, policy=policy).pairs
-    text = build_embedding(g, pairs).rotation.to_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        PINNED_ROTATIONS[graph][policy]
+    emb = build_embedding(g, pairs)
+    digest = hashlib.sha256(emb.rotation.to_text().encode()).hexdigest()
+    assert (digest, emb.genus) == PINNED_ROTATIONS[graph][policy]
 
 
 @given(seed=st.integers(0, 10_000))

@@ -40,7 +40,7 @@ class TestDarts:
         assert parse_dart(format_dart(d)) == d
 
     def test_parse_rejects_garbage(self):
-        for bad in ("3", "3.", ".1", "3.2", "a.0", "3.0x"):
+        for bad in ("3", "3.", ".1", "3.2", "a.0", "3.0x", "².0", "٣.0"):
             with pytest.raises(ValueError):
                 parse_dart(bad)
 
