@@ -8,18 +8,16 @@ A benchmark config is a ``key = value`` text file (``#`` comments):
     seeds       = 0,1,2
     policies    = edge-id
     preprocess  = true
-    jobs        = 1
 
-Every (size, seed, policy) combination becomes one job.  Jobs
-are independent processes when ``jobs > 1``.  Slopes are least-squares
-fits on log-log (edge count vs mean elapsed time / connectivity tests).
+Every (size, seed, policy) combination becomes one cell; the cells run
+in turn, in one process.  Slopes are least-squares fits on log-log
+(edge count vs mean elapsed time / connectivity tests).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from .generators import FAMILIES, GeneratorSpec
@@ -105,7 +103,6 @@ class BenchConfig:
     preprocess: bool = True
     loop_prob: float = 0.15
     parallel_prob: float = 0.15
-    jobs: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -115,8 +112,6 @@ class BenchConfig:
         if not math.isfinite(self.edge_factor):
             raise GraphError(f"edge_factor must be finite, "
                              f"got {self.edge_factor}")
-        if self.jobs < 1:
-            raise GraphError(f"jobs must be at least 1, got {self.jobs}")
         # GeneratorSpec rejects probabilities outside [0, 1] or summing above 1
         GeneratorSpec(self.family, loop_prob=self.loop_prob,
                       parallel_prob=self.parallel_prob)
@@ -132,7 +127,6 @@ class BenchConfig:
             "preprocess": "bool",
             "loop_prob": float,
             "parallel_prob": float,
-            "jobs": int,
         }
         out: dict = {}
         for no, raw in enumerate(text.splitlines(), start=1):
@@ -173,36 +167,20 @@ def _spec_for(cfg: BenchConfig, size: int, seed: int) -> GeneratorSpec:
     return replace(base, n=size)
 
 
-def _run_job(args: tuple) -> RunReport:
-    cfg_fields, size, seed, policy = args
-    cfg = BenchConfig(**cfg_fields)
-    g = _spec_for(cfg, size, seed).build()
-    label = f"{cfg.family}-{size}-s{seed}"
-    return run_pipeline(
-        g, label=label, policy=policy, seed=seed,
-        preprocess=cfg.preprocess,
-    ).report
-
-
-def run_bench(cfg: BenchConfig, *, jobs: int | None = None) -> list[RunReport]:
-    """Run every cell of the grid, with at most one worker process per
-    cell; ``jobs`` overrides ``cfg.jobs`` and must be at least 1."""
-    jobs = cfg.jobs if jobs is None else jobs
-    if jobs < 1:
-        raise GraphError(f"jobs must be at least 1, got {jobs}")
-    cfg_fields = asdict(cfg)
-    arglist = [
-        (cfg_fields, size, seed, policy)
-        for size in cfg.sizes
-        for seed in cfg.seeds
-        for policy in cfg.policies
-    ]
-    # a fork pool starts all its workers at the first submit
-    jobs = min(jobs, len(arglist))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_job, arglist))
-    return [_run_job(a) for a in arglist]
+def run_bench(cfg: BenchConfig) -> list[RunReport]:
+    """Run every cell of the grid in turn, sizes outermost, then seeds,
+    then policies."""
+    reports = []
+    for size in cfg.sizes:
+        for seed in cfg.seeds:
+            g = _spec_for(cfg, size, seed).build()
+            label = f"{cfg.family}-{size}-s{seed}"
+            for policy in cfg.policies:
+                reports.append(run_pipeline(
+                    g, label=label, policy=policy, seed=seed,
+                    preprocess=cfg.preprocess,
+                ).report)
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
 
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
 disconnected graph or invalid option value (also argparse usage errors,
-bench jobs below 1 and generator probabilities outside [0, 1]), 3
-edge-list or rotation parse error, 4 exact-oracle limit exceeded, 5
-certification failure (the exact oracles disagree, or a certificate
-check or a ``--check`` audit fails).
+generator probabilities outside [0, 1] and a generated graph with a
+vertex of no edge), 3 edge-list or rotation parse error, 4 exact-oracle
+limit exceeded, 5 certification failure (the exact oracles disagree, or
+a certificate check or a ``--check`` audit fails).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .bench import BenchConfig, format_summary, run_bench, run_pipeline, summarize
-from .embedding import RotationSystem, build_embedding, genus_of, trace_faces
+from .embedding import RotationSystem, build_embedding, genus_and_faces
 from .generators import FAMILIES, GeneratorSpec
 from .graph import (
     CertificationError,
@@ -78,7 +78,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         seed=args.seed, preprocess=not args.raw,
     )
     rep = out.report
-    if args.embed:
+    if args.embed or args.check:
         emb = build_embedding(g, out.pairs, check=args.check)
         rep = replace(rep, embedding_genus=emb.genus)
     if args.json:
@@ -138,8 +138,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     if args.rotation is not None:
         rot = RotationSystem.from_text(_read_text(args.rotation))
-        genus = genus_of(g, rot)
-        faces = trace_faces(g, rot)
+        genus, faces = genus_and_faces(g, rot)
         print(f"genus={genus} faces={len(faces)} "
               f"sizes={','.join(map(str, faces.sizes()))}")
         return EXIT_OK
@@ -170,7 +169,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = BenchConfig.parse(_read_text(args.config))
-    reports = run_bench(cfg, jobs=args.jobs)
+    reports = run_bench(cfg)
     if args.json:
         payload = json.dumps([asdict(r) for r in reports], indent=2,
                              sort_keys=True)
@@ -196,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed", action="store_true",
                    help="also build a certifying embedding")
     p.add_argument("--check", action="store_true",
-                   help="audit embedding invariants at every step")
+                   help="audit embedding invariants at every step "
+                        "(implies --embed; quadratic in the edge count)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_greedy)
 
@@ -238,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark config")
     p.add_argument("config", metavar="CONFIG")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (overrides the config)")
     p.add_argument("--json", metavar="FILE",
                    help="also dump all reports as JSON")
     p.set_defaults(func=cmd_bench)

@@ -177,6 +177,11 @@ def trace_faces(g: MultiGraph, rot: "RotationSystem | Mapping") -> FaceSet:
     return _face_set(rot.order)
 
 
+def _check_connected(g: MultiGraph) -> None:
+    if not is_connected(g):
+        raise DisconnectedError("genus needs a connected graph")
+
+
 def genus_of(
     g: MultiGraph, rot: "RotationSystem | Mapping", *, validate: bool = True
 ) -> int:
@@ -187,11 +192,21 @@ def genus_of(
     """
     order = rot.order if isinstance(rot, RotationSystem) else rot
     if validate:
-        if not is_connected(g):
-            raise DisconnectedError("genus needs a connected graph")
+        _check_connected(g)
         RotationSystem({v: tuple(c) for v, c in order.items()}).validate(g)
     f = _face_count(_sigma_next(order)) if g.n_edges else 1
     return _euler_genus(g.n_vertices, g.n_edges, f)
+
+
+def genus_and_faces(
+    g: MultiGraph, rot: "RotationSystem | Mapping"
+) -> tuple[int, FaceSet]:
+    """:func:`genus_of` and :func:`trace_faces` from one validation and
+    one trace."""
+    _check_connected(g)
+    faces = trace_faces(g, rot)
+    f = len(faces) if g.n_edges else 1
+    return _euler_genus(g.n_vertices, g.n_edges, f), faces
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +493,6 @@ def _require(ok: bool, what: str) -> None:
 @dataclass(frozen=True)
 class EmbeddingResult:
     rotation: RotationSystem
-    faces: FaceSet
     genus: int
     n_vertices: int
     n_edges: int
@@ -544,8 +558,7 @@ def build_embedding(
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
     rot = st.rotation()
-    faces = _face_set(rot.order)
-    n_faces = len(faces) if g.n_edges else 1
+    n_faces = _face_count(_sigma_next(rot.order)) if g.n_edges else 1
     genus = _euler_genus(g.n_vertices, g.n_edges, n_faces)
     k = len(pairs.pairs)
     if genus < k:
@@ -555,7 +568,6 @@ def build_embedding(
         _require(genus_of(g, rot) == genus, "genus of the emitted rotation")
     return EmbeddingResult(
         rotation=rot,
-        faces=faces,
         genus=genus,
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,

@@ -278,13 +278,17 @@ def parse_edge_list(text: str) -> MultiGraph:
 
 
 def format_edge_list(g: MultiGraph) -> str:
-    """Inverse of :func:`parse_edge_list`, one edge per line by ascending id."""
+    """Inverse of :func:`parse_edge_list`, one edge per line by ascending id.
+    Raises :class:`GraphError` if g has no edge or a vertex of no edge,
+    which the text cannot carry."""
+    if not g.n_edges or not all(map(g.degree, g.vertices())):
+        raise GraphError("an edge list cannot carry a vertex with no edge")
     names = g.labels or {}
     lines = []
     for eid in g.edge_ids():
         u, v = g.endpoints(eid)
         lines.append(f"{names.get(u, u)} {names.get(v, v)}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,10 @@ class TestGreedy:
         rep = RunReport.from_json(proc.stdout)
         assert rep.embedding_genus == 1
 
+    def test_check_implies_embed(self):
+        proc = run_cli("greedy", "--check", stdin=K4_TEXT)
+        assert "embedding genus: 1" in proc.stdout
+
     def test_raw_skips_preprocessing(self):
         text = "a b\na b\na b\na b\n"
         cooked = RunReport.from_json(
@@ -178,6 +182,22 @@ class TestGen:
         proc = run_cli("gen", "--family", "bouquet", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("params", [
+        ["--family", "bouquet", "-k", "0"],
+        ["--family", "complete", "-n", "1"],
+        ["--family", "random", "-n", "1", "-m", "0"],
+    ], ids=["bouquet", "complete", "random"])
+    def test_edgeless_graph_rejected(self, tmp_path, params):
+        # the text format cannot carry a vertex with no edge
+        proc = run_cli("gen", *params, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+        out = tmp_path / "fam.edges"
+        proc = run_cli("gen", *params, "-o", str(out), check=False)
+        assert proc.returncode == 2
+        assert not out.exists()
+
     def test_probability_out_of_range(self):
         proc = run_cli("gen", "--family", "random", "-n", "4", "-m", "4",
                        "--loop-prob", "2", check=False)
@@ -194,7 +214,6 @@ class TestBench:
             "sizes=16,32\n"
             "seeds=0,1\n"
             "policies=loops-first\n"
-            "jobs=1\n"
         )
         dump = tmp_path / "reports.json"
         proc = run_cli("bench", str(cfg), "--json", str(dump))
@@ -209,41 +228,15 @@ class TestBench:
         proc = run_cli("bench", str(cfg), check=False)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("jobs, cells, workers", [
-        (5000, 2, [2]),  # one worker per cell at most
-        (5000, 1, []),   # a single cell runs in this process
-        (2, 4, [2]),
-    ])
-    def test_jobs_clamped_to_cells(self, monkeypatch, jobs, cells, workers):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
-        cfg = BenchConfig(sizes=(8,), seeds=tuple(range(cells)), jobs=jobs)
-        assert len(bench.run_bench(cfg)) == cells
-        assert started == workers
-
-    @pytest.mark.parametrize("argv, text", [
-        (["--jobs", "0"], "sizes=8\n"),
-        ([], "sizes=8\njobs=-1\n"),
-    ], ids=["option", "config"])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, argv, text):
-        cfg = tmp_path / "bench.conf"
-        cfg.write_text(text)
-        assert cli.main(["bench", str(cfg), *argv]) == 2
-        assert capsys.readouterr().err.startswith("error: jobs must be")
+    def test_cells_in_grid_order(self):
+        cfg = BenchConfig(sizes=(8, 12), seeds=(0, 1),
+                          policies=("edge-id", "loops-first"))
+        reports = bench.run_bench(cfg)
+        assert [(r.instance.label, r.config.seed, r.config.policy)
+                for r in reports] == [
+            (f"random-{size}-s{seed}", seed, policy)
+            for size in (8, 12) for seed in (0, 1)
+            for policy in ("edge-id", "loops-first")]
 
 
 class TestExitCodes:
@@ -266,13 +259,16 @@ class TestExitCodes:
 
     def test_wrong_embedding_genus_under_optimize(self):
         # with asserts stripped by -O, a wrong genus must still be caught:
-        # a trace that counts every face twice puts K4's genus at 0
+        # a trace of the emitted rotation that counts every face twice
+        # puts K4's genus at 0 (the state's own face count stays honest)
         script = (
             "import sys\n"
             "from maxgenus import cli, embedding\n"
-            "face_set = embedding._face_set\n"
-            "embedding._face_set = lambda order: embedding.FaceSet(\n"
-            "    face_set(order).faces * 2)\n"
+            "face_count = embedding._face_count\n"
+            "embedding.EmbeddingState.n_faces = property(\n"
+            "    lambda self: face_count(self.sigma_next) or 1)\n"
+            "embedding._face_count = lambda sigma_next: (\n"
+            "    face_count(sigma_next) * 2)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         proc = subprocess.run(
@@ -370,7 +366,6 @@ CONFIG_VALUES = {
     "preprocess": st.sampled_from(["true", "false", "yes"]),
     "loop_prob": st.sampled_from(["0", "0.15", "0.5", "1.5", "-1", "nan"]),
     "parallel_prob": st.sampled_from(["0", "0.15", "0.6", "x"]),
-    "jobs": st.integers(1, 2).map(str),
 }
 CONFIG_TEXTS = st.tuples(
     st.fixed_dictionaries({}, optional=CONFIG_VALUES),
@@ -428,10 +423,9 @@ class TestFuzz:
         assert "Traceback" not in err
 
     @settings(max_examples=30)
-    @given(CONFIG_TEXTS, st.sampled_from([[], ["--jobs", "1"],
-                                          ["--jobs", "2"]]))
-    def test_bench_configs(self, config, jobs):
-        code, err = main_in_process(["bench", "{}", *jobs], [config])
+    @given(CONFIG_TEXTS)
+    def test_bench_configs(self, config):
+        code, err = main_in_process(["bench", "{}"], [config])
         event(f"exit {code}")
         assert code in range(6)
         assert "Traceback" not in err

@@ -112,6 +112,14 @@ class TestParsing:
         assert g.n_edges == 5
         assert format_edge_list(g) == text
 
+    def test_vertex_without_edge_cannot_be_written(self):
+        with pytest.raises(GraphError):
+            format_edge_list(MultiGraph(1))
+        g = MultiGraph(3)
+        g.add_edge(0, 1)
+        with pytest.raises(GraphError):
+            format_edge_list(g)
+
     def test_comments_and_blanks(self):
         g = parse_edge_list("# header\n\nx y  # trailing\n")
         assert g.n_edges == 1

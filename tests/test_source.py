@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxgenus"
@@ -17,3 +20,19 @@ def test_no_assert_statements():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the CLI runs everything in its own process; importing it must not
+    # pull in a process pool, which would slow every start-up
+    script = (
+        "import sys\n"
+        "import maxgenus.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "    if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
