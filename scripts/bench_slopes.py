@@ -17,7 +17,9 @@ import time
 from math import isqrt
 
 from maxgenus import (
+    DEFAULT_POLICY,
     FAMILIES,
+    POLICIES,
     GeneratorSpec,
     build_embedding,
     fit_loglog_slope,
@@ -40,7 +42,7 @@ def main() -> None:
     ap.add_argument("--min-pow", type=int, default=10)
     ap.add_argument("--max-pow", type=int, default=15)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--policy", default="edge-id")
+    ap.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY)
     ap.add_argument("--family", choices=FAMILIES, default="random")
     args = ap.parse_args()
 
@@ -61,8 +63,9 @@ def main() -> None:
         print(f"m={m:6d} k={len(res.pairs):5d} "
               f"tests={res.stats.tests:8d} elapsed={t1 - t0:8.3f}s "
               f"genus={emb.genus:5d} embed={t2 - t1:8.3f}s", flush=True)
-    print(f"slope(elapsed ~ m) = {fit_loglog_slope(points):.3f}")
-    print(f"slope(embed ~ m) = {fit_loglog_slope(embed_points):.3f}")
+    if len(sizes) > 1:
+        print(f"slope(elapsed ~ m) = {fit_loglog_slope(points):.3f}")
+        print(f"slope(embed ~ m) = {fit_loglog_slope(embed_points):.3f}")
 
 
 if __name__ == "__main__":

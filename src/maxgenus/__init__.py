@@ -57,6 +57,7 @@ from .graph import (
     parse_edge_list,
 )
 from .greedy import (
+    DEFAULT_POLICY,
     POLICIES,
     AdjacentPair,
     GenusBounds,
@@ -93,6 +94,7 @@ __all__ = [
     "BenchConfig",
     "BenchSummary",
     "CertificationError",
+    "DEFAULT_POLICY",
     "DfsBackend",
     "DisconnectedError",
     "DynamicBackend",

@@ -6,7 +6,7 @@ A benchmark config is a ``key = value`` text file (``#`` comments):
     sizes       = 64,128,256    # generator size parameter per run
     edge_factor = 2.0           # random family: m = round(factor * n)
     seeds       = 0,1,2
-    policies    = edge-id
+    policies    = tree-first
     preprocess  = true
 
 Every (size, seed, policy) combination becomes one cell; the cells run
@@ -22,7 +22,13 @@ from dataclasses import asdict, dataclass, replace
 
 from .generators import FAMILIES, GeneratorSpec
 from .graph import CertificationError, GraphError, MultiGraph
-from .greedy import GenusBounds, PairSet, greedy_max_genus
+from .greedy import (
+    DEFAULT_POLICY,
+    GenusBounds,
+    PairSet,
+    check_policy,
+    greedy_max_genus,
+)
 from .preprocess import merge_pairs, reduce_multiedges
 from .report import InstanceInfo, RunConfig, RunReport
 
@@ -43,7 +49,7 @@ def run_pipeline(
     g: MultiGraph,
     *,
     label: str = "input",
-    policy: str = "edge-id",
+    policy: str = DEFAULT_POLICY,
     seed: int = 0,
     preprocess: bool = True,
 ) -> PipelineOutcome:
@@ -99,7 +105,7 @@ class BenchConfig:
     sizes: tuple[int, ...] = (64, 128, 256)
     edge_factor: float = 2.0
     seeds: tuple[int, ...] = (0,)
-    policies: tuple[str, ...] = ("edge-id",)
+    policies: tuple[str, ...] = (DEFAULT_POLICY,)
     preprocess: bool = True
     loop_prob: float = 0.15
     parallel_prob: float = 0.15
@@ -109,6 +115,8 @@ class BenchConfig:
             raise GraphError(f"unknown family {self.family!r}")
         if not self.sizes:
             raise GraphError("sizes must be non-empty")
+        for policy in self.policies:
+            check_policy(policy)
         if not math.isfinite(self.edge_factor):
             raise GraphError(f"edge_factor must be finite, "
                              f"got {self.edge_factor}")

@@ -32,7 +32,7 @@ from .graph import (
     format_edge_list,
     parse_edge_list,
 )
-from .greedy import POLICIES
+from .greedy import DEFAULT_POLICY, POLICIES
 from .oracle import (
     LimitExceededError,
     exact_max_genus_pairs,
@@ -65,7 +65,7 @@ def _add_graph_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_greedy_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=POLICIES, default="edge-id")
+    p.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--raw", action="store_true",
                    help="skip the parallel/loop preprocessing pass")

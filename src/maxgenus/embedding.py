@@ -41,6 +41,7 @@ from .graph import (
     GraphError,
     MultiGraph,
     ParseError,
+    bfs_tree,
     dart,
     format_dart,
     is_connected,
@@ -500,30 +501,6 @@ class EmbeddingResult:
     pairs_used: int
 
 
-def _bfs_tree(g: MultiGraph, excluded: set[int]) -> set[int]:
-    """Spanning tree by BFS over non-excluded edges, lowest ids first."""
-    from collections import deque
-
-    root = 0
-    seen = {root}
-    tree: set[int] = set()
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for eid in g.incident_edges(v):
-            if eid in excluded or g.is_loop(eid):
-                continue
-            a, b = g.endpoints(eid)
-            other = b if a == v else a
-            if other not in seen:
-                seen.add(other)
-                tree.add(eid)
-                queue.append(other)
-    if len(seen) != g.n_vertices:
-        raise DisconnectedError("graph minus pair edges is not connected")
-    return tree
-
-
 def build_embedding(
     g: MultiGraph, pairs: PairSet | Sequence[AdjacentPair], *,
     check: bool = False,
@@ -546,7 +523,7 @@ def build_embedding(
     if not res:
         raise GraphError(f"pair family fails verification: {res.reason}")
     pair_edges = set(pairs.edge_ids())
-    tree = _bfs_tree(g, pair_edges)
+    tree = bfs_tree(g, pair_edges)
     st = EmbeddingState.tree_embedding(g, tree)
     for pair in pairs:
         st.insert_adjacent_pair(g, pair, check=check)

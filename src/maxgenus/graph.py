@@ -319,6 +319,30 @@ def is_connected(g: MultiGraph) -> bool:
     return _component_count(g) == 1
 
 
+def bfs_tree(g: MultiGraph, excluded: Iterable[int] = ()) -> set[int]:
+    """Spanning tree by BFS from vertex 0 over the edges not in
+    ``excluded``, lowest ids first; loops are never tree edges.  Raises
+    :class:`DisconnectedError` if those edges do not span g."""
+    excluded = set(excluded)
+    seen = {0}
+    tree: set[int] = set()
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for eid in g.incident_edges(v):
+            if eid in excluded:
+                continue
+            a, b = g.endpoints(eid)
+            other = b if a == v else a
+            if other not in seen:
+                seen.add(other)
+                tree.add(eid)
+                queue.append(other)
+    if len(seen) != g.n_vertices:
+        raise DisconnectedError("the edges left do not span the graph")
+    return tree
+
+
 def cycle_rank(g: MultiGraph) -> int:
     """First Betti number m - n + c; the pair count can never exceed half."""
     return g.n_edges - g.n_vertices + _component_count(g)

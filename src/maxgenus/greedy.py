@@ -13,7 +13,15 @@ deleting edges only ever shrinks connectivity, so a pair that once failed
 the removal probe can never succeed later.  One pass over the vertices,
 testing every pair at each vertex once, therefore leaves a maximal family:
 any pair still present at the end was tested and failed on a supergraph of
-the residual.
+the residual.  The pass stops once beta < 2: a connected graph with cycle
+rank 0 or 1 has no pair whose removal keeps it connected.
+
+The default policy, ``tree-first``, runs two phases.  Phase 1 fixes a BFS
+spanning tree T and pairs adjacent cotree edges (edges outside T, loops
+included) at each vertex with no probe: removing edges outside T never
+disconnects the graph.  Phase 2 is the ``edge-id`` pass on what is left.
+Phase 1 only deletes edges, so the argument above covers it: every pair
+present at the end was still tested by phase 2.
 """
 
 from __future__ import annotations
@@ -23,9 +31,17 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity import BACKENDS, pair_removal_keeps_connected
-from .graph import DisconnectedError, GraphError, MultiGraph, is_connected
+from .graph import (
+    DisconnectedError,
+    GraphError,
+    MultiGraph,
+    bfs_tree,
+    is_connected,
+)
 
-POLICIES = ("edge-id", "random", "loops-first", "central-vertex-first")
+POLICIES = ("edge-id", "random", "loops-first", "central-vertex-first",
+            "tree-first")
+DEFAULT_POLICY = "tree-first"
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,7 @@ class GreedyStats:
     tests: int = 0
     removed: int = 0
     candidate_budget: int = 0  # sum of C(deg, 2) over processed vertices
+    tree_pairs: int = 0  # tree-first phase-1 pairs, taken with no probe
     # Always 0: the single pass has no final pass.  Kept because report
     # and benchmark readers still name the field.
     final_pass_tests: int = 0
@@ -169,26 +186,46 @@ def _vertex_key(policy: str, g: MultiGraph):
     return None  # edge-id: ascending vertex ids
 
 
+def _pair_cotree_edges(residual: MultiGraph, be, pairs: PairSet) -> None:
+    """Phase 1 of ``tree-first``: at each vertex in ascending order, pair
+    the cotree edges still present consecutively, in ``incident_edges``
+    order, and delete them with no probe."""
+    tree = bfs_tree(residual)
+    for v in residual.vertices():
+        cotree = [e for e in residual.incident_edges(v) if e not in tree]
+        for e, f in zip(cotree[0::2], cotree[1::2]):
+            for eid in (e, f):
+                residual.delete_edge(eid)
+                be.delete_edge(eid)
+            pairs.pairs.append(AdjacentPair(e, f, v))
+
+
+def check_policy(policy: str) -> None:
+    """Raise :class:`GraphError` unless ``policy`` is in ``POLICIES``."""
+    if policy not in POLICIES:
+        raise GraphError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
+
+
 def greedy_max_genus(
     g: MultiGraph,
     *,
     backend: str = "dfs",
-    policy: str = "edge-id",
+    policy: str = DEFAULT_POLICY,
     seed: int = 0,
 ) -> GreedyResult:
     """Remove disjoint adjacent pairs until none is removable.
 
-    ``policy`` fixes the vertex and pair processing order: ``edge-id`` is
-    the lexicographic default, ``random`` shuffles with ``seed``,
-    ``loops-first`` favours loop-bearing vertices and loop pairs, and
-    ``central-vertex-first`` processes highest-degree vertices first (the
-    adversarial order on the doubled-star family).  ``backend`` names the
-    connectivity structure in ``BACKENDS``; both give the same pairs.
-    Identical inputs and options give identical results.  Raises on
-    disconnected input.
+    ``policy`` fixes the vertex and pair processing order: ``tree-first``
+    (the default) pairs cotree edges with no probe and then runs the
+    ``edge-id`` pass, ``edge-id`` is lexicographic, ``random`` shuffles
+    with ``seed``, ``loops-first`` favours loop-bearing vertices and loop
+    pairs, and ``central-vertex-first`` processes highest-degree vertices
+    first (the adversarial order on the doubled-star family).  ``backend``
+    names the connectivity structure in ``BACKENDS``; both give the same
+    pairs.  Identical inputs and options give identical results.  Raises
+    on disconnected input.
     """
-    if policy not in POLICIES:
-        raise GraphError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
+    check_policy(policy)
     if backend not in BACKENDS:
         raise GraphError(f"unknown backend {backend!r}")
     if not is_connected(g):
@@ -196,24 +233,30 @@ def greedy_max_genus(
 
     residual = g.copy()
     be = BACKENDS[backend](residual)
-    rng = random.Random(seed)
-    order = list(residual.vertices())
-    if policy == "random":
-        rng.shuffle(order)
-    else:
-        order.sort(key=_vertex_key(policy, residual))
-    pkey = _pair_order_key(policy, residual)
-
     stats = GreedyStats()
     pairs = PairSet()
+    pass_policy = policy
+    if policy == "tree-first":
+        _pair_cotree_edges(residual, be, pairs)
+        stats.tree_pairs = stats.removed = len(pairs)
+        pass_policy = "edge-id"
+
+    rng = random.Random(seed)
+    order = list(residual.vertices())
+    if pass_policy == "random":
+        rng.shuffle(order)
+    else:
+        order.sort(key=_vertex_key(pass_policy, residual))
+    pkey = _pair_order_key(pass_policy, residual)
+
     beta = residual.n_edges - residual.n_vertices + 1
     n_edges0 = g.n_edges
 
     for v in order:
-        if beta == 0:
+        if beta < 2:
             break
         cands = candidate_pairs(residual, v)
-        if policy == "random":
+        if pass_policy == "random":
             rng.shuffle(cands)
         else:
             cands.sort(key=pkey)
@@ -221,7 +264,7 @@ def greedy_max_genus(
         stats.candidate_budget += deg * (deg - 1) // 2
         stats.candidate_pairs += len(cands)
         for e, f in cands:
-            if beta == 0:
+            if beta < 2:
                 break
             if not (residual.has_edge(e) and residual.has_edge(f)):
                 continue  # a member was removed by an earlier pair at v

@@ -49,7 +49,7 @@ ACCEPTANCE_LINES: list[str] = []
 # (policy, seed) sweeps shared by criteria 2, 4, 6 and 7; the random
 # policy runs under two seeds so "every policy" is not a single shuffle
 SWEEPS = [("edge-id", 0), ("loops-first", 0), ("central-vertex-first", 0),
-          ("random", 0), ("random", 1)]
+          ("random", 0), ("random", 1), ("tree-first", 0)]
 
 CORPUS_ROTATION_LIMIT = 50_000
 
@@ -212,7 +212,8 @@ def test_criterion_7(full_corpus):
             assert A.connected_all() == B.connected_all() == ref.connected_all()
     assert ops >= 10_000
     # same greedy answer on every corpus instance, not just same speed
-    for policy, seed in (("edge-id", 0), ("loops-first", 0), ("random", 3)):
+    for policy, seed in (("edge-id", 0), ("loops-first", 0), ("random", 3),
+                         ("tree-first", 0)):
         for g in full_corpus:
             r1 = greedy_max_genus(g, backend="dfs", policy=policy, seed=seed)
             r2 = greedy_max_genus(g, backend="dynamic", policy=policy,

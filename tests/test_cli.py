@@ -15,6 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from maxgenus import (
     POLICIES,
     AdjacentPair,
+    GraphError,
     RunReport,
     gen_tight_star,
     parse_edge_list,
@@ -227,6 +228,20 @@ class TestBench:
         cfg.write_text("familly=random\n")
         proc = run_cli("bench", str(cfg), check=False)
         assert proc.returncode == 2
+
+    def test_unknown_policy_fails_before_any_cell(self, tmp_path,
+                                                  monkeypatch, capsys):
+        with pytest.raises(GraphError, match="bogus"):
+            BenchConfig.parse("policies = edge-id,bogus\n")
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("sizes = 8\npolicies = edge-id,bogus\n")
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "run_pipeline", no_cell)
+        assert cli.main(["bench", str(cfg)]) == 2
+        assert "bogus" in capsys.readouterr().err
 
     def test_cells_in_grid_order(self):
         cfg = BenchConfig(sizes=(8, 12), seeds=(0, 1),

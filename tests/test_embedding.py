@@ -27,8 +27,7 @@ from maxgenus import (
     verify_pair_set,
     xuong_max_genus,
 )
-from maxgenus.embedding import _bfs_tree
-from maxgenus.graph import dart
+from maxgenus.graph import bfs_tree, dart
 
 
 def path_graph(n):
@@ -256,7 +255,7 @@ class TestEmbeddingState:
 
     def test_spanning_tree_state_is_planar(self):
         g = k4()
-        state = EmbeddingState.tree_embedding(g, _bfs_tree(g, frozenset()))
+        state = EmbeddingState.tree_embedding(g, bfs_tree(g))
         assert state.genus == 0
         assert state.n_faces == 1
 
@@ -264,7 +263,7 @@ class TestEmbeddingState:
 class TestInsertAdjacentPair:
     def test_doubled_star_pair(self):
         g = gen_tight_star(1)
-        tree_ids = _bfs_tree(g, frozenset())
+        tree_ids = bfs_tree(g)
         state = EmbeddingState.tree_embedding(g, tree_ids)
         # the two loops at leaf 1 and leaf 2 pair with nothing here; use
         # the parallel copies instead: tree took one (0,v) per leaf
@@ -408,7 +407,7 @@ class TestFinalChecks:
 
     def test_audit_failure_is_typed(self):
         g = k4()
-        state = EmbeddingState.tree_embedding(g, _bfs_tree(g, frozenset()))
+        state = EmbeddingState.tree_embedding(g, bfs_tree(g))
         state._audit()
         d = state.first_dart[0]
         state.sigma_prev[d] = d
@@ -522,12 +521,14 @@ PINNED_ROTATIONS = {
         "random": ("f83e74e6b410918d0e15fcb5a3b78c8b0934f5334d081031950b22512ec21057", 236),
         "loops-first": ("3d31e86fe31ea91b8f3531ea04cecfe61a419a433eeac3869dd2614a0500a594", 248),
         "central-vertex-first": ("e15d5367269c86b17e5fdd8c4c32d5eab0f672e2c0c4d022de78b8dae40cff1a", 230),
+        "tree-first": ("2e6e74f917855bbfd4e1f2c168c77d1c680ff49e74143ac696e555ea19201269", 242),
     },
     "circulant-64": {
         "edge-id": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
         "random": ("ea185fbf8b36699ac40b060a2f25d67fec3338da2b51ab90a77938809a28693f", 30),
         "loops-first": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
         "central-vertex-first": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
+        "tree-first": ("ac7c10c69e908bb9b01ff5c64f390da896a65ba15bd91ceae64da0ae2812ec0a", 32),
     },
 }
 

@@ -24,8 +24,9 @@ from maxgenus import (
     parse_edge_list,
     verify_pair_set,
 )
-from maxgenus import bench
-from maxgenus.greedy import candidate_pairs
+from maxgenus import bench, cli, greedy
+from maxgenus.graph import bfs_tree
+from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
 
 def has_removable_pair(g):
@@ -193,7 +194,7 @@ class TestGreedy:
 @given(st.integers(0, 500), st.integers(2, 9), st.integers(0, 10))
 def test_property_greedy_contract(seed, n, extra):
     g = gen_random_connected_multigraph(n, n - 1 + extra, seed=seed)
-    r = greedy_max_genus(g, policy=POLICIES[seed % 4], seed=seed)
+    r = greedy_max_genus(g, policy=POLICIES[seed % len(POLICIES)], seed=seed)
     assert verify_pair_set(g, r.pairs)
     assert not has_removable_pair(r.residual)
     assert r.bounds.lower <= r.bounds.upper or r.bounds.lower == 0
@@ -206,18 +207,21 @@ PINNED_PAIRS = {
         "edge-id": "08c79c0a7a29beeb41b118ec8950e430f528202f9d7c697f655bed6dfefebbbd",
         "loops-first": "3f12115ab13e197b5d82ca383e16a2242983f48f12c4d02784b75184cc1a767a",
         "central-vertex-first": "5d22258f376d3beec7a3aa591ffb980922272dcbf7c81671fd7bcb39e6900b80",
+        "tree-first": "6e41fb510d7e1f555de8c5aba3eeb8fa86022d8746d657e09150a60e0e87e08b",
     },
     "circulant-64": {
         "edge-id": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
         "loops-first": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
         "central-vertex-first": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
+        "tree-first": "2198f4b805cf67ba86947b1e46391f9a52bd0e1e8a0ca64989828bc43fdb275a",
     },
 }
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_PAIRS))
 @pytest.mark.parametrize("policy",
-                         ["edge-id", "loops-first", "central-vertex-first"])
+                         ["edge-id", "loops-first", "central-vertex-first",
+                          "tree-first"])
 def test_deterministic_policies_keep_their_certificates(graph, policy):
     g = (gen_random_connected_multigraph(512, 1024, seed=1)
          if graph == "random-512-1024" else gen_circulant(64))
@@ -241,8 +245,60 @@ def shuffled_circulant(n, seed):
 def test_cut_scans_keep_the_certificate():
     # Failed probes on the shuffled circulant pay for cut scans, whose
     # records then answer probes; the pairs are those of the search alone.
-    r = greedy_max_genus(shuffled_circulant(512, 1))
+    r = greedy_max_genus(shuffled_circulant(512, 1), policy="edge-id")
     text = ";".join(f"{p.e},{p.f},{p.witness}" for p in r.pairs)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "813f59badb199649f69247d2882d7c89d045f52e74689ce9420dc42429cc25ed"
     assert r.backend_stats.scans >= 1
+
+
+class TestTreeFirst:
+    def test_is_the_default(self):
+        assert DEFAULT_POLICY == "tree-first"
+        assert greedy_max_genus(gen_complete(5)).policy == "tree-first"
+        assert bench.BenchConfig().policies == ("tree-first",)
+        assert cli.build_parser().parse_args(["greedy"]).policy == \
+            "tree-first"
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_circulant_pairs_need_no_probe(self, n):
+        r = greedy_max_genus(gen_circulant(n))
+        assert len(r.pairs) == n // 2
+        assert r.stats.tree_pairs == n // 2
+        assert r.stats.tests == 0
+        assert r.backend_stats.queries == 0
+
+    def test_only_phase_two_probes(self, monkeypatch):
+        calls = []
+        real = greedy.pair_removal_keeps_connected
+
+        def counted(be, e, f):
+            calls.append((e, f))
+            return real(be, e, f)
+
+        monkeypatch.setattr(greedy, "pair_removal_keeps_connected", counted)
+        g = gen_random_connected_multigraph(64, 160, seed=2)
+        r = greedy_max_genus(g)
+        assert r.stats.tree_pairs > 0 and r.stats.tests > 0
+        assert len(calls) == r.stats.tests == r.backend_stats.queries
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_phase_one_pairs_cotree_edges(self, seed):
+        g = gen_random_connected_multigraph(12, 30, seed=seed,
+                                            loop_prob=0.2, parallel_prob=0.2)
+        r = greedy_max_genus(g)
+        k = len(r.pairs)
+        assert r.stats.removed == k
+        assert r.stats.tree_pairs <= k
+        tree = bfs_tree(g)
+        for p in r.pairs.pairs[:r.stats.tree_pairs]:
+            assert p.e not in tree and p.f not in tree
+        assert verify_pair_set(g, r.pairs)
+        assert not has_removable_pair(r.residual)
+
+
+def test_pass_stops_below_cycle_rank_two():
+    # K4 has beta = 3; after the first pair beta = 1 and no pair can go
+    r = greedy_max_genus(gen_complete(4), policy="edge-id")
+    assert len(r.pairs) == 1
+    assert r.stats.tests == 1
