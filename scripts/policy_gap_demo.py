@@ -3,10 +3,13 @@
 
 For the tight-star graph with parameter n (center plus 2n leaves, every
 center edge doubled, one loop per leaf) the maximum genus is 2n.  The
-loops-first policy finds all 2n pairs; processing the center first locks
-every removal into a center-edge pair and stops at n, the worst case the
-2-approximation guarantee allows.  Small instances are cross-checked
-against the spanning-tree oracle.
+loops-first policy and the default tree-first policy find all 2n pairs:
+tree-first splits the cotree of its BFS tree (the second copy of each
+center edge plus the loops) into 2n pairs with no probe.  Processing the
+center first locks every removal into a center-edge pair and stops at n,
+the worst case the 2-approximation guarantee allows; loops-first and
+central-vertex-first stay in the table as the two ends of that gap.
+Small instances are cross-checked against the spanning-tree oracle.
 """
 
 import argparse

@@ -17,11 +17,16 @@ the residual.  The pass stops once beta < 2: a connected graph with cycle
 rank 0 or 1 has no pair whose removal keeps it connected.
 
 The default policy, ``tree-first``, runs two phases.  Phase 1 fixes a BFS
-spanning tree T and pairs adjacent cotree edges (edges outside T, loops
-included) at each vertex with no probe: removing edges outside T never
-disconnects the graph.  Phase 2 is the ``edge-id`` pass on what is left.
-Phase 1 only deletes edges, so the argument above covers it: every pair
-present at the end was still tested by phase 2.
+spanning tree T and splits each component of the cotree (the edges
+outside T, loops included) into adjacent pairs with no probe: removing
+edges outside T never disconnects the graph.  Kotzig (1957) showed that a
+connected graph with an even number of edges splits into adjacent pairs,
+so phase 1 leaves one edge per odd cotree component and takes exactly
+(beta - xi(T)) / 2 pairs, where xi(T) counts the odd components.  Xuong
+(1979) showed gamma_max = (beta - min_T xi(T)) / 2, so phase 1 alone is
+exact whenever T attains that minimum.  Phase 2 is the ``edge-id`` pass
+on what is left.  Phase 1 only deletes edges, so the argument above
+covers it: every pair present at the end was still tested by phase 2.
 """
 
 from __future__ import annotations
@@ -187,13 +192,54 @@ def _vertex_key(policy: str, g: MultiGraph):
 
 
 def _pair_cotree_edges(residual: MultiGraph, be, pairs: PairSet) -> None:
-    """Phase 1 of ``tree-first``: at each vertex in ascending order, pair
-    the cotree edges still present consecutively, in ``incident_edges``
-    order, and delete them with no probe."""
-    tree = bfs_tree(residual)
-    for v in residual.vertices():
-        cotree = [e for e in residual.incident_edges(v) if e not in tree]
-        for e, f in zip(cotree[0::2], cotree[1::2]):
+    """Phase 1 of ``tree-first``: split every component of the cotree of
+    the BFS tree T into adjacent pairs and delete them with no probe.
+
+    One iterative DFS over the cotree gives each edge it does not follow
+    (loops included) to the vertex that scans it.  Then, children first,
+    each vertex pairs the edges it holds: an odd count takes in the
+    vertex's DFS parent edge too, an even one hands that edge up to the
+    parent.  Every held edge meets its holder, so each pair is adjacent
+    there, and only a DFS root can be left holding one edge, which happens
+    exactly when its component has an odd edge count.  That is Kotzig's
+    splitting, and it takes (beta - xi(T)) / 2 pairs.
+    """
+    scanned = bfs_tree(residual)  # the DFS never follows a tree edge
+    n = residual.n_vertices
+    seen = [False] * n
+    up: list[tuple[int, int] | None] = [None] * n  # DFS parent edge, parent
+    held: list[list[int]] = [[] for _ in range(n)]
+    order = []  # DFS preorder, so every child comes after its parent
+    for root in residual.vertices():
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        stack = [(root, iter(residual.incident_edges(root)))]
+        while stack:
+            v, edges = stack[-1]
+            for e in edges:
+                if e in scanned:
+                    continue
+                scanned.add(e)
+                a, b = residual.endpoints(e)
+                w = b if a == v else a
+                if seen[w]:
+                    held[v].append(e)
+                    continue
+                seen[w] = True
+                up[w] = (e, v)
+                order.append(w)
+                stack.append((w, iter(residual.incident_edges(w))))
+                break
+            else:
+                stack.pop()
+    for v in reversed(order):
+        mine = held[v]
+        if up[v] is not None:
+            e, parent = up[v]
+            (mine if len(mine) % 2 else held[parent]).append(e)
+        for e, f in zip(mine[0::2], mine[1::2]):
             for eid in (e, f):
                 residual.delete_edge(eid)
                 be.delete_edge(eid)
@@ -216,7 +262,7 @@ def greedy_max_genus(
     """Remove disjoint adjacent pairs until none is removable.
 
     ``policy`` fixes the vertex and pair processing order: ``tree-first``
-    (the default) pairs cotree edges with no probe and then runs the
+    (the default) splits the cotree into pairs with no probe and runs the
     ``edge-id`` pass, ``edge-id`` is lexicographic, ``random`` shuffles
     with ``seed``, ``loops-first`` favours loop-bearing vertices and loop
     pairs, and ``central-vertex-first`` processes highest-degree vertices

@@ -521,14 +521,14 @@ PINNED_ROTATIONS = {
         "random": ("f83e74e6b410918d0e15fcb5a3b78c8b0934f5334d081031950b22512ec21057", 236),
         "loops-first": ("3d31e86fe31ea91b8f3531ea04cecfe61a419a433eeac3869dd2614a0500a594", 248),
         "central-vertex-first": ("e15d5367269c86b17e5fdd8c4c32d5eab0f672e2c0c4d022de78b8dae40cff1a", 230),
-        "tree-first": ("2e6e74f917855bbfd4e1f2c168c77d1c680ff49e74143ac696e555ea19201269", 242),
+        "tree-first": ("83ec38315b87aea262a4c2d5bd932a0174d90bab24a315ef9a239a8569589b9e", 249),
     },
     "circulant-64": {
         "edge-id": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
         "random": ("ea185fbf8b36699ac40b060a2f25d67fec3338da2b51ab90a77938809a28693f", 30),
         "loops-first": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
         "central-vertex-first": ("209e281cb0cc9193f362225ef44077f770631316a580d1a451d3a536faad5f36", 32),
-        "tree-first": ("ac7c10c69e908bb9b01ff5c64f390da896a65ba15bd91ceae64da0ae2812ec0a", 32),
+        "tree-first": ("8bd180a12652c46448a4be5948efbe15191a03a808b51acb8b446a0eb4b81bcc", 32),
     },
 }
 

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,12 +23,15 @@ from maxgenus import (
     gen_random_connected_multigraph,
     greedy_max_genus,
     is_connected,
+    odd_components,
     parse_edge_list,
     verify_pair_set,
 )
 from maxgenus import bench, cli, greedy
 from maxgenus.graph import bfs_tree
 from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
+
+from _corpus import random_corpus
 
 
 def has_removable_pair(g):
@@ -207,13 +212,13 @@ PINNED_PAIRS = {
         "edge-id": "08c79c0a7a29beeb41b118ec8950e430f528202f9d7c697f655bed6dfefebbbd",
         "loops-first": "3f12115ab13e197b5d82ca383e16a2242983f48f12c4d02784b75184cc1a767a",
         "central-vertex-first": "5d22258f376d3beec7a3aa591ffb980922272dcbf7c81671fd7bcb39e6900b80",
-        "tree-first": "6e41fb510d7e1f555de8c5aba3eeb8fa86022d8746d657e09150a60e0e87e08b",
+        "tree-first": "663323d1b4a8092b468a73626c1beb80c5e145ad71f8be2a79ef748bfb6f3a28",
     },
     "circulant-64": {
         "edge-id": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
         "loops-first": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
         "central-vertex-first": "94e7cfad57dc71b45c676af71a1b66a88c1235228ed88c0c81ddd7d902e52b28",
-        "tree-first": "2198f4b805cf67ba86947b1e46391f9a52bd0e1e8a0ca64989828bc43fdb275a",
+        "tree-first": "4c430ca3f6b3e2a97d468678332ba7dc4a18e159ac76556ffa0bc171358334e6",
     },
 }
 
@@ -277,7 +282,7 @@ class TestTreeFirst:
             return real(be, e, f)
 
         monkeypatch.setattr(greedy, "pair_removal_keeps_connected", counted)
-        g = gen_random_connected_multigraph(64, 160, seed=2)
+        g = gen_random_connected_multigraph(64, 160, seed=3)
         r = greedy_max_genus(g)
         assert r.stats.tree_pairs > 0 and r.stats.tests > 0
         assert len(calls) == r.stats.tests == r.backend_stats.queries
@@ -295,6 +300,59 @@ class TestTreeFirst:
             assert p.e not in tree and p.f not in tree
         assert verify_pair_set(g, r.pairs)
         assert not has_removable_pair(r.residual)
+
+
+def kotzig_pair_count(g):
+    """(beta - xi(T)) / 2 for T the BFS tree: phase 1's exact pair count."""
+    return (cycle_rank(g) - odd_components(g, bfs_tree(g))) // 2
+
+
+class TestKotzigPhaseOne:
+    def test_pair_count_on_the_corpus(self):
+        for g in random_corpus():
+            assert greedy_max_genus(g).stats.tree_pairs == \
+                kotzig_pair_count(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pair_count_with_loops_and_parallel_edges(self, seed):
+        g = gen_random_connected_multigraph(200, 600, seed=seed,
+                                            loop_prob=0.3, parallel_prob=0.3)
+        r = greedy_max_genus(g)
+        assert r.stats.tree_pairs == kotzig_pair_count(g)
+        assert verify_pair_set(g, r.pairs)
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 64])
+    def test_tight_star_reaches_two_n(self, n):
+        r = greedy_max_genus(gen_tight_star(n))
+        assert len(r.pairs) == r.stats.tree_pairs == 2 * n
+        assert r.stats.tests == 0
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_shuffled_circulant_needs_no_probe(self, seed):
+        g = shuffled_circulant(512, seed)
+        r = greedy_max_genus(g)
+        assert len(r.pairs) == r.stats.tree_pairs == cycle_rank(g) // 2
+        assert r.stats.tests == 0
+
+    def test_random_quality_bar(self):
+        # 3790 with per-vertex cotree pairing; beta / 2 = 4096
+        g = gen_random_connected_multigraph(8192, 16384, seed=1)
+        assert len(greedy_max_genus(g).pairs) >= 3950
+
+    def test_deep_cotree_needs_no_recursion(self):
+        # The doubled path's cotree is one path, so the DFS is n deep
+        n = 50_000
+        g = MultiGraph(n)
+        for v in range(n - 1):
+            g.add_edge(v, v + 1)
+            g.add_edge(v, v + 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            r = greedy_max_genus(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(r.pairs) == r.stats.tree_pairs == (n - 1) // 2
 
 
 def test_pass_stops_below_cycle_rank_two():
