@@ -9,7 +9,8 @@ natural edge order, the probe's adversarial input).  Each greedy result
 is turned into a certified embedding with ``build_embedding``.  Per-size
 timings of both phases and their fitted log-log slopes are printed, with
 the pairs ``tree-first`` took in phase 1 (``tree_pairs``, no probe) next
-to the phase-2 probe count (``tests``).
+to the phase-2 probe count (``tests``) and the bridges of the residual
+that phase 2 skips (``core_bridges``).
 Families with one vertex of degree about m (bouquet, dipole, tight-star)
 have about m^2 / 2 candidate pairs there, so keep their sizes small.
 """
@@ -64,7 +65,9 @@ def main() -> None:
         embed_points.append((float(m), t2 - t1))
         print(f"m={m:6d} k={len(res.pairs):5d} "
               f"tree_pairs={res.stats.tree_pairs:5d} "
-              f"tests={res.stats.tests:8d} elapsed={t1 - t0:8.3f}s "
+              f"tests={res.stats.tests:8d} "
+              f"core_bridges={res.stats.core_bridges:6d} "
+              f"elapsed={t1 - t0:8.3f}s "
               f"genus={emb.genus:5d} embed={t2 - t1:8.3f}s", flush=True)
     if len(sizes) > 1:
         print(f"slope(elapsed ~ m) = {fit_loglog_slope(points):.3f}")

@@ -133,9 +133,9 @@ class DfsBackend:
         """None if the vertices in ``ends`` lie in one component, else the
         ends that one component missing some end holds.
 
-        The probe asks this after deleting edges from a connected graph,
-        with ``ends`` holding every endpoint of the deleted edges; each
-        component then holds one of ``ends``, so None means the graph is
+        The probe asks this after deleting edges from one component, with
+        ``ends`` holding every endpoint of the deleted edges; each piece of
+        that component then holds one of ``ends``, so None means it is
         still connected.
         """
         self.stats.queries += 1
@@ -529,10 +529,14 @@ class DynamicBackend:
         """Nothing to scan for: this backend's cut memo stays empty."""
 
     def cut_side(self, ends) -> frozenset[int] | None:
-        # The component counter answers for the whole graph at once; it
-        # cannot tell which ends a component holds.
+        """None if every end lies in the first end's tree of forest 0.
+        Otherwise an empty set: no side is named, so the memo stays empty."""
         self.stats.queries += 1
-        return None if self._comps == 1 else frozenset()
+        first, *rest = ends
+        forest = self._forests[0]
+        if all(forest.connected(first, x) for x in rest):
+            return None
+        return frozenset()
 
     def insert_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
@@ -645,10 +649,11 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     """Probe whether deleting the adjacent pair {e, f} keeps the graph
     connected.
 
-    The backend's graph must be connected before the probe.  Every
-    component of the graph minus {e, f} then holds an endpoint of e or f,
-    so the graph stays connected iff those endpoints are still mutually
-    joined; that is the one query the probe makes.
+    The answer is about the component C of the backend's graph that holds
+    e and f; the graph may have other components.  Every component of C
+    minus {e, f} holds an endpoint of e or f, so C stays connected iff
+    those endpoints are still mutually joined; that is the one query the
+    probe makes.
 
     Some pairs are answered False from the backend's cut memo, counted as
     one query (and one memo answer) with no delete or insert: a pair
@@ -660,7 +665,7 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     shrinks every such boundary to its present part, and over GF(2)
     boundaries add: records {e, b} and {f, b} give a set whose boundary
     is {e, f}, and record {e, b} with bridge b gives one whose boundary
-    is {e}.  A nonempty boundary means the graph minus it is
+    is {e}.  A nonempty boundary inside C means C minus it is
     disconnected, so the memo stays exact while edges are deleted.
 
     A failed search adds a bridge: the side that ran dry is a whole

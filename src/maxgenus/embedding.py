@@ -408,7 +408,7 @@ class EmbeddingState:
         self._splice_edge(eid, u, v, corner_u, corner_v)
         self.one_face = False
         if check:
-            self._audit()
+            self._audit_edges((eid,))
 
     def insert_adjacent_pair(
         self, g: MultiGraph, pair: AdjacentPair, *, check: bool = False
@@ -459,20 +459,14 @@ class EmbeddingState:
         corners = (ref_w, ref_x) if fu == w else (ref_x, ref_w)
         self._splice_edge(pair.f, fu, fv, *corners)
         if check:
-            self._audit()
+            self._audit_edges(pair.edges())
 
     # -- auditing ----------------------------------------------------------
 
     def _audit(self) -> None:
         """Check every invariant from scratch.  Raises
         :class:`CertificationError`, also under ``python -O``."""
-        for d, nxt in self.sigma_next.items():
-            _require(self.sigma_prev.get(nxt) == d,
-                     f"sigma_prev of dart {nxt}")
-            _require(self.vertex_of.get(nxt) == self.vertex_of[d],
-                     f"rotation of dart {d} leaves its vertex")
-            _require(self.face_next.get(d) == self.sigma_next.get(twin(d)),
-                     f"face_next of dart {d}")
+        self._audit_darts(self.sigma_next)
         n_faces = self.n_faces
         _require(not self.one_face or n_faces == 1,
                  f"one face expected, the trace finds {n_faces}")
@@ -480,6 +474,29 @@ class EmbeddingState:
         if len(self.first_dart) == self.n_vertices:
             chi = self.n_vertices - self.m_emb + n_faces
             _require(chi % 2 == 0, f"odd Euler characteristic {chi}")
+
+    def _audit_edges(self, eids) -> None:
+        """Check the links that splicing in ``eids`` can have changed: at
+        their darts, the darts before and after them in rotation, and the
+        twins of all of these.  O(1) per edge."""
+        sp, sn = self.sigma_prev, self.sigma_next
+        near = set()
+        for eid in eids:
+            for d in (dart(eid, 0), dart(eid, 1)):
+                near.update((d, sp.get(d), sn.get(d)))
+        near.discard(None)
+        self._audit_darts(near | {twin(d) for d in near})
+
+    def _audit_darts(self, darts) -> None:
+        """Check the rotation and face links leaving each of ``darts``."""
+        for d in darts:
+            nxt = self.sigma_next.get(d)
+            _require(self.sigma_prev.get(nxt) == d,
+                     f"sigma_prev of dart {nxt}")
+            _require(self.vertex_of.get(nxt) == self.vertex_of.get(d),
+                     f"rotation of dart {d} leaves its vertex")
+            _require(self.face_next.get(d) == self.sigma_next.get(twin(d)),
+                     f"face_next of dart {d}")
 
 
 def _require(ok: bool, what: str) -> None:
@@ -514,8 +531,9 @@ def build_embedding(
     the genus.  The genus comes from one trace of the emitted rotation.
     Raises :class:`CertificationError` if an edge is missing, the traced
     Euler characteristic is odd or above 2, or the genus ends below the
-    pair count.  ``check=True`` audits the state after every insertion
-    and compares the genus with :func:`genus_of`.
+    pair count.  ``check=True`` audits the darts each insertion touches,
+    then the whole state once, and compares the genus with
+    :func:`genus_of`; that keeps the check O(m).
     """
     if not isinstance(pairs, PairSet):
         pairs = PairSet(list(pairs))
@@ -542,6 +560,7 @@ def build_embedding(
         raise CertificationError(
             f"embedding genus {genus} is below the {k} certified pairs")
     if check:
+        st._audit()
         _require(genus_of(g, rot) == genus, "genus of the emitted rotation")
     return EmbeddingResult(
         rotation=rot,

@@ -27,6 +27,23 @@ so phase 1 leaves one edge per odd cotree component and takes exactly
 exact whenever T attains that minimum.  Phase 2 is the ``edge-id`` pass
 on what is left.  Phase 1 only deletes edges, so the argument above
 covers it: every pair present at the end was still tested by phase 2.
+
+The pass (phase 2, or the only pass of the other policies) probes only
+the core: the residual R it starts on minus the bridges B of R, found by
+one DFS.  A bridge lies on no cycle, and deleting edges creates none, so
+a pair holding a bridge of R can never be removed; the pass drops such
+candidates untested, after ordering them, so no policy's order or random
+stream changes.  For a pair {e, f} of core edges the answer is the same
+on the core as on R: R minus a set F is connected iff F holds no
+nonempty cut of R, and the cuts are the edge sets orthogonal over GF(2)
+to every cycle.  Every cycle of R avoids B, so R and the core have the
+same cycle space, and a set of core edges is a cut of R iff it is a cut
+(a separating boundary) of the core.  The backend is therefore built on
+R after phase 1 with B deleted from it.  A probe then searches only the
+core component that holds the pair (2-edge-connected when the pass
+starts), not the trees hanging off it, and every cut the backend
+memoises is a cut of R as well.  Bridges that later deletions create
+are not dropped; their probes fail as before.
 """
 
 from __future__ import annotations
@@ -41,6 +58,7 @@ from .graph import (
     GraphError,
     MultiGraph,
     bfs_tree,
+    bridges,
     is_connected,
 )
 
@@ -120,6 +138,7 @@ class GreedyStats:
     removed: int = 0
     candidate_budget: int = 0  # sum of C(deg, 2) over processed vertices
     tree_pairs: int = 0  # tree-first phase-1 pairs, taken with no probe
+    core_bridges: int = 0  # bridges of the residual the pass starts on
     # Always 0: the single pass has no final pass.  Kept because report
     # and benchmark readers still name the field.
     final_pass_tests: int = 0
@@ -191,7 +210,7 @@ def _vertex_key(policy: str, g: MultiGraph):
     return None  # edge-id: ascending vertex ids
 
 
-def _pair_cotree_edges(residual: MultiGraph, be, pairs: PairSet) -> None:
+def _pair_cotree_edges(residual: MultiGraph, pairs: PairSet) -> None:
     """Phase 1 of ``tree-first``: split every component of the cotree of
     the BFS tree T into adjacent pairs and delete them with no probe.
 
@@ -240,9 +259,8 @@ def _pair_cotree_edges(residual: MultiGraph, be, pairs: PairSet) -> None:
             e, parent = up[v]
             (mine if len(mine) % 2 else held[parent]).append(e)
         for e, f in zip(mine[0::2], mine[1::2]):
-            for eid in (e, f):
-                residual.delete_edge(eid)
-                be.delete_edge(eid)
+            residual.delete_edge(e)
+            residual.delete_edge(f)
             pairs.pairs.append(AdjacentPair(e, f, v))
 
 
@@ -278,14 +296,21 @@ def greedy_max_genus(
         raise DisconnectedError("greedy requires a connected graph")
 
     residual = g.copy()
-    be = BACKENDS[backend](residual)
     stats = GreedyStats()
     pairs = PairSet()
     pass_policy = policy
     if policy == "tree-first":
-        _pair_cotree_edges(residual, be, pairs)
+        _pair_cotree_edges(residual, pairs)
         stats.tree_pairs = stats.removed = len(pairs)
         pass_policy = "edge-id"
+
+    beta = residual.n_edges - residual.n_vertices + 1
+    # the pass probes only the core: the residual minus its bridges
+    core_bridges = bridges(residual) if beta >= 2 else set()
+    stats.core_bridges = len(core_bridges)
+    be = BACKENDS[backend](residual)
+    for eid in core_bridges:
+        be.delete_edge(eid)
 
     rng = random.Random(seed)
     order = list(residual.vertices())
@@ -295,9 +320,6 @@ def greedy_max_genus(
         order.sort(key=_vertex_key(pass_policy, residual))
     pkey = _pair_order_key(pass_policy, residual)
 
-    beta = residual.n_edges - residual.n_vertices + 1
-    n_edges0 = g.n_edges
-
     for v in order:
         if beta < 2:
             break
@@ -306,6 +328,9 @@ def greedy_max_genus(
             rng.shuffle(cands)
         else:
             cands.sort(key=pkey)
+        if core_bridges:  # after the shuffle, so the RNG stream is kept
+            cands = [(e, f) for e, f in cands
+                     if e not in core_bridges and f not in core_bridges]
         deg = residual.degree(v)
         stats.candidate_budget += deg * (deg - 1) // 2
         stats.candidate_pairs += len(cands)
@@ -321,7 +346,7 @@ def greedy_max_genus(
                 stats.removed += 1
                 beta -= 2
 
-    bounds = GenusBounds.from_pairs(len(pairs), n_edges0 - g.n_vertices + 1)
+    bounds = GenusBounds.from_pairs(len(pairs), g.n_edges - g.n_vertices + 1)
     return GreedyResult(
         pairs=pairs,
         bounds=bounds,

@@ -64,6 +64,24 @@ class TestBackendBasics:
         with pytest.raises(GraphError):
             be.insert_edge(0)
 
+    def test_cut_side_on_a_disconnected_graph(self, backend_factory):
+        # two triangles and an isolated vertex: the answer is about the
+        # ends given, not about the whole graph
+        g = MultiGraph(7)
+        for a, b, c in ((0, 1, 2), (3, 4, 5)):
+            g.add_edge(a, b)
+            g.add_edge(b, c)
+            g.add_edge(c, a)
+        be = backend_factory(g)
+        assert be.cut_side((0, 2)) is None
+        assert be.cut_side((4, 3, 5, 4)) is None
+        assert be.cut_side((0, 3)) is not None
+        assert be.cut_side((3, 6)) is not None
+        be.delete_edge(3)  # 3-4
+        be.delete_edge(4)  # 4-5
+        assert be.cut_side((3, 5)) is None
+        assert be.cut_side((3, 4, 5)) is not None
+
     def test_query_counter(self, backend_factory):
         be = backend_factory(path(3))
         before = be.stats.queries

@@ -27,7 +27,7 @@ from maxgenus import (
     verify_pair_set,
     xuong_max_genus,
 )
-from maxgenus.graph import bfs_tree, dart
+from maxgenus.graph import bfs_tree, dart, twin
 
 
 def path_graph(n):
@@ -413,6 +413,35 @@ class TestFinalChecks:
         state.sigma_prev[d] = d
         with pytest.raises(CertificationError, match="sigma_prev"):
             state._audit()
+
+    def test_insertion_audit_sees_a_stale_face_link(self, monkeypatch):
+        splice = EmbeddingState._splice_edge
+
+        def stale(self, eid, u, v, cu, cv):
+            p = self.sigma_prev[cv] if cv is not None else None
+            splice(self, eid, u, v, cu, cv)
+            if p is not None:  # undo the refresh at the twin of v's dart
+                self.face_next[twin(p)] = cv
+        monkeypatch.setattr(EmbeddingState, "_splice_edge", stale)
+        g = path_graph(3)
+        state = EmbeddingState.tree_embedding(g, {0, 1})
+        eid = g.add_edge(0, 2)
+        with pytest.raises(CertificationError, match="face_next"):
+            state.insert_edge(eid, 0, 2, state.first_dart[0],
+                              state.first_dart[2], check=True)
+
+    def test_checked_build_audits_o_m_darts(self, monkeypatch):
+        audited = []
+        audit_darts = EmbeddingState._audit_darts
+
+        def counted(self, darts):
+            audited.append(len(darts))
+            audit_darts(self, darts)
+        monkeypatch.setattr(EmbeddingState, "_audit_darts", counted)
+        g = gen_random_connected_multigraph(1024, 2048, seed=1)
+        build_embedding(g, greedy_max_genus(g).pairs, check=True)
+        # 12 darts around each inserted edge, then all 2m once
+        assert sum(audited) <= 14 * g.n_edges
 
     def test_audit_checks_the_one_face_flag(self):
         g = path_graph(2)

@@ -32,6 +32,7 @@ from maxgenus.graph import bfs_tree
 from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
 from _corpus import random_corpus
+from _reference import MirrorGraph
 
 
 def has_removable_pair(g):
@@ -360,3 +361,111 @@ def test_pass_stops_below_cycle_rank_two():
     r = greedy_max_genus(gen_complete(4), policy="edge-id")
     assert len(r.pairs) == 1
     assert r.stats.tests == 1
+
+
+def reference_pairs(g, policy, seed=0):
+    """The single pass with no bridge filter and no backend: every
+    candidate pair is probed by deleting it from a ``MirrorGraph`` and
+    traversing the whole graph."""
+    mirror = MirrorGraph(g)
+    residual = mirror.g
+    found = PairSet()
+    pass_policy = policy
+    if policy == "tree-first":
+        greedy._pair_cotree_edges(residual, found)
+        pass_policy = "edge-id"
+    rng = random.Random(seed)
+    order = list(residual.vertices())
+    if pass_policy == "random":
+        rng.shuffle(order)
+    else:
+        order.sort(key=greedy._vertex_key(pass_policy, residual))
+    pkey = greedy._pair_order_key(pass_policy, residual)
+    beta = cycle_rank(residual)
+    for v in order:
+        if beta < 2:
+            break
+        cands = candidate_pairs(residual, v)
+        if pass_policy == "random":
+            rng.shuffle(cands)
+        else:
+            cands.sort(key=pkey)
+        for e, f in cands:
+            if beta < 2:
+                break
+            if not (residual.has_edge(e) and residual.has_edge(f)):
+                continue
+            mirror.delete_edge(e)
+            mirror.delete_edge(f)
+            if mirror.connected_all():
+                found.pairs.append(AdjacentPair(e, f, v))
+                beta -= 2
+            else:
+                mirror.insert_edge(f)
+                mirror.insert_edge(e)
+    return found.pairs
+
+
+def phase_two_residual(g, policy):
+    residual = g.copy()
+    if policy == "tree-first":
+        greedy._pair_cotree_edges(residual, PairSet())
+    return residual
+
+
+def brute_bridges(g):
+    out = set()
+    for eid in g.edge_ids():
+        h = g.copy()
+        h.delete_edge(eid)
+        if not is_connected(h):
+            out.add(eid)
+    return out
+
+
+# Multigraphs whose pendant trees carry loops and parallel edges, so the
+# residual has many bridges next to cycles.
+PENDANT_GRAPHS = [
+    gen_random_connected_multigraph(40, 52, seed=s, loop_prob=0.3,
+                                    parallel_prob=0.3)
+    for s in range(24)
+]
+
+
+class TestCycleCore:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pairs_match_a_reference_that_probes_everything(self, policy):
+        for seed, g in enumerate(random_corpus() + PENDANT_GRAPHS):
+            assert greedy_max_genus(g, policy=policy, seed=seed).pairs.pairs \
+                == reference_pairs(g, policy, seed)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_probe_holds_a_bridge_of_the_residual(self, policy,
+                                                     monkeypatch):
+        probed = []
+        real = greedy.pair_removal_keeps_connected
+
+        def recorded(be, e, f):
+            probed.append((e, f))
+            return real(be, e, f)
+
+        monkeypatch.setattr(greedy, "pair_removal_keeps_connected", recorded)
+        skipped = 0
+        for seed, g in enumerate(PENDANT_GRAPHS):
+            probed.clear()
+            residual = phase_two_residual(g, policy)
+            cut = brute_bridges(residual)
+            r = greedy_max_genus(g, policy=policy, seed=seed)
+            assert len(probed) == r.stats.tests
+            assert not any(e in cut or f in cut for e, f in probed)
+            if cycle_rank(residual) >= 2:
+                assert r.stats.core_bridges == len(cut)
+                skipped += len(cut)
+        assert skipped > 0
+
+    def test_phase_two_probes_only_the_core(self):
+        # 16172 phase-2 tests when every candidate was probed
+        g = gen_random_connected_multigraph(8192, 16384, seed=1)
+        r = greedy_max_genus(g)
+        assert r.stats.core_bridges > 0
+        assert r.stats.tests <= 2500
