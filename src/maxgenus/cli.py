@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also build a certifying embedding")
     p.add_argument("--check", action="store_true",
                    help="audit embedding invariants at every step "
-                        "(implies --embed; quadratic in the edge count)")
+                        "(implies --embed; linear in the edge count)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_greedy)
 

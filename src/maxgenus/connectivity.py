@@ -8,7 +8,9 @@ greedy defaults to :class:`DfsBackend`, and the pipeline and the CLI use
 nothing else.  :class:`DynamicBackend` is slower on every benchmark
 workload; it stays only for the certify benchmark's traced comparison run.
 
-* :class:`DfsBackend` searches on every query, O(1) per update.
+* :class:`DfsBackend` searches a ``MultiGraph`` copy on every query,
+  O(1) per update; loops stay in it, and a search passes over them, as a
+  loop's far end is a vertex already reached.
   ``connected_all`` is one full traversal, O(m).  ``connected`` and
   ``cut_side`` search from every endpoint in lockstep, one vertex
   expansion per side in turn (Even and Shiloach, J. ACM 28(1), 1981): a
@@ -36,23 +38,22 @@ cut pair {t, b} to b.  :func:`pair_removal_keeps_connected` answers a
 pair from the memo when it can (see there for the rule and why it is
 exact).  A failed ``DfsBackend`` search adds the bridge its dry side
 shows, if any.  Once failed searches since the last scan have expanded
-``SCAN_FACTOR`` times n + m vertices, the probe has ``DfsBackend`` run the
-cut scan (``scan_cuts``): one iterative DFS, O(n + m), that records every
-bridge and every tree edge covered by exactly one non-tree edge.
-Deleting edges never turns a cut into a non-cut, so only an insertion can
-make the memo stale; ``insert_edge`` empties it, and the probe's own
-rollback, which restores the graph the memo was proved on, keeps it.
-``DynamicBackend`` reports no dry side and never scans, so its memo stays
-empty.
+``SCAN_FACTOR`` times n + m vertices, the probe has ``DfsBackend`` run
+:func:`~maxgenus.graph.cut_scan` (``scan_cuts``): one iterative DFS,
+O(n + m), that records every bridge and every tree edge covered by
+exactly one non-tree edge.  Deleting edges never turns a cut into a
+non-cut, so only an insertion can make the memo stale; ``insert_edge``
+empties it, and the probe's own rollback, which restores the graph the
+memo was proved on, keeps it.  ``DynamicBackend`` reports no dry side
+and never scans, so its memo stays empty.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil, log2
 
-from .graph import GraphError, MultiGraph
+from .graph import GraphError, MultiGraph, cut_scan, is_connected
 
 
 @dataclass
@@ -75,20 +76,12 @@ SCAN_FACTOR = 8
 # ---------------------------------------------------------------------------
 
 class DfsBackend:
-    """Traversal-per-query backend."""
+    """Traversal-per-query backend over its own copy of the graph."""
 
     def __init__(self, g: MultiGraph):
-        self._n = g.n_vertices
+        self._g = g.copy()
         self._endpoints = {e: g.endpoints(e) for e in g.edge_ids()}
-        self._present: set[int] = set(self._endpoints)
-        # vertex -> {edge id -> other endpoint}; loops are omitted (they
-        # never carry connectivity) but stay in the present set.
-        self._adj: list[dict[int, int]] = [dict() for _ in range(self._n)]
-        for eid, (u, v) in self._endpoints.items():
-            if u != v:
-                self._adj[u][eid] = v
-                self._adj[v][eid] = u
-        self.stats = BackendStats(inserts=len(self._present))
+        self.stats = BackendStats(inserts=g.n_edges)
         self.bridges: set[int] = set()
         self.cut_key: dict[int, int] = {}
         self._dry_work = 0  # vertices failed searches expanded since a scan
@@ -100,30 +93,24 @@ class DfsBackend:
             raise GraphError(f"edge {eid} unknown to backend") from None
 
     def has_edge(self, eid: int) -> bool:
-        return eid in self._present
+        return self._g.has_edge(eid)
 
     def delete_edge(self, eid: int) -> None:
-        u, v = self.endpoints(eid)
-        if eid not in self._present:
+        self.endpoints(eid)  # raises for an edge the backend never had
+        if not self._g.has_edge(eid):
             raise GraphError(f"edge {eid} is not present")
-        self._present.remove(eid)
+        self._g.delete_edge(eid)
         self.stats.deletes += 1
-        if u != v:
-            del self._adj[u][eid]
-            del self._adj[v][eid]
 
     def insert_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
-        if eid in self._present:
+        if self._g.has_edge(eid):
             raise GraphError(f"edge {eid} already present")
-        self._present.add(eid)
+        self._g.restore_edges(((eid, u, v),))
         self.stats.inserts += 1
         # the new edge may join the two sides of a memoised cut
         self.bridges.clear()
         self.cut_key.clear()
-        if u != v:
-            self._adj[u][eid] = v
-            self._adj[v][eid] = u
 
     def connected(self, u: int, v: int) -> bool:
         self.stats.queries += 1
@@ -160,7 +147,7 @@ class DfsBackend:
         heads = [0] * len(sides)
         owner = {x: side for x, side in zip(starts, sides)}
         get = owner.get
-        adj = self._adj
+        inc = self._g._inc
         expanded = 0
         i = 0
         while True:
@@ -173,7 +160,7 @@ class DfsBackend:
                 return frozenset(x for x in starts if owner[x] is side)
             heads[i] = head + 1
             expanded += 1
-            for w in adj[side[head]].values():
+            for w in inc[side[head]].values():
                 other = get(w)
                 if other is None:
                     owner[w] = side
@@ -200,79 +187,20 @@ class DfsBackend:
         The probe calls this after a failed probe's rollback, so a scan
         sees the graph the probe started from.
         """
-        if self._dry_work >= SCAN_FACTOR * (self._n + len(self._present)):
+        g = self._g
+        if self._dry_work >= SCAN_FACTOR * (g.n_vertices + g.n_edges):
             self.scan_cuts()
 
     def scan_cuts(self) -> None:
-        """Replace ``bridges`` and ``cut_key`` by every bridge and every
-        cut pair {tree edge, its only covering edge} of one DFS forest.
-
-        For the tree edge above x, the non-tree edges that leave x's
-        subtree for a proper ancestor are counted (and their ids XORed):
-        +1 at each end below, -1 at each end above, summed up the tree.
-        A count of 0 makes the tree edge a bridge; a count of 1 makes it
-        and the covering edge, whose id the XOR is, the boundary of x's
-        subtree.  Such a pair {t, b} is recorded as ``cut_key[t] = b``
-        and ``cut_key[b] = b``.
-        """
+        """Replace ``bridges`` and ``cut_key`` by the records of
+        :func:`~maxgenus.graph.cut_scan` on the present graph."""
         self.stats.scans += 1
         self._dry_work = 0
-        adj = self._adj
-        # 0: unreached, 1: on the DFS path, 2: finished
-        state = bytearray(self._n)
-        count = [0] * self._n
-        xor = [0] * self._n
-        bridges: set[int] = set()
-        cut_key: dict[int, int] = {}
-        for root in range(self._n):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack = [(root, -1, iter(adj[root].items()))]
-            while stack:
-                x, up, it = stack[-1]
-                for eid, w in it:
-                    if eid == up:
-                        continue
-                    seen = state[w]
-                    if not seen:
-                        state[w] = 1
-                        stack.append((w, eid, iter(adj[w].items())))
-                        break
-                    # a reached neighbour is an ancestor while it is on
-                    # the path, and a descendant once it is finished
-                    count[x] += 1 if seen == 1 else -1
-                    xor[x] ^= eid
-                else:
-                    stack.pop()
-                    state[x] = 2
-                    if not stack:
-                        continue
-                    c = count[x]
-                    if c == 0:
-                        bridges.add(up)
-                    elif c == 1:
-                        cut_key[up] = cut_key[xor[x]] = xor[x]
-                    p = stack[-1][0]
-                    count[p] += c
-                    xor[p] ^= xor[x]
-        self.bridges = bridges
-        self.cut_key = cut_key
+        self.bridges, self.cut_key = cut_scan(self._g)
 
     def connected_all(self) -> bool:
         self.stats.queries += 1
-        seen = bytearray(self._n)
-        seen[0] = 1
-        reached = 1
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for w in self._adj[x].values():
-                if not seen[w]:
-                    seen[w] = 1
-                    reached += 1
-                    queue.append(w)
-        return reached == self._n
+        return is_connected(self._g)
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,13 @@ def parse_dart(text: str) -> int:
 class MultiGraph:
     """Mutable multigraph over vertices ``0..n-1``.
 
-    Incidence is stored per vertex as an ordered set of darts, so edge
-    deletion and restoration are O(1) dictionary edits.  ``delete_edges``
-    returns the removed ``(eid, u, v)`` records and ``restore_edges`` puts
-    them back under their old ids, in any order; the graph keeps no undo
-    history.  Single-writer: no concurrent mutation.
+    Incidence is stored per vertex as an ordered map from each dart to
+    the far end of its edge, so a traversal step needs no endpoint lookup
+    and edge deletion and restoration are O(1) dictionary edits.
+    ``delete_edges`` returns the removed ``(eid, u, v)`` records and
+    ``restore_edges`` puts them back under their old ids, in any order;
+    the graph keeps no undo history.  Single-writer: no concurrent
+    mutation.
     """
 
     __slots__ = ("_n", "_edges", "_inc", "_next_id", "labels")
@@ -102,8 +104,8 @@ class MultiGraph:
             raise GraphError("graph must have at least one vertex")
         self._n = n_vertices
         self._edges: dict[int, tuple[int, int]] = {}
-        # dart -> None, used as an ordered set; O(1) add/remove.
-        self._inc: list[dict[int, None]] = [dict() for _ in range(n_vertices)]
+        # dart -> far end of its edge (a loop's own vertex), ordered
+        self._inc: list[dict[int, int]] = [dict() for _ in range(n_vertices)]
         self._next_id = 0
         self.labels: dict[int, str] | None = None
 
@@ -116,8 +118,8 @@ class MultiGraph:
         eid = self._next_id
         self._next_id += 1
         self._edges[eid] = (u, v)
-        self._inc[u][2 * eid] = None
-        self._inc[v][2 * eid + 1] = None
+        self._inc[u][2 * eid] = v
+        self._inc[v][2 * eid + 1] = u
         return eid
 
     def copy(self) -> "MultiGraph":
@@ -212,8 +214,8 @@ class MultiGraph:
             if eid in self._edges:
                 raise GraphError(f"cannot restore edge {eid}: it is present")
             self._edges[eid] = (u, v)
-            self._inc[u][2 * eid] = None
-            self._inc[v][2 * eid + 1] = None
+            self._inc[u][2 * eid] = v
+            self._inc[v][2 * eid + 1] = u
 
     # -- equality -----------------------------------------------------------
 
@@ -306,8 +308,7 @@ def _component_count(g: MultiGraph) -> int:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for d in g._inc[v]:
-                w = g.endpoints(d >> 1)[1 - (d & 1)]
+            for w in g._inc[v].values():
                 if not seen[w]:
                     seen[w] = 1
                     queue.append(w)
@@ -343,47 +344,61 @@ def bfs_tree(g: MultiGraph, excluded: Iterable[int] = ()) -> set[int]:
     return tree
 
 
-def bridges(g: MultiGraph) -> set[int]:
-    """Edges on no cycle, by one iterative DFS, O(n + m).
+def cut_scan(g: MultiGraph) -> tuple[set[int], dict[int, int]]:
+    """Every bridge of g, and every cut pair {tree edge, its only covering
+    edge} of one DFS forest, by one iterative DFS, O(n + m).
 
-    Only the tree edge's own id is skipped on the way back, so a parallel
-    copy closes a cycle; loops never are bridges.  Deleting edges creates
-    no cycle, so a bridge stays a bridge (Tarjan, IPL 2(6), 1974).
+    For the tree edge above x, the non-tree edges that leave x's subtree
+    for a proper ancestor are counted (and their ids XORed): +1 at each
+    end below, -1 at each end above, summed up the tree.  A count of 0
+    makes the tree edge a bridge; a count of 1 makes it and the covering
+    edge, whose id the XOR is, the boundary of x's subtree.  Such a pair
+    {t, b} is recorded as ``cut_key[t] = b`` and ``cut_key[b] = b``.
+    Loops are skipped and, on the way back, only the tree edge's own id,
+    so a parallel copy covers it.  Returns ``(bridges, cut_key)``.
     """
-    inc, ends = g._inc, g._edges
-    disc = [0] * g.n_vertices  # DFS discovery time, 0 while unreached
-    low = [0] * g.n_vertices
-    out: set[int] = set()
-    clock = 0
-    for root in g.vertices():
-        if disc[root]:
+    inc = g._inc
+    n = g.n_vertices
+    # 0: unreached, 1: on the DFS path, 2: finished
+    state = bytearray(n)
+    count = [0] * n
+    xor = [0] * n
+    bridges: set[int] = set()
+    cut_key: dict[int, int] = {}
+    for root in range(n):
+        if state[root]:
             continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(inc[root]))]
+        state[root] = 1
+        stack = [(root, -1, iter(inc[root].items()))]
         while stack:
-            v, up, it = stack[-1]
-            for d in it:
+            x, up, it = stack[-1]
+            for d, w in it:
                 eid = d >> 1
-                if eid == up:
+                if eid == up or w == x:
                     continue
-                w = ends[eid][1 - (d & 1)]
-                if not disc[w]:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    stack.append((w, eid, iter(inc[w])))
+                seen = state[w]
+                if not seen:
+                    state[w] = 1
+                    stack.append((w, eid, iter(inc[w].items())))
                     break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+                # a reached neighbour is an ancestor while it is on the
+                # path, and a descendant once it is finished
+                count[x] += 1 if seen == 1 else -1
+                xor[x] ^= eid
             else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        out.add(up)
-    return out
+                state[x] = 2
+                if not stack:
+                    continue
+                c = count[x]
+                if c == 0:
+                    bridges.add(up)
+                elif c == 1:
+                    cut_key[up] = cut_key[xor[x]] = xor[x]
+                p = stack[-1][0]
+                count[p] += c
+                xor[p] ^= xor[x]
+    return bridges, cut_key
 
 
 def cycle_rank(g: MultiGraph) -> int:

@@ -30,20 +30,22 @@ covers it: every pair present at the end was still tested by phase 2.
 
 The pass (phase 2, or the only pass of the other policies) probes only
 the core: the residual R it starts on minus the bridges B of R, found by
-one DFS.  A bridge lies on no cycle, and deleting edges creates none, so
-a pair holding a bridge of R can never be removed; the pass drops such
-candidates untested, after ordering them, so no policy's order or random
-stream changes.  For a pair {e, f} of core edges the answer is the same
-on the core as on R: R minus a set F is connected iff F holds no
-nonempty cut of R, and the cuts are the edge sets orthogonal over GF(2)
-to every cycle.  Every cycle of R avoids B, so R and the core have the
-same cycle space, and a set of core edges is a cut of R iff it is a cut
-(a separating boundary) of the core.  The backend is therefore built on
-R after phase 1 with B deleted from it.  A probe then searches only the
-core component that holds the pair (2-edge-connected when the pass
-starts), not the trees hanging off it, and every cut the backend
-memoises is a cut of R as well.  Bridges that later deletions create
-are not dropped; their probes fail as before.
+one :func:`~maxgenus.graph.cut_scan`.  A bridge lies on no cycle, and
+deleting edges creates none, so a pair holding a bridge of R can never
+be removed; the pass drops such candidates untested, after ordering
+them, so no policy's order or random stream changes.  For a pair {e, f}
+of core edges the answer is the same on the core as on R: R minus a set
+F is connected iff F holds no nonempty cut of R, and the cuts are the
+edge sets orthogonal over GF(2) to every cycle.  Every cycle of R avoids
+B, so R and the core have the same cycle space, and a set of core edges
+is a cut of R iff it is a cut (a separating boundary) of the core.  The
+backend is therefore built on R after phase 1 with B deleted from it,
+and only when the pass starts with beta >= 2, since otherwise it makes
+no probe.  A probe then searches only the core component that holds the
+pair (2-edge-connected when the pass starts), not the trees hanging off
+it, and every cut the backend memoises is a cut of R as well.  Bridges
+that later deletions create are not dropped; their probes fail as
+before.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .connectivity import BACKENDS, pair_removal_keeps_connected
+from .connectivity import BACKENDS, BackendStats, pair_removal_keeps_connected
 from .graph import (
     DisconnectedError,
     GraphError,
     MultiGraph,
     bfs_tree,
-    bridges,
+    cut_scan,
     is_connected,
 )
 
@@ -305,12 +307,15 @@ def greedy_max_genus(
         pass_policy = "edge-id"
 
     beta = residual.n_edges - residual.n_vertices + 1
-    # the pass probes only the core: the residual minus its bridges
-    core_bridges = bridges(residual) if beta >= 2 else set()
+    core_bridges: set[int] = set()
+    be = None
+    if beta >= 2:  # else the pass makes no probe
+        # the pass probes only the core: the residual minus its bridges
+        core_bridges = cut_scan(residual)[0]
+        be = BACKENDS[backend](residual)
+        for eid in core_bridges:
+            be.delete_edge(eid)
     stats.core_bridges = len(core_bridges)
-    be = BACKENDS[backend](residual)
-    for eid in core_bridges:
-        be.delete_edge(eid)
 
     rng = random.Random(seed)
     order = list(residual.vertices())
@@ -354,5 +359,5 @@ def greedy_max_genus(
         stats=stats,
         policy=policy,
         seed=seed,
-        backend_stats=be.stats,
+        backend_stats=be.stats if be is not None else BackendStats(),
     )

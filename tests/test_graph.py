@@ -215,15 +215,26 @@ def test_property_handshake_and_rank(edges):
                 min_size=2, max_size=10),
        st.data())
 def test_property_delete_restore_identity(edges, data):
+    def check_far_ends(h):
+        # each dart at x maps to its edge's other end; == sees only darts
+        for x in h.vertices():
+            for d, w in h._inc[x].items():
+                ends = h.endpoints(d >> 1)
+                assert (ends[d & 1], ends[1 - (d & 1)]) == (x, w)
+
     n = 5
     g = MultiGraph(n)
     for u, v in edges:
         g.add_edge(u, v)
+        check_far_ends(g)
     snapshot = g.copy()
+    check_far_ends(snapshot)
     ids = data.draw(st.permutations(list(g.edge_ids())))
     half = ids[: len(ids) // 2]
     if not half:
         return
     removed = g.delete_edges(half)
+    check_far_ends(g)
     g.restore_edges(data.draw(st.permutations(removed)))
+    check_far_ends(g)
     assert g == snapshot

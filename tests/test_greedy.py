@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from maxgenus import (
     AdjacentPair,
+    BackendStats,
     CertificationError,
     DisconnectedError,
     GenusBounds,
@@ -334,6 +335,8 @@ class TestKotzigPhaseOne:
         r = greedy_max_genus(g)
         assert len(r.pairs) == r.stats.tree_pairs == cycle_rank(g) // 2
         assert r.stats.tests == 0
+        # beta < 2 after phase 1, so no backend is built
+        assert r.backend_stats == BackendStats()
 
     def test_random_quality_bar(self):
         # 3790 with per-vertex cotree pairing; beta / 2 = 4096
