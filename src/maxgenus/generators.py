@@ -78,8 +78,8 @@ def gen_random_connected_multigraph(
             v = rng.randrange(n)
             g.add_edge(v, v)
         elif r < loop_prob + parallel_prob and g.n_edges > 0:
-            eid = rng.choice(g.edge_ids())
-            u, v = g.endpoints(eid)
+            # ids are 0..m-1 here; randrange(k) draws as choice does
+            u, v = g.endpoints(rng.randrange(g.n_edges))
             g.add_edge(u, v)
         else:
             u = rng.randrange(n)

@@ -9,6 +9,8 @@ Each edge ``e`` owns two darts (edge ends) encoded as the integers ``2*e``
 and ``2*e + 1``; the twin of a dart ``d`` is ``d ^ 1``.  A loop contributes
 both of its darts to its single vertex, which is why a loop adds 2 to the
 degree and the handshake identity sum(deg) = 2m holds unconditionally.
+Traversals walk each vertex's map from dart to far end, and sort the
+darts, which orders them by edge id, where lower ids must win.
 
 Text format: one edge per line as two whitespace-separated vertex labels,
 ``#`` starts a comment, blank lines are ignored, repeated lines denote
@@ -18,7 +20,7 @@ parallel edges and identical endpoints denote a loop.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 
 class GraphError(Exception):
@@ -173,14 +175,6 @@ class MultiGraph:
         self._check_vertex(v)
         return sorted({d >> 1 for d in self._inc[v]})
 
-    def dart_vertex(self, d: int) -> int:
-        return self.endpoints(d >> 1)[d & 1]
-
-    def darts(self) -> Iterator[int]:
-        for eid in self._edges:
-            yield 2 * eid
-            yield 2 * eid + 1
-
     def loops_at(self, v: int) -> list[int]:
         return [e for e in self.incident_edges(v) if self.is_loop(e)]
 
@@ -330,15 +324,12 @@ def bfs_tree(g: MultiGraph, excluded: Iterable[int] = ()) -> set[int]:
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for eid in g.incident_edges(v):
-            if eid in excluded:
-                continue
-            a, b = g.endpoints(eid)
-            other = b if a == v else a
-            if other not in seen:
-                seen.add(other)
-                tree.add(eid)
-                queue.append(other)
+        # darts sort by edge id, so lower ids win
+        for d, w in sorted(g._inc[v].items()):
+            if w not in seen and d >> 1 not in excluded:
+                seen.add(w)
+                tree.add(d >> 1)
+                queue.append(w)
     if len(seen) != g.n_vertices:
         raise DisconnectedError("the edges left do not span the graph")
     return tree
@@ -407,101 +398,29 @@ def cycle_rank(g: MultiGraph) -> int:
 
 
 def is_cactus(g: MultiGraph) -> bool:
-    """True iff no vertex lies on two distinct cycles.
+    """True iff no vertex lies on two distinct cycles: for connected g,
+    maximum genus 0 (Nordhaus, Ringeisen, Stewart and White, 1972).  A loop
+    is a one-edge cycle and a parallel pair a two-edge one, so a second
+    loop at a vertex, a loop on a cycle or a third parallel edge fails.
 
-    Equivalent formulation used here: every block has cycle rank at most 1,
-    and the blocks that do contain a cycle (including every loop, which is a
-    one-edge cycle, and every parallel pair, a two-edge cycle) are pairwise
-    vertex-disjoint.  A second loop at a vertex or a loop on a cycle vertex
-    therefore fails the test, as does a third parallel edge.
-
-    Raises :class:`DisconnectedError` on disconnected input.
+    Read from one :func:`cut_scan`: every non-loop edge must be a bridge or
+    keyed, and no vertex may meet two keys, a loop keying itself.  Then the
+    fundamental cycles are vertex-disjoint, each keyed by its non-tree
+    edge.  Raises :class:`DisconnectedError` on disconnected input.
     """
     if not is_connected(g):
         raise DisconnectedError("is_cactus requires a connected graph")
-    cycle_hits = [0] * g.n_vertices
-
-    def bump(v: int) -> bool:
-        cycle_hits[v] += 1
-        return cycle_hits[v] <= 1
-
-    for v in g.vertices():
-        for _ in g.loops_at(v):
-            if not bump(v):
+    bridges, cut_key = cut_scan(g)
+    for v, darts in enumerate(g._inc):
+        cycles = set()
+        for d, w in darts.items():
+            eid = d >> 1
+            if w == v:
+                cycles.add(eid)
+            elif eid in cut_key:
+                cycles.add(cut_key[eid])
+            elif eid not in bridges:
                 return False
-    for block in _blocks(g):
-        verts = set()
-        for eid in block:
-            u, w = g.endpoints(eid)
-            verts.add(u)
-            verts.add(w)
-        beta = len(block) - len(verts) + 1
-        if beta >= 2:
+        if len(cycles) > 1:
             return False
-        if beta == 1:
-            for u in verts:
-                if not bump(u):
-                    return False
     return True
-
-
-def _blocks(g: MultiGraph) -> list[list[int]]:
-    """Biconnected blocks (edge-id lists) of the loopless part, iterative.
-
-    Parallel edges are distinct edges: only the tree edge's own id is
-    skipped on the way back, so the second copy of a parallel pair is a
-    back edge and the pair forms a 2-edge block.
-    """
-    n = g.n_vertices
-    disc = [-1] * n
-    low = [0] * n
-    blocks: list[list[int]] = []
-    estack: list[int] = []
-    timer = 0
-    # Each stack frame: [vertex, tree edge that entered it, dart iterator,
-    # whether that tree edge was already skipped].
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[list] = [[root, -1, iter(g.darts_at(root)), False]]
-        while stack:
-            frame = stack[-1]
-            v, enter_eid, it = frame[0], frame[1], frame[2]
-            advanced = False
-            for d in it:
-                eid = d >> 1
-                w = g.endpoints(eid)[1 - (d & 1)]
-                if w == v:
-                    continue  # loop
-                if eid == enter_eid and not frame[3]:
-                    frame[3] = True  # the tree edge itself, once
-                    continue
-                if disc[w] == -1:
-                    estack.append(eid)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, eid, iter(g.darts_at(w)), False])
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append(eid)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] >= disc[pv]:
-                    block = []
-                    while True:
-                        e = estack.pop()
-                        block.append(e)
-                        if e == enter_eid:
-                            break
-                    blocks.append(block)
-    return blocks

@@ -188,9 +188,9 @@ def verify_pair_set(g: MultiGraph, pairs: PairSet) -> VerifyResult:
         uf = set(g.endpoints(p.f))
         if p.witness not in (ue & uf):
             return VerifyResult(False, f"not-adjacent:{p.e},{p.f}@{p.witness}")
-    work = g.copy()
-    work.delete_edges(sorted(seen))
-    if not is_connected(work):
+    try:
+        bfs_tree(g, excluded=seen)
+    except DisconnectedError:
         return VerifyResult(False, "disconnected")
     return VerifyResult(True)
 
@@ -226,6 +226,7 @@ def _pair_cotree_edges(residual: MultiGraph, pairs: PairSet) -> None:
     splitting, and it takes (beta - xi(T)) / 2 pairs.
     """
     scanned = bfs_tree(residual)  # the DFS never follows a tree edge
+    inc = residual._inc
     n = residual.n_vertices
     seen = [False] * n
     up: list[tuple[int, int] | None] = [None] * n  # DFS parent edge, parent
@@ -236,22 +237,21 @@ def _pair_cotree_edges(residual: MultiGraph, pairs: PairSet) -> None:
             continue
         seen[root] = True
         order.append(root)
-        stack = [(root, iter(residual.incident_edges(root)))]
+        stack = [(root, iter(sorted(inc[root].items())))]
         while stack:
-            v, edges = stack[-1]
-            for e in edges:
+            v, darts = stack[-1]
+            for d, w in darts:
+                e = d >> 1
                 if e in scanned:
                     continue
                 scanned.add(e)
-                a, b = residual.endpoints(e)
-                w = b if a == v else a
                 if seen[w]:
                     held[v].append(e)
                     continue
                 seen[w] = True
                 up[w] = (e, v)
                 order.append(w)
-                stack.append((w, iter(residual.incident_edges(w))))
+                stack.append((w, iter(sorted(inc[w].items()))))
                 break
             else:
                 stack.pop()

@@ -10,7 +10,9 @@ from maxgenus import MultiGraph, is_connected
 class MirrorGraph:
     """A ``MultiGraph`` that receives the backend's deletes and inserts and
     answers its queries by plain traversal.  A re-inserted edge comes
-    back under its own id, from the record its deletion returned.
+    back under its own id, from the record its deletion returned.  The
+    traversal goes through ``incident_edges`` and ``endpoints``, not the
+    dart map the package's traversals walk, so the two share no code.
     """
 
     def __init__(self, g: MultiGraph):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from maxgenus import (
     is_cactus,
     is_connected,
     parse_edge_list,
+    xuong_max_genus,
 )
 from maxgenus.graph import dart, dart_edge, dart_end, format_dart, parse_dart, twin
 
@@ -197,6 +200,46 @@ class TestCactus:
         g = MultiGraph(2)
         with pytest.raises(DisconnectedError):
             is_cactus(g)
+
+    def test_agrees_with_exact_genus_zero_on_trees_of_cycles(self):
+        graphs = [tree_of_cycles(seed) for seed in range(400)]
+        verdicts = [is_cactus(g) for g in graphs]
+        assert verdicts == [xuong_max_genus(g)[0] == 0 for g in graphs]
+        assert 100 < sum(verdicts) < 300
+
+
+def tree_of_cycles(seed):
+    """A cactus grown from one vertex by pendant edges, loops, parallel
+    pairs and cycles of length 3 or 4, each cycle hung at a vertex on no
+    cycle yet; half get one extra random edge, which may be a second loop,
+    a loop on a cycle, a third parallel edge or a chord.  Edge ids and
+    vertex labels are shuffled, so DFS trees vary."""
+    rng = random.Random(seed)
+    edges = []
+    free = [True]  # vertex not on a cycle
+    for _ in range(rng.randint(1, 6)):
+        n = len(free)
+        spots = [v for v in range(n) if free[v]]
+        length = rng.choice((0, 1, 2, 3, 4))
+        if length == 0 or not spots:
+            edges.append((rng.randrange(n), n))
+            free.append(True)
+            continue
+        ring = [rng.choice(spots), *range(n, n + length - 1)]
+        free += [True] * (length - 1)
+        for i, v in enumerate(ring):
+            free[v] = False
+            edges.append((v, ring[(i + 1) % length]))
+    n = len(free)
+    if rng.random() < 0.5:
+        edges.append((rng.randrange(n), rng.randrange(n)))
+    rng.shuffle(edges)
+    label = list(range(n))
+    rng.shuffle(label)
+    g = MultiGraph(n)
+    for u, v in edges:
+        g.add_edge(label[u], label[v])
+    return g
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),

@@ -304,6 +304,27 @@ class TestTreeFirst:
         assert not has_removable_pair(r.residual)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_traversals_follow_edge_ids_not_insertion_order(seed):
+    # delete and restore edges so each vertex's darts leave id order, then
+    # compare with the same graph built in id order
+    g = gen_random_connected_multigraph(30, 80, seed=seed,
+                                        loop_prob=0.2, parallel_prob=0.2)
+    rng = random.Random(seed)
+    records = g.delete_edges(rng.sample(g.edge_ids(), 40))
+    rng.shuffle(records)
+    g.restore_edges(records)
+    assert any(list(inc) != sorted(inc) for inc in g._inc)
+    fresh = MultiGraph(g.n_vertices)
+    for eid in g.edge_ids():
+        fresh.add_edge(*g.endpoints(eid))
+    assert bfs_tree(g) == bfs_tree(fresh)
+    pairs, fresh_pairs = PairSet(), PairSet()
+    greedy._pair_cotree_edges(g.copy(), pairs)
+    greedy._pair_cotree_edges(fresh, fresh_pairs)
+    assert pairs == fresh_pairs
+
+
 def kotzig_pair_count(g):
     """(beta - xi(T)) / 2 for T the BFS tree: phase 1's exact pair count."""
     return (cycle_rank(g) - odd_components(g, bfs_tree(g))) // 2

@@ -22,6 +22,26 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_private_module_names_are_used():
+    # a module-level _helper whose last caller was deleted is dead code
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None)
+                or getattr(n, "name", None) for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+    stmts = [(path, stmt) for path in sorted(SRC.rglob("*.py"))
+             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    used = [names(stmt) for _, stmt in stmts]
+    unused = [
+        f"{path.relative_to(SRC)}:{stmt.name}"
+        for i, (path, stmt) in enumerate(stmts)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in u for j, u in enumerate(used) if j != i)
+    ]
+    assert unused == []
+
+
 def test_cli_import_starts_no_process_machinery():
     # the CLI runs everything in its own process; importing it must not
     # pull in a process pool, which would slow every start-up
