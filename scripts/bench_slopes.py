@@ -10,7 +10,8 @@ is turned into a certified embedding with ``build_embedding``.  Per-size
 timings of both phases and their fitted log-log slopes are printed, with
 the pairs ``tree-first`` took in phase 1 (``tree_pairs``, no probe) next
 to the phase-2 probe count (``tests``) and the bridges of the residual
-that phase 2 skips (``core_bridges``).
+that phase 2 skips (``core_bridges``); the embed time is also given per
+pair, so growth of the per-pair term shows across sizes.
 Families with one vertex of degree about m (bouquet, dipole, tight-star)
 have about m^2 / 2 candidate pairs there, so keep their sizes small.
 """
@@ -68,7 +69,9 @@ def main() -> None:
               f"tests={res.stats.tests:8d} "
               f"core_bridges={res.stats.core_bridges:6d} "
               f"elapsed={t1 - t0:8.3f}s "
-              f"genus={emb.genus:5d} embed={t2 - t1:8.3f}s", flush=True)
+              f"genus={emb.genus:5d} embed={t2 - t1:8.3f}s "
+              f"({1e6 * (t2 - t1) / max(1, len(res.pairs)):6.1f} us/pair)",
+              flush=True)
     if len(sizes) > 1:
         print(f"slope(elapsed ~ m) = {fit_loglog_slope(points):.3f}")
         print(f"slope(embed ~ m) = {fit_loglog_slope(embed_points):.3f}")

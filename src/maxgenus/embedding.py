@@ -19,15 +19,21 @@ A corner is named by the dart it precedes: inserting at corner ``r``
 splices the new dart immediately before ``r`` in the vertex rotation.
 
 The corner rule.  Before each pair there is one face, so ``first_dart``
-of every vertex is a corner on it.  The pair's first edge goes in there
-and splits the face; a read-only lockstep walk of the two new faces then
-tells which of the two corners flanking the witness dart lies on the face
-without the second edge's far end, and the second edge merges the two
-faces back into one.  The state tracks only whether it is known to have
-one face (``one_face``), which pair insertion keeps.  A leftover edge goes
-in at ``first_dart`` of both ends: whether it splits or merges, the genus
-never drops, so the pairs' k stays a lower bound.  :func:`build_embedding`
-takes the genus from one trace of the emitted rotation.
+of every vertex is a corner on it, and the state keeps these first darts
+in the order the face meets them (``corners``).  The pair's first edge,
+from the witness w to a, goes in at x = ``first_dart[w]`` and y =
+``first_dart[a]`` and splits the face into the arcs [y, x) and [x, y).
+The second edge's far end b enters at z = ``first_dart[b]``; its witness
+end enters at the corner beside the witness dart on the face without z,
+merging the two faces back into one.  The positions of x, y and z in
+``corners`` tell which arc holds z, and the merged face meets the three
+arcs they cut in the reverse cyclic order, so one slice assignment keeps
+the list.  A loop or a parallel pair needs no lookup.  The state also
+tracks whether it is known to have one face (``one_face``), which pair
+insertion keeps.  A leftover edge goes in at ``first_dart`` of both ends:
+whether it splits or merges, the genus never drops, so the pairs' k stays
+a lower bound.  :func:`build_embedding` takes the genus from one trace of
+the final rotations.
 """
 
 from __future__ import annotations
@@ -46,9 +52,8 @@ from .graph import (
     format_dart,
     is_connected,
     parse_dart,
-    twin,
 )
-from .greedy import AdjacentPair, PairSet, verify_pair_set
+from .greedy import AdjacentPair, PairSet, _pair_edge_set
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +222,20 @@ def genus_and_faces(
 class EmbeddingState:
     """Embedding of a growing subgraph on a fixed vertex set.
 
-    ``sigma_next``/``sigma_prev`` give the vertex rotations, and
-    ``face_next[d] == sigma_next[twin(d)]`` is kept as a derived map so a
-    splice only has to refresh the four entries it can invalidate.  Faces
-    are counted by tracing; a dartless state counts one virtual face so
-    Euler bookkeeping works from the start.  ``one_face`` is true while
-    the state is known to have a single face: a trace sets it after
+    ``sigma_next``/``sigma_prev`` give the vertex rotations.  Faces are
+    counted by tracing; a dartless state counts one virtual face so Euler
+    bookkeeping works from the start.  ``one_face`` is true while the
+    state is known to have a single face: a trace sets it after
     construction, pair insertion keeps it, and single-edge insertion
-    clears it.
+    clears it.  While it holds, ``corners`` lists ``first_dart`` of every
+    vertex with darts in the order the one face meets them, up to
+    rotation.  Single-edge insertion and a splice that sets a new
+    ``first_dart`` reset it to None, and the next pair retraces it.
     """
 
     __slots__ = (
-        "n_vertices", "m_emb", "sigma_next", "sigma_prev", "face_next",
-        "first_dart", "vertex_of", "one_face",
+        "n_vertices", "m_emb", "sigma_next", "sigma_prev", "first_dart",
+        "vertex_of", "one_face", "corners",
     )
 
     def __init__(self, n_vertices: int):
@@ -239,10 +245,10 @@ class EmbeddingState:
         self.m_emb = 0
         self.sigma_next: dict[int, int] = {}
         self.sigma_prev: dict[int, int] = {}
-        self.face_next: dict[int, int] = {}
         self.first_dart: dict[int, int] = {}
         self.vertex_of: dict[int, int] = {}
         self.one_face = True
+        self.corners: list[int] | None = []
 
     # -- constructors ------------------------------------------------------
 
@@ -264,8 +270,8 @@ class EmbeddingState:
         for d in st.sigma_next:
             if vertex_of[d] != st.vertex_of[d]:
                 raise GraphError(f"dart {d} listed at the wrong vertex")
-            st.face_next[d] = st.sigma_next[twin(d)]
-        st.one_face = st.n_faces == 1
+        st.corners = st._trace_corners()
+        st.one_face = st.corners is not None
         return st
 
     @classmethod
@@ -304,6 +310,25 @@ class EmbeddingState:
         the embedded subgraph does not span the vertices connectedly."""
         return _euler_genus(self.n_vertices, self.m_emb, self.n_faces)
 
+    def _trace_corners(self) -> list[int] | None:
+        """``first_dart`` of every vertex with darts, in the order one
+        trace of the face through an arbitrary dart meets them; None if
+        that face misses some dart.  O(m)."""
+        sn = self.sigma_next
+        corners: list[int] = []
+        if not sn:
+            return corners
+        firsts = set(self.first_dart.values())
+        start = d = next(iter(sn))
+        steps = 0
+        while True:
+            if d in firsts:
+                corners.append(d)
+            steps += 1
+            d = sn[d ^ 1]
+            if d == start:
+                return corners if steps == len(sn) else None
+
     def darts_around(self, v: int) -> Iterator[int]:
         """Darts at v in rotation order, from ``first_dart[v]``."""
         start = d = self.first_dart.get(v)
@@ -331,6 +356,7 @@ class EmbeddingState:
             self.sigma_next[d] = d
             self.sigma_prev[d] = d
             self.first_dart[v] = d
+            self.corners = None
             return
         p = self.sigma_prev[ref]
         self.sigma_next[p] = d
@@ -342,39 +368,31 @@ class EmbeddingState:
         self, eid: int, u: int, v: int,
         corner_u: int | None, corner_v: int | None,
     ) -> None:
-        """Splice edge ``eid``'s darts in before the given corners and
-        refresh the ``face_next`` entries that can change.  A bare end
-        (corner None) gets a one-dart rotation; a loop on a bare vertex
+        """Splice edge ``eid``'s darts in before the given corners.  A bare
+        end (corner None) gets a one-dart rotation; a loop on a bare vertex
         puts its second dart next to the first."""
-        d0, d1 = dart(eid, 0), dart(eid, 1)
+        d0 = dart(eid, 0)
         self._splice(d0, u, corner_u)
         if corner_v is None and u == v:
             corner_v = d0
-        self._splice(d1, v, corner_v)
-        p0, p1 = self.sigma_prev[d0], self.sigma_prev[d1]
-        for x in {twin(p0), d1, twin(p1), d0}:
-            self.face_next[x] = self.sigma_next[twin(x)]
+        self._splice(dart(eid, 1), v, corner_v)
         self.m_emb += 1
 
-    def _on_face_of(self, target: int, a: int, b: int) -> bool:
-        """Whether dart ``target`` lies on the face of dart ``a`` rather
-        than on that of ``b``, given that it lies on one of the two.
+    def _merge_corners(self, x: int, y: int, z: int) -> bool:
+        """Whether the first dart z lies on the arc [y, x) of the one face
+        rather than on [x, y), read from the positions of the first darts
+        x, y and z in ``corners``.
 
-        Walks both orbits in lockstep, reading ``face_next`` only, and
-        stops when one of them meets ``target`` or closes.
+        Also updates ``corners`` for the pair that asks: x, y and z cut
+        the face into three arcs, and the merged face meets them in the
+        reverse cyclic order, which swapping the two arcs that do not wrap
+        around the end of the list gives.
         """
-        fn = self.face_next
-        x, y = a, b
-        while True:
-            if x == target:
-                return True
-            if y == target:
-                return False
-            x, y = fn[x], fn[y]
-            if x == a:
-                return False
-            if y == b:
-                return True
+        c = self.corners
+        i, j, k = c.index(x), c.index(y), c.index(z)
+        lo, mid, hi = sorted((i, j, k))
+        c[lo:hi] = c[mid:hi] + c[lo:mid]
+        return j < k < i or k < i < j or i < j < k
 
     def _check_corner(self, v: int, corner: int | None) -> None:
         if not 0 <= v < self.n_vertices:
@@ -394,9 +412,9 @@ class EmbeddingState:
 
         The edge splits a face if its corners lie on one face and merges
         two otherwise; a bare endpoint (corner None) gets a one-dart
-        rotation.  Clears ``one_face``.  The caller must pass u, v in the
-        edge's stored endpoint order so dart encoding stays aligned with
-        the graph.
+        rotation.  Clears ``one_face`` and ``corners``.  The caller must
+        pass u, v in the edge's stored endpoint order so dart encoding
+        stays aligned with the graph.
         """
         if dart(eid, 0) in self.vertex_of:
             raise GraphError(f"edge {eid} already embedded")
@@ -407,6 +425,7 @@ class EmbeddingState:
                              "subgraph must stay connected")
         self._splice_edge(eid, u, v, corner_u, corner_v)
         self.one_face = False
+        self.corners = None
         if check:
             self._audit_edges((eid,))
 
@@ -416,21 +435,25 @@ class EmbeddingState:
         """Insert both edges of an adjacent pair, raising the genus by one.
 
         Requires a single current face, so every dart is a corner on it;
-        unless ``one_face`` already says so, one trace decides.  The first
-        edge goes in at ``first_dart`` of its ends and splits that face.
-        Its witness dart ``d_w`` is then flanked by corners on the two new
-        faces: before ``d_w`` and before ``sigma_next[d_w]``.  The second
-        edge takes ``first_dart`` of its far end (or ``sigma_next[d_w]``
-        if it is a loop).  Walking the two new faces from
-        ``sigma_next[d_w]`` and from ``d_w`` in lockstep, reading
-        ``face_next`` only, until one meets that corner or closes, tells
-        which face holds it; the witness end enters at the flanking corner
-        on the other face, merging the two back into one.  Raises
+        unless ``corners`` is kept, one trace checks that and rebuilds it.
+        The first edge goes in at ``first_dart`` of its ends, x at the
+        witness w and y at its far end a, and splits the face: its witness
+        dart ``d_w`` is then flanked by a corner on each new face, before
+        ``d_w`` on the face of the arc [y, x) and before ``after =
+        sigma_next[d_w]`` on the face of [x, y).  The second edge's far
+        end b takes z = ``first_dart[b]``, and its witness end enters at
+        the flanking corner on the other face, merging the two back into
+        one.  In general :meth:`_merge_corners` tells which face holds z;
+        the rest is O(1).  A loop as second edge goes in at both flanking
+        corners.  If the first edge is a loop, its far end's face is the
+        one-dart face {``after``}, and if b = a, z = y lies on [y, x);
+        either way the witness end goes before ``after``.  Raises
         :class:`CertificationError` if an end of the pair carries no dart
         (then the first edge cannot split the face).
         """
-        if not self.one_face:
-            if self.n_faces != 1:
+        if self.corners is None:
+            self.corners = self._trace_corners()
+            if self.corners is None:
                 raise GraphError("pair insertion needs a single face")
             self.one_face = True
         w = pair.witness
@@ -453,10 +476,17 @@ class EmbeddingState:
                           self.first_dart.get(ev))
         d_w = dart(pair.e, 0 if eu == w else 1)
         after = self.sigma_next[d_w]
-        x = fv if fu == w else fu
-        ref_x = after if x == w else self.first_dart[x]
-        ref_w = d_w if self._on_face_of(ref_x, after, d_w) else after
-        corners = (ref_w, ref_x) if fu == w else (ref_x, ref_w)
+        a = ev if eu == w else eu
+        b = fv if fu == w else fu
+        if b == w:
+            ref_w, ref_b = d_w, after
+        else:
+            ref_b = self.first_dart[b]
+            # after is x = first_dart[w] unless the first edge is a loop
+            on_d_w_face = a in (w, b) or self._merge_corners(
+                after, self.first_dart[a], ref_b)
+            ref_w = after if on_d_w_face else d_w
+        corners = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
         self._splice_edge(pair.f, fu, fv, *corners)
         if check:
             self._audit_edges(pair.edges())
@@ -470,6 +500,11 @@ class EmbeddingState:
         n_faces = self.n_faces
         _require(not self.one_face or n_faces == 1,
                  f"one face expected, the trace finds {n_faces}")
+        if self.corners is not None:
+            traced = self._trace_corners()
+            _require(traced is not None and _canonical_cycle(traced)
+                     == _canonical_cycle(self.corners),
+                     "corner list is not the face order of the first darts")
         # Euler parity only makes sense once every vertex carries a dart
         if len(self.first_dart) == self.n_vertices:
             chi = self.n_vertices - self.m_emb + n_faces
@@ -477,26 +512,24 @@ class EmbeddingState:
 
     def _audit_edges(self, eids) -> None:
         """Check the links that splicing in ``eids`` can have changed: at
-        their darts, the darts before and after them in rotation, and the
-        twins of all of these.  O(1) per edge."""
+        their darts and the darts before and after them in rotation.  O(1)
+        per edge."""
         sp, sn = self.sigma_prev, self.sigma_next
         near = set()
         for eid in eids:
             for d in (dart(eid, 0), dart(eid, 1)):
                 near.update((d, sp.get(d), sn.get(d)))
         near.discard(None)
-        self._audit_darts(near | {twin(d) for d in near})
+        self._audit_darts(near)
 
     def _audit_darts(self, darts) -> None:
-        """Check the rotation and face links leaving each of ``darts``."""
+        """Check the rotation links leaving each of ``darts``."""
         for d in darts:
             nxt = self.sigma_next.get(d)
             _require(self.sigma_prev.get(nxt) == d,
                      f"sigma_prev of dart {nxt}")
             _require(self.vertex_of.get(nxt) == self.vertex_of.get(d),
                      f"rotation of dart {d} leaves its vertex")
-            _require(self.face_next.get(d) == self.sigma_next.get(twin(d)),
-                     f"face_next of dart {d}")
 
 
 def _require(ok: bool, what: str) -> None:
@@ -524,11 +557,14 @@ def build_embedding(
 ) -> EmbeddingResult:
     """Embedding of g with genus at least ``len(pairs)``.
 
-    Verifies the pair family first, embeds a spanning tree that avoids
-    the pair edges, applies the pairs in order (each raises the genus by
-    exactly one), then inserts each leftover edge at ``first_dart`` of
-    its ends; a leftover edge splits or merges faces, so it never lowers
-    the genus.  The genus comes from one trace of the emitted rotation.
+    Verifies the pair family as :func:`verify_pair_set` does, with the
+    BFS that checks connectivity also giving the spanning tree that avoids
+    the pair edges; a failure raises :class:`GraphError` with the same
+    reason.  Then embeds the tree, applies the pairs in order (each raises
+    the genus by exactly one), and inserts each leftover edge at
+    ``first_dart`` of its ends; a leftover edge splits or merges faces,
+    so it never lowers the genus.  The genus comes from one trace of the
+    final rotations.
     Raises :class:`CertificationError` if an edge is missing, the traced
     Euler characteristic is odd or above 2, or the genus ends below the
     pair count.  ``check=True`` audits the darts each insertion touches,
@@ -537,11 +573,15 @@ def build_embedding(
     """
     if not isinstance(pairs, PairSet):
         pairs = PairSet(list(pairs))
-    res = verify_pair_set(g, pairs)
-    if not res:
-        raise GraphError(f"pair family fails verification: {res.reason}")
-    pair_edges = set(pairs.edge_ids())
-    tree = bfs_tree(g, pair_edges)
+    pair_edges, reason = _pair_edge_set(g, pairs)
+    tree = None
+    if reason is None:
+        try:
+            tree = bfs_tree(g, pair_edges)
+        except DisconnectedError:
+            reason = "disconnected"
+    if tree is None:
+        raise GraphError(f"pair family fails verification: {reason}")
     st = EmbeddingState.tree_embedding(g, tree)
     for pair in pairs:
         st.insert_adjacent_pair(g, pair, check=check)
@@ -552,13 +592,13 @@ def build_embedding(
                            st.first_dart.get(v), check=check)
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
-    rot = st.rotation()
-    n_faces = _face_count(_sigma_next(rot.order)) if g.n_edges else 1
+    n_faces = _face_count(st.sigma_next) if g.n_edges else 1
     genus = _euler_genus(g.n_vertices, g.n_edges, n_faces)
     k = len(pairs.pairs)
     if genus < k:
         raise CertificationError(
             f"embedding genus {genus} is below the {k} certified pairs")
+    rot = st.rotation()
     if check:
         st._audit()
         _require(genus_of(g, rot) == genus, "genus of the emitted rotation")

@@ -163,8 +163,26 @@ def candidate_pairs(g: MultiGraph, v: int) -> list[tuple[int, int]]:
     Dart pairs collapse to edge pairs: a loop meets every other incident
     edge once and every other loop once, and never pairs with itself.
     """
-    edges = g.incident_edges(v)
-    return [(a, b) for a, b in combinations(edges, 2)]
+    edges = sorted({d >> 1 for d in g._inc[v]})
+    return list(combinations(edges, 2))
+
+
+def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]:
+    """The edge ids of ``pairs``, and the reason of the first existence,
+    disjointness or adjacency check they fail (None if they pass all)."""
+    seen: set[int] = set()
+    for p in pairs:
+        for eid in (p.e, p.f):
+            if not g.has_edge(eid):
+                return seen, f"missing-edge:{eid}"
+            if eid in seen:
+                return seen, f"duplicate-edge:{eid}"
+            seen.add(eid)
+        ue = set(g.endpoints(p.e))
+        uf = set(g.endpoints(p.f))
+        if p.witness not in (ue & uf):
+            return seen, f"not-adjacent:{p.e},{p.f}@{p.witness}"
+    return seen, None
 
 
 def verify_pair_set(g: MultiGraph, pairs: PairSet) -> VerifyResult:
@@ -176,18 +194,9 @@ def verify_pair_set(g: MultiGraph, pairs: PairSet) -> VerifyResult:
     pass through supergraphs of that final graph, so prefix connectivity
     follows for free.
     """
-    seen: set[int] = set()
-    for p in pairs:
-        for eid in (p.e, p.f):
-            if not g.has_edge(eid):
-                return VerifyResult(False, f"missing-edge:{eid}")
-            if eid in seen:
-                return VerifyResult(False, f"duplicate-edge:{eid}")
-            seen.add(eid)
-        ue = set(g.endpoints(p.e))
-        uf = set(g.endpoints(p.f))
-        if p.witness not in (ue & uf):
-            return VerifyResult(False, f"not-adjacent:{p.e},{p.f}@{p.witness}")
+    seen, reason = _pair_edge_set(g, pairs)
+    if reason is not None:
+        return VerifyResult(False, reason)
     try:
         bfs_tree(g, excluded=seen)
     except DisconnectedError:
@@ -208,7 +217,7 @@ def _vertex_key(policy: str, g: MultiGraph):
     if policy == "central-vertex-first":
         return lambda v: (-g.degree(v), v)
     if policy == "loops-first":
-        return lambda v: (0 if g.loops_at(v) else 1, v)
+        return lambda v: (0 if v in g._inc[v].values() else 1, v)
     return None  # edge-id: ascending vertex ids
 
 
@@ -294,7 +303,7 @@ def greedy_max_genus(
     check_policy(policy)
     if backend not in BACKENDS:
         raise GraphError(f"unknown backend {backend!r}")
-    if not is_connected(g):
+    if policy != "tree-first" and not is_connected(g):
         raise DisconnectedError("greedy requires a connected graph")
 
     residual = g.copy()
@@ -302,7 +311,10 @@ def greedy_max_genus(
     pairs = PairSet()
     pass_policy = policy
     if policy == "tree-first":
-        _pair_cotree_edges(residual, pairs)
+        try:  # phase 1's BFS tree is the connectivity check
+            _pair_cotree_edges(residual, pairs)
+        except DisconnectedError:
+            raise DisconnectedError("greedy requires a connected graph") from None
         stats.tree_pairs = stats.removed = len(pairs)
         pass_policy = "edge-id"
 

@@ -1,10 +1,12 @@
-"""From-scratch connectivity reference for checking ``DfsBackend``."""
+"""From-scratch references: connectivity for checking ``DfsBackend``, and
+pair insertion for checking ``EmbeddingState``'s corner list."""
 
 from __future__ import annotations
 
 from collections import deque
 
-from maxgenus import MultiGraph, is_connected
+from maxgenus import MultiGraph, RotationSystem, is_connected
+from maxgenus.graph import bfs_tree
 
 
 class MirrorGraph:
@@ -40,3 +42,101 @@ class MirrorGraph:
 
     def connected_all(self) -> bool:
         return is_connected(self.g)
+
+
+class ReferenceEmbedding:
+    """Rotation maps grown like ``build_embedding`` grows them, with each
+    pair's merge corner found by tracing the whole face of the witness
+    dart's successor.  It keeps its own maps and shares no code with
+    ``EmbeddingState``, so it checks the corner list's answers."""
+
+    def __init__(self, g: MultiGraph, tree_edges):
+        self.g = g
+        self.next: dict[int, int] = {}
+        self.prev: dict[int, int] = {}
+        self.first: dict[int, int] = {}
+        at = {v: [] for v in g.vertices()}
+        for eid in tree_edges:
+            u, v = g.endpoints(eid)
+            at[u].append(2 * eid)
+            at[v].append(2 * eid + 1)
+        for v, darts in at.items():
+            darts.sort()
+            for i, d in enumerate(darts):
+                self._link(d, darts[(i + 1) % len(darts)])
+            if darts:
+                self.first[v] = darts[0]
+
+    def _link(self, d: int, e: int) -> None:
+        self.next[d] = e
+        self.prev[e] = d
+
+    def _put(self, d: int, v: int, ref: int | None) -> None:
+        if ref is None:
+            self._link(d, d)
+            self.first[v] = d
+        else:
+            self._link(self.prev[ref], d)
+            self._link(d, ref)
+
+    def insert_edge(self, eid: int, corner_u, corner_v) -> None:
+        """Edge ``eid`` before the given corners (None: a bare end)."""
+        u, v = self.g.endpoints(eid)
+        self._put(2 * eid, u, corner_u)
+        if corner_v is None and u == v:
+            corner_v = 2 * eid
+        self._put(2 * eid + 1, v, corner_v)
+
+    def face(self, d: int) -> list[int]:
+        out = [d]
+        x = self.next[d ^ 1]
+        while x != d:
+            out.append(x)
+            x = self.next[x ^ 1]
+        return out
+
+    def insert_pair(self, pair) -> None:
+        """The first edge at the first darts of its ends; the second at
+        the first dart of its far end (the witness dart's successor for
+        a loop) and, at the witness, before whichever of the witness dart
+        and its successor lies on the other face."""
+        w = pair.witness
+        eu, ev = self.g.endpoints(pair.e)
+        fu, fv = self.g.endpoints(pair.f)
+        self.insert_edge(pair.e, self.first.get(eu), self.first.get(ev))
+        d_w = 2 * pair.e + (0 if eu == w else 1)
+        after = self.next[d_w]
+        b = fv if fu == w else fu
+        z = after if b == w else self.first[b]
+        ref_w = d_w if z in self.face(after) else after
+        self.insert_edge(pair.f, *((ref_w, z) if fu == w else (z, ref_w)))
+
+    def rotation_text(self) -> str:
+        order = {}
+        for v in self.g.vertices():
+            cyc = []
+            if v in self.first:
+                d = self.first[v]
+                while not cyc or d != cyc[0]:
+                    cyc.append(d)
+                    d = self.next[d]
+                i = cyc.index(min(cyc))
+                cyc = cyc[i:] + cyc[:i]
+            order[v] = tuple(cyc)
+        return RotationSystem(order).to_text()
+
+
+def reference_rotation_text(g: MultiGraph, pairs) -> str:
+    """The rotation text ``build_embedding(g, pairs)`` should emit: tree,
+    then the pairs by :class:`ReferenceEmbedding`, then each leftover
+    edge at the first darts of its ends."""
+    pair_edges = {eid for p in pairs for eid in p.edges()}
+    tree = bfs_tree(g, pair_edges)
+    ref = ReferenceEmbedding(g, tree)
+    for p in pairs:
+        ref.insert_pair(p)
+    for eid in g.edge_ids():
+        if eid not in tree and eid not in pair_edges:
+            u, v = g.endpoints(eid)
+            ref.insert_edge(eid, ref.first.get(u), ref.first.get(v))
+    return ref.rotation_text()

@@ -27,7 +27,9 @@ from maxgenus import (
     verify_pair_set,
     xuong_max_genus,
 )
-from maxgenus.graph import bfs_tree, dart, twin
+from maxgenus.graph import bfs_tree, dart
+
+from _reference import ReferenceEmbedding, reference_rotation_text
 
 
 def path_graph(n):
@@ -35,6 +37,17 @@ def path_graph(n):
     for v in range(n - 1):
         g.add_edge(v, v + 1)
     return g
+
+
+def shuffled_circulant(n, seed):
+    """C_n(1,2) with its edge ids in seeded random order."""
+    g = gen_circulant(n)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    random.Random(seed).shuffle(edges)
+    out = MultiGraph(n)
+    for uv in edges:
+        out.add_edge(*uv)
+    return out
 
 
 def k4():
@@ -396,9 +409,9 @@ class TestFinalChecks:
     def test_wrong_corner_fails_the_final_trace(self, monkeypatch):
         # pair insertion keeps one face by the corner rule alone; if the
         # corner choice were wrong, only the final trace could tell
-        on_face_of = EmbeddingState._on_face_of
-        monkeypatch.setattr(EmbeddingState, "_on_face_of",
-                            lambda self, *a: not on_face_of(self, *a))
+        merge_corners = EmbeddingState._merge_corners
+        monkeypatch.setattr(EmbeddingState, "_merge_corners",
+                            lambda self, *a: not merge_corners(self, *a))
         g = gen_random_connected_multigraph(32, 64, seed=1)
         pairs = greedy_max_genus(g).pairs
         assert pairs
@@ -414,21 +427,22 @@ class TestFinalChecks:
         with pytest.raises(CertificationError, match="sigma_prev"):
             state._audit()
 
-    def test_insertion_audit_sees_a_stale_face_link(self, monkeypatch):
-        splice = EmbeddingState._splice_edge
+    def test_final_audit_sees_a_stale_corner_list(self, monkeypatch):
+        insert = EmbeddingState.insert_adjacent_pair
 
-        def stale(self, eid, u, v, cu, cv):
-            p = self.sigma_prev[cv] if cv is not None else None
-            splice(self, eid, u, v, cu, cv)
-            if p is not None:  # undo the refresh at the twin of v's dart
-                self.face_next[twin(p)] = cv
-        monkeypatch.setattr(EmbeddingState, "_splice_edge", stale)
-        g = path_graph(3)
-        state = EmbeddingState.tree_embedding(g, {0, 1})
-        eid = g.add_edge(0, 2)
-        with pytest.raises(CertificationError, match="face_next"):
-            state.insert_edge(eid, 0, 2, state.first_dart[0],
-                              state.first_dart[2], check=True)
+        def stale(self, g, pair, **kw):
+            insert(self, g, pair, **kw)
+            if self.m_emb == g.n_edges:  # after the last pair only
+                self.corners[0], self.corners[1] = (self.corners[1],
+                                                    self.corners[0])
+        monkeypatch.setattr(EmbeddingState, "insert_adjacent_pair", stale)
+        # beta = 64 and tree-first pairs every cotree edge, so no leftover
+        # edge clears the corner list before the final audit
+        g = gen_circulant(63)
+        pairs = greedy_max_genus(g).pairs
+        assert 2 * len(pairs) == g.n_edges - g.n_vertices + 1
+        with pytest.raises(CertificationError, match="corner list"):
+            build_embedding(g, pairs, check=True)
 
     def test_checked_build_audits_o_m_darts(self, monkeypatch):
         audited = []
@@ -440,8 +454,28 @@ class TestFinalChecks:
         monkeypatch.setattr(EmbeddingState, "_audit_darts", counted)
         g = gen_random_connected_multigraph(1024, 2048, seed=1)
         build_embedding(g, greedy_max_genus(g).pairs, check=True)
-        # 12 darts around each inserted edge, then all 2m once
-        assert sum(audited) <= 14 * g.n_edges
+        # 6 darts around each inserted edge, then all 2m once
+        assert sum(audited) <= 8 * g.n_edges
+
+    @pytest.mark.parametrize("n, m, loop_prob, parallel_prob", [
+        (1024, 2048, 0.0, 0.0), (128, 2048, 0.3, 0.5)],
+        ids=["random", "bundles"])
+    def test_one_corner_trace_per_build(self, monkeypatch, n, m, loop_prob,
+                                        parallel_prob):
+        traces = []
+        trace = EmbeddingState._trace_corners
+
+        def counted(self):
+            traces.append(self.m_emb)
+            return trace(self)
+        monkeypatch.setattr(EmbeddingState, "_trace_corners", counted)
+        g = gen_random_connected_multigraph(
+            n, m, seed=1, loop_prob=loop_prob, parallel_prob=parallel_prob)
+        pairs = greedy_max_genus(g).pairs
+        assert len(pairs) > 100
+        build_embedding(g, pairs)
+        # the tree's trace serves every pair; none retraces
+        assert traces == [g.n_vertices - 1]
 
     def test_audit_checks_the_one_face_flag(self):
         g = path_graph(2)
@@ -516,13 +550,7 @@ class TestBuildEmbedding:
     @pytest.mark.parametrize("shuffled", [False, True],
                              ids=["natural", "shuffled"])
     def test_circulant_edge_orders(self, policy, shuffled):
-        g = gen_circulant(64)
-        if shuffled:
-            edges = [g.endpoints(e) for e in g.edge_ids()]
-            random.Random(64).shuffle(edges)
-            g = MultiGraph(64)
-            for uv in edges:
-                g.add_edge(*uv)
+        g = shuffled_circulant(64, 64) if shuffled else gen_circulant(64)
         _assert_certified_embedding(g, policy)
 
     def test_planar_k4_exists(self):
@@ -539,6 +567,61 @@ class TestBuildEmbedding:
                 order[v] = tuple(darts)
             seen.add(genus_of(g, order, validate=False))
         assert seen == {0, 1}
+
+
+class TestCornerListMatchesFullTraces:
+    """``build_embedding`` emits the rotations of a reference that finds
+    each pair's merge corner by tracing the whole face."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_seeded_multigraphs(self, policy):
+        n_pairs = 0
+        for seed in range(300):
+            n = 2 + seed % 15
+            heavy = seed % 3 == 0
+            g = gen_random_connected_multigraph(
+                n, n + 1 + seed % 40, seed=seed,
+                loop_prob=0.3 if heavy else 0.1,
+                parallel_prob=0.3 if heavy else 0.1)
+            pairs = greedy_max_genus(g, policy=policy, seed=seed).pairs
+            n_pairs += len(pairs)
+            assert (build_embedding(g, pairs).rotation.to_text()
+                    == reference_rotation_text(g, pairs)), seed
+        assert n_pairs > 2000
+
+    @pytest.mark.parametrize("policy", ["tree-first", "edge-id"])
+    def test_shuffled_circulant(self, policy):
+        g = shuffled_circulant(512, 1)
+        pairs = greedy_max_genus(g, policy=policy).pairs
+        assert (build_embedding(g, pairs).rotation.to_text()
+                == reference_rotation_text(g, pairs))
+
+    def test_pairs_after_insert_edge_retrace(self):
+        # two edges parallel to a tree edge split the one face and merge it
+        # back; insert_edge drops the corner list, so the first pair after
+        # them retraces it
+        g = gen_random_connected_multigraph(
+            48, 128, seed=5, loop_prob=0.1, parallel_prob=0.2)
+        pairs = greedy_max_genus(g).pairs
+        tree = bfs_tree(g, set(pairs.edge_ids()))
+        u, v = g.endpoints(min(tree))
+        e1, e2 = g.add_edge(u, v), g.add_edge(u, v)
+        state = EmbeddingState.tree_embedding(g, tree)
+        ref = ReferenceEmbedding(g, tree)
+        state.insert_edge(e1, u, v, state.first_dart[u], state.first_dart[v])
+        ref.insert_edge(e1, ref.first[u], ref.first[v])
+        fa, fb = state.faces()
+        corner_u = next(d for d in fa if state.vertex_of[d] == u)
+        corner_v = next(d for d in fb if state.vertex_of[d] == v)
+        state.insert_edge(e2, u, v, corner_u, corner_v, check=True)
+        ref.insert_edge(e2, corner_u, corner_v)
+        assert state.corners is None and state.n_faces == 1
+        for pair in pairs:
+            state.insert_adjacent_pair(g, pair, check=True)
+            ref.insert_pair(pair)
+        assert state.rotation().to_text() == ref.rotation_text()
+        assert state.genus == len(pairs) + 1
+        state._audit()
 
 
 # SHA-256 of build_embedding(g, greedy pairs).rotation.to_text() and the

@@ -180,8 +180,10 @@ class TestGreedy:
     def test_rejects_disconnected(self):
         g = MultiGraph(3)
         g.add_edge(0, 1)
-        with pytest.raises(DisconnectedError):
-            greedy_max_genus(g)
+        for policy in POLICIES:  # tree-first's check is phase 1's BFS
+            with pytest.raises(DisconnectedError,
+                               match="greedy requires a connected graph"):
+                greedy_max_genus(g, policy=policy)
 
     def test_rejects_unknown_options(self):
         g = gen_complete(4)
