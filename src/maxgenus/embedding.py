@@ -27,19 +27,23 @@ The second edge's far end b enters at z = ``first_dart[b]``; its witness
 end enters at the corner beside the witness dart on the face without z,
 merging the two faces back into one.  The positions of x, y and z in
 ``corners`` tell which arc holds z, and the merged face meets the three
-arcs they cut in the reverse cyclic order, so one slice assignment keeps
-the list.  A loop or a parallel pair needs no lookup.  The state also
-tracks whether it is known to have one face (``one_face``), which pair
-insertion keeps.  A leftover edge goes in at ``first_dart`` of both ends:
-whether it splits or merges, the genus never drops, so the pairs' k stays
-a lower bound.  :func:`build_embedding` takes the genus from one trace of
-the final rotations.
+arcs they cut in the reverse cyclic order, so swapping two arcs keeps
+the list.  The list is kept in blocks of about sqrt(n) darts, which the
+swap moves whole, so a pair costs about sqrt(n) steps, not n.  A loop or
+a parallel pair needs no lookup.  The rotations are flat lists indexed
+by dart.  The state also tracks whether it is known to have one face
+(``one_face``), which pair insertion keeps.  A leftover edge goes
+in at ``first_dart`` of both ends: whether it splits or merges, the
+genus never drops, so the pairs' k stays a lower bound.
+:func:`build_embedding` takes the genus from one trace of the final
+rotations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from math import isqrt
 
 from .graph import (
     CertificationError,
@@ -48,7 +52,6 @@ from .graph import (
     MultiGraph,
     ParseError,
     bfs_tree,
-    dart,
     format_dart,
     is_connected,
     parse_dart,
@@ -135,11 +138,17 @@ def _sigma_next(order: Mapping[int, Sequence[int]]) -> dict[int, int]:
             for cyc in order.values() for i, d in enumerate(cyc)}
 
 
-def _face_count(sigma_next: Mapping[int, int]) -> int:
-    """Orbit count of ``d -> sigma_next[twin(d)]``.  No validation."""
+def _face_count(
+    darts: Iterable[int], sigma_next: Mapping[int, int] | Sequence[int]
+) -> int:
+    """Orbit count of ``d -> sigma_next[twin(d)]`` over ``darts``, which
+    the map must carry into themselves.  No validation.
+
+    :func:`genus_of` passes a dict over the darts as both;
+    :class:`EmbeddingState` passes its embedded darts and its list."""
     seen: set[int] = set()
     count = 0
-    for d in sigma_next:
+    for d in darts:
         if d in seen:
             continue
         count += 1
@@ -200,7 +209,8 @@ def genus_of(
     if validate:
         _check_connected(g)
         RotationSystem({v: tuple(c) for v, c in order.items()}).validate(g)
-    f = _face_count(_sigma_next(order)) if g.n_edges else 1
+    sn = _sigma_next(order)
+    f = _face_count(sn, sn) if g.n_edges else 1
     return _euler_genus(g.n_vertices, g.n_edges, f)
 
 
@@ -222,20 +232,26 @@ def genus_and_faces(
 class EmbeddingState:
     """Embedding of a growing subgraph on a fixed vertex set.
 
-    ``sigma_next``/``sigma_prev`` give the vertex rotations.  Faces are
-    counted by tracing; a dartless state counts one virtual face so Euler
-    bookkeeping works from the start.  ``one_face`` is true while the
-    state is known to have a single face: a trace sets it after
-    construction, pair insertion keeps it, and single-edge insertion
-    clears it.  While it holds, ``corners`` lists ``first_dart`` of every
-    vertex with darts in the order the one face meets them, up to
-    rotation.  Single-edge insertion and a splice that sets a new
-    ``first_dart`` reset it to None, and the next pair retraces it.
+    Darts index flat lists: ``sigma_next[d]`` and ``sigma_prev[d]`` give
+    the vertex rotations and ``vertex_of[d]`` the vertex of dart d, each
+    -1 for a dart not embedded.  The lists grow when an edge id past
+    their end goes in.  ``first_dart[v]`` is a dart at v, -1 at a bare
+    vertex.  Faces are counted by tracing; a dartless state counts one
+    virtual face so Euler bookkeeping works from the start.  ``one_face``
+    is true while the state is known to have a single face: a trace sets
+    it after construction, pair insertion keeps it, and single-edge
+    insertion clears it.  While it holds, ``corners`` holds ``first_dart``
+    of every vertex with darts in the order the one face meets them, up
+    to rotation, cut into blocks: Python lists, each non-empty and at
+    most ``block_cap`` = max(16, 2·isqrt(n)) long, built half full, with
+    ``where[d]`` the block that holds the first dart d.  Single-edge
+    insertion and a splice that sets a new ``first_dart`` reset
+    ``corners`` to None, and the next pair retraces it.
     """
 
     __slots__ = (
-        "n_vertices", "m_emb", "sigma_next", "sigma_prev", "first_dart",
-        "vertex_of", "one_face", "corners",
+        "n_vertices", "m_emb", "sigma_next", "sigma_prev", "vertex_of",
+        "first_dart", "one_face", "corners", "where", "block_cap",
     )
 
     def __init__(self, n_vertices: int):
@@ -243,12 +259,14 @@ class EmbeddingState:
             raise GraphError("embedding needs at least one vertex")
         self.n_vertices = n_vertices
         self.m_emb = 0
-        self.sigma_next: dict[int, int] = {}
-        self.sigma_prev: dict[int, int] = {}
-        self.first_dart: dict[int, int] = {}
-        self.vertex_of: dict[int, int] = {}
+        self.sigma_next: list[int] = []
+        self.sigma_prev: list[int] = []
+        self.vertex_of: list[int] = []
+        self.where: list[list[int] | None] = []
+        self.first_dart = [-1] * n_vertices
         self.one_face = True
-        self.corners: list[int] | None = []
+        self.corners: list[list[int]] | None = []
+        self.block_cap = max(16, 2 * isqrt(n_vertices))
 
     # -- constructors ------------------------------------------------------
 
@@ -257,20 +275,35 @@ class EmbeddingState:
         cls, n_vertices: int, order: Mapping[int, Sequence[int]],
         vertex_of: Mapping[int, int],
     ) -> "EmbeddingState":
+        """State with the rotation ``order`` (vertex to its darts in
+        cyclic order).  Every dart must be listed once, together with its
+        twin, at the vertex ``vertex_of`` gives it; else raises
+        :class:`GraphError`."""
+        darts = [d for cyc in order.values() for d in cyc]
+        listed = set(darts)
+        if len(listed) < len(darts) or any(d < 0 or d ^ 1 not in listed
+                                           for d in listed):
+            raise GraphError("rotation darts must be distinct, non-negative "
+                             "and listed with their twins")
         st = cls(n_vertices)
+        # the largest dart is odd, its twin being listed
+        st._grow(max(darts, default=-1) + 1)
+        sn, sp, vo = st.sigma_next, st.sigma_prev, st.vertex_of
         for v, cyc in order.items():
+            if not 0 <= v < n_vertices:
+                raise GraphError(f"vertex {v} out of range")
             k = len(cyc)
             for i, d in enumerate(cyc):
-                st.sigma_next[d] = cyc[(i + 1) % k]
-                st.sigma_prev[cyc[(i + 1) % k]] = d
-                st.vertex_of[d] = v
+                sn[d] = cyc[(i + 1) % k]
+                sp[cyc[(i + 1) % k]] = d
+                vo[d] = v
             if k:
                 st.first_dart[v] = cyc[0]
-        st.m_emb = len(st.sigma_next) // 2
-        for d in st.sigma_next:
-            if vertex_of[d] != st.vertex_of[d]:
+        st.m_emb = len(darts) // 2
+        for d in darts:
+            if vertex_of[d] != vo[d]:
                 raise GraphError(f"dart {d} listed at the wrong vertex")
-        st.corners = st._trace_corners()
+        st._set_corners(st._trace_corners())
         st.one_face = st.corners is not None
         return st
 
@@ -279,30 +312,51 @@ class EmbeddingState:
         cls, g: MultiGraph, tree_edges: "set[int] | frozenset[int]"
     ) -> "EmbeddingState":
         """Single-face embedding of a spanning tree, sorted darts per
-        vertex."""
+        vertex, written straight into the dart lists."""
         n = g.n_vertices
         if len(tree_edges) != n - 1:
             raise GraphError("spanning tree needs n-1 edges")
-        adj: dict[int, list[int]] = {v: [] for v in g.vertices()}
+        at: list[list[int]] = [[] for _ in range(n)]
         for eid in tree_edges:
             u, v = g.endpoints(eid)
             if u == v:
                 raise GraphError("loop in spanning tree")
-            adj[u].append(dart(eid, 0))
-            adj[v].append(dart(eid, 1))
-        order = {v: sorted(ds) for v, ds in adj.items()}
-        vertex_of = {d: v for v, ds in order.items() for d in ds}
-        st = cls.from_sigma(n, order, vertex_of)
-        if not st.one_face:
+            at[u].append(2 * eid)
+            at[v].append(2 * eid + 1)
+        st = cls(n)
+        st._grow(2 * g._next_id)
+        sn, sp, vo = st.sigma_next, st.sigma_prev, st.vertex_of
+        for v, darts in enumerate(at):
+            if darts:
+                darts.sort()
+                p = darts[-1]
+                for d in darts:
+                    sn[p] = d
+                    sp[d] = p
+                    vo[d] = v
+                    p = d
+                st.first_dart[v] = darts[0]
+        st.m_emb = n - 1
+        st._set_corners(st._trace_corners())
+        if st.corners is None:
             raise GraphError("tree edges do not span the graph")
         return st
+
+    def _grow(self, n_darts: int) -> None:
+        """Lengthen the dart lists to at least ``n_darts``, at least
+        doubling them; an even ``n_darts`` keeps them even."""
+        extra = max(n_darts, 2 * len(self.vertex_of)) - len(self.vertex_of)
+        self.sigma_next += [-1] * extra
+        self.sigma_prev += [-1] * extra
+        self.vertex_of += [-1] * extra
+        self.where += [None] * extra
 
     # -- queries -----------------------------------------------------------
 
     @property
     def n_faces(self) -> int:
         """Face count by one O(m) trace."""
-        return _face_count(self.sigma_next) or 1
+        return _face_count(self._darts(), self.sigma_next) or 1
 
     @property
     def genus(self) -> int:
@@ -310,73 +364,103 @@ class EmbeddingState:
         the embedded subgraph does not span the vertices connectedly."""
         return _euler_genus(self.n_vertices, self.m_emb, self.n_faces)
 
+    def _darts(self) -> list[int]:
+        """The embedded darts, ascending."""
+        return [d for d, nxt in enumerate(self.sigma_next) if nxt >= 0]
+
     def _trace_corners(self) -> list[int] | None:
         """``first_dart`` of every vertex with darts, in the order one
-        trace of the face through an arbitrary dart meets them; None if
+        trace of the face through some first dart meets them; None if
         that face misses some dart.  O(m)."""
-        sn = self.sigma_next
+        sn, vo, fd = self.sigma_next, self.vertex_of, self.first_dart
         corners: list[int] = []
-        if not sn:
+        if not self.m_emb:
             return corners
-        firsts = set(self.first_dart.values())
-        start = d = next(iter(sn))
-        steps = 0
-        while True:
-            if d in firsts:
+        start = d = next(x for x in fd if x >= 0)
+        n_darts = 2 * self.m_emb
+        for steps in range(1, n_darts + 1):
+            if fd[vo[d]] == d:
                 corners.append(d)
-            steps += 1
             d = sn[d ^ 1]
             if d == start:
-                return corners if steps == len(sn) else None
-
-    def darts_around(self, v: int) -> Iterator[int]:
-        """Darts at v in rotation order, from ``first_dart[v]``."""
-        start = d = self.first_dart.get(v)
-        while d is not None:
-            yield d
-            d = self.sigma_next[d]
-            if d == start:
-                return
+                return corners if steps == n_darts else None
+        return None
 
     def rotation(self) -> RotationSystem:
-        return RotationSystem({
-            v: _canonical_cycle(list(self.darts_around(v)))
-            for v in range(self.n_vertices)
-        })
+        sn = self.sigma_next
+        order = {}
+        for v, start in enumerate(self.first_dart):
+            cyc = []
+            if start >= 0:
+                cyc.append(start)
+                d = sn[start]
+                while d != start:
+                    cyc.append(d)
+                    d = sn[d]
+            order[v] = _canonical_cycle(cyc)
+        return RotationSystem(order)
 
     def faces(self) -> FaceSet:
         """Face boundaries by one O(m) trace."""
         return _face_set(self.rotation().order)
 
-    # -- insertion ---------------------------------------------------------
+    # -- the corner list ---------------------------------------------------
 
-    def _splice(self, d: int, v: int, ref: int | None) -> None:
-        self.vertex_of[d] = v
-        if ref is None:
-            self.sigma_next[d] = d
-            self.sigma_prev[d] = d
-            self.first_dart[v] = d
+    def _set_corners(self, flat: list[int] | None) -> None:
+        """Keep the first darts ``flat`` as ``corners``, in blocks half
+        full; None drops the list."""
+        if flat is None:
             self.corners = None
             return
-        p = self.sigma_prev[ref]
-        self.sigma_next[p] = d
-        self.sigma_prev[d] = p
-        self.sigma_next[d] = ref
-        self.sigma_prev[ref] = d
+        half = self.block_cap // 2
+        self.corners = [flat[i:i + half] for i in range(0, len(flat), half)]
+        where = self.where
+        for block in self.corners:
+            for d in block:
+                where[d] = block
 
-    def _splice_edge(
-        self, eid: int, u: int, v: int,
-        corner_u: int | None, corner_v: int | None,
-    ) -> None:
-        """Splice edge ``eid``'s darts in before the given corners.  A bare
-        end (corner None) gets a one-dart rotation; a loop on a bare vertex
-        puts its second dart next to the first."""
-        d0 = dart(eid, 0)
-        self._splice(d0, u, corner_u)
-        if corner_v is None and u == v:
-            corner_v = d0
-        self._splice(dart(eid, 1), v, corner_v)
-        self.m_emb += 1
+    def _cut(self, bi: int, off: int) -> int:
+        """Split block ``bi`` before its offset ``off``, moving the smaller
+        half to a new block; returns the index of the block that starts
+        there.  Blocks before ``bi`` keep their index, and every position
+        before the cut its (block, offset)."""
+        if not off:
+            return bi
+        blocks = self.corners
+        block = blocks[bi]
+        if 2 * off <= len(block):
+            moved = block[:off]
+            del block[:off]
+            blocks.insert(bi, moved)
+        else:
+            moved = block[off:]
+            del block[off:]
+            blocks.insert(bi + 1, moved)
+        where = self.where
+        for d in moved:
+            where[d] = moved
+        return bi + 1
+
+    def _join(self, s: int) -> None:
+        """Merge the blocks on either side of seam ``s`` if together they
+        hold at most ``block_cap`` darts, moving the smaller one."""
+        blocks = self.corners
+        if not 0 < s < len(blocks):
+            return
+        left, right = blocks[s - 1], blocks[s]
+        if len(left) + len(right) > self.block_cap:
+            return
+        where = self.where
+        if len(left) >= len(right):
+            left += right
+            for d in right:
+                where[d] = left
+            del blocks[s]
+        else:
+            right[:0] = left
+            for d in left:
+                where[d] = right
+            del blocks[s - 1]
 
     def _merge_corners(self, x: int, y: int, z: int) -> bool:
         """Whether the first dart z lies on the arc [y, x) of the one face
@@ -386,22 +470,70 @@ class EmbeddingState:
         Also updates ``corners`` for the pair that asks: x, y and z cut
         the face into three arcs, and the merged face meets them in the
         reverse cyclic order, which swapping the two arcs that do not wrap
-        around the end of the list gives.
+        around the end of the list gives.  A position is a (block index,
+        offset) pair; the blocks are cut at the three darts, rightmost
+        first, the two arcs swap as runs of whole blocks, and the blocks
+        that meet at the three new seams merge if they fit in one.
         """
-        c = self.corners
-        i, j, k = c.index(x), c.index(y), c.index(z)
-        lo, mid, hi = sorted((i, j, k))
-        c[lo:hi] = c[mid:hi] + c[lo:mid]
+        blocks, where = self.corners, self.where
+        bx, by, bz = where[x], where[y], where[z]
+        i = (blocks.index(bx), bx.index(x))
+        j = (blocks.index(by), by.index(y))
+        k = (blocks.index(bz), bz.index(z))
+        (lb, lo), (mb, mo), (hb, ho) = sorted((i, j, k))
+        # a cut inside a block adds one before every later cut
+        hi = self._cut(hb, ho)
+        mid = self._cut(mb, mo)
+        hi += mo > 0
+        low = self._cut(lb, lo)
+        mid += lo > 0
+        hi += lo > 0
+        blocks[low:hi] = blocks[mid:hi] + blocks[low:mid]
+        for s in (hi, low + hi - mid, low):
+            self._join(s)
         return j < k < i or k < i < j or i < j < k
+
+    # -- insertion ---------------------------------------------------------
+
+    def _splice(self, d: int, v: int, ref: int) -> None:
+        """Dart d at v before ``ref``; ``ref`` -1 starts v's rotation."""
+        sn, sp = self.sigma_next, self.sigma_prev
+        self.vertex_of[d] = v
+        if ref < 0:
+            sn[d] = sp[d] = d
+            self.first_dart[v] = d
+            self.corners = None
+            return
+        p = sp[ref]
+        sn[p] = d
+        sp[d] = p
+        sn[d] = ref
+        sp[ref] = d
+
+    def _splice_edge(
+        self, eid: int, u: int, v: int, corner_u: int, corner_v: int,
+    ) -> None:
+        """Splice edge ``eid``'s darts in before the given corners.  A bare
+        end (corner -1) gets a one-dart rotation; a loop on a bare vertex
+        puts its second dart next to the first."""
+        d0 = 2 * eid
+        if d0 >= len(self.vertex_of):
+            self._grow(d0 + 2)
+        self._splice(d0, u, corner_u)
+        if corner_v < 0 and u == v:
+            corner_v = d0
+        self._splice(d0 + 1, v, corner_v)
+        self.m_emb += 1
 
     def _check_corner(self, v: int, corner: int | None) -> None:
         if not 0 <= v < self.n_vertices:
             raise GraphError(f"vertex {v} out of range")
         if corner is None:
-            if v in self.first_dart:
+            if self.first_dart[v] >= 0:
                 raise GraphError(f"vertex {v} has darts, corner required")
             return
-        if self.vertex_of.get(corner) != v:
+        if not (0 <= corner < len(self.vertex_of)
+                and self.vertex_of[corner] == v):
             raise GraphError(f"corner dart {corner} is not at vertex {v}")
 
     def insert_edge(
@@ -416,14 +548,17 @@ class EmbeddingState:
         pass u, v in the edge's stored endpoint order so dart encoding
         stays aligned with the graph.
         """
-        if dart(eid, 0) in self.vertex_of:
+        if eid < 0:
+            raise GraphError(f"bad edge id {eid}")
+        if 2 * eid < len(self.vertex_of) and self.vertex_of[2 * eid] >= 0:
             raise GraphError(f"edge {eid} already embedded")
         self._check_corner(u, corner_u)
         self._check_corner(v, corner_v)
         if corner_u is None and corner_v is None and u != v:
             raise GraphError("cannot join two bare vertices: embedded "
                              "subgraph must stay connected")
-        self._splice_edge(eid, u, v, corner_u, corner_v)
+        self._splice_edge(eid, u, v, -1 if corner_u is None else corner_u,
+                          -1 if corner_v is None else corner_v)
         self.one_face = False
         self.corners = None
         if check:
@@ -451,10 +586,13 @@ class EmbeddingState:
         :class:`CertificationError` if an end of the pair carries no dart
         (then the first edge cannot split the face).
         """
+        if g.n_vertices > self.n_vertices:
+            raise GraphError("graph has more vertices than the embedding")
         if self.corners is None:
-            self.corners = self._trace_corners()
-            if self.corners is None:
+            flat = self._trace_corners()
+            if flat is None:
                 raise GraphError("pair insertion needs a single face")
+            self._set_corners(flat)
             self.one_face = True
         w = pair.witness
         eu, ev = g.endpoints(pair.e)
@@ -463,28 +601,29 @@ class EmbeddingState:
             raise GraphError("witness is not an endpoint of the first edge")
         if w not in (fu, fv):
             raise GraphError("witness is not an endpoint of the second edge")
-        for eid in pair.edges():
-            if dart(eid, 0) in self.vertex_of:
+        vo = self.vertex_of
+        for eid in (pair.e, pair.f):  # graph edges, so not negative
+            if 2 * eid < len(vo) and vo[2 * eid] >= 0:
                 raise GraphError(f"edge {eid} already embedded")
+        fd = self.first_dart
         # only two loops on the vertex of a dartless state may start bare
-        bare = {y for y in (eu, ev, fu, fv) if y not in self.first_dart}
-        if bare and (self.first_dart or len(bare) > 1):
+        if min(fd[eu], fd[ev], fd[fu], fd[fv]) < 0 and (
+                self.m_emb or len({eu, ev, fu, fv}) > 1):
             raise CertificationError(
                 f"pair ({pair.e}, {pair.f}) at {w} has an end without "
                 "darts, so it cannot split and merge the one face")
-        self._splice_edge(pair.e, eu, ev, self.first_dart.get(eu),
-                          self.first_dart.get(ev))
-        d_w = dart(pair.e, 0 if eu == w else 1)
+        self._splice_edge(pair.e, eu, ev, fd[eu], fd[ev])
+        d_w = 2 * pair.e + (eu != w)
         after = self.sigma_next[d_w]
         a = ev if eu == w else eu
         b = fv if fu == w else fu
         if b == w:
             ref_w, ref_b = d_w, after
         else:
-            ref_b = self.first_dart[b]
+            ref_b = fd[b]
             # after is x = first_dart[w] unless the first edge is a loop
             on_d_w_face = a in (w, b) or self._merge_corners(
-                after, self.first_dart[a], ref_b)
+                after, fd[a], ref_b)
             ref_w = after if on_d_w_face else d_w
         corners = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
         self._splice_edge(pair.f, fu, fv, *corners)
@@ -496,17 +635,24 @@ class EmbeddingState:
     def _audit(self) -> None:
         """Check every invariant from scratch.  Raises
         :class:`CertificationError`, also under ``python -O``."""
-        self._audit_darts(self.sigma_next)
+        sn, vo = self.sigma_next, self.vertex_of
+        self._audit_darts([d for d in range(len(sn))
+                           if sn[d] >= 0 or vo[d] >= 0])
         n_faces = self.n_faces
         _require(not self.one_face or n_faces == 1,
                  f"one face expected, the trace finds {n_faces}")
         if self.corners is not None:
             traced = self._trace_corners()
+            flat = [d for block in self.corners for d in block]
             _require(traced is not None and _canonical_cycle(traced)
-                     == _canonical_cycle(self.corners),
+                     == _canonical_cycle(flat),
                      "corner list is not the face order of the first darts")
+            _require(all(0 < len(block) <= self.block_cap
+                         and all(self.where[d] is block for d in block)
+                         for block in self.corners),
+                     "corner list blocks are empty, too long or misfiled")
         # Euler parity only makes sense once every vertex carries a dart
-        if len(self.first_dart) == self.n_vertices:
+        if -1 not in self.first_dart:
             chi = self.n_vertices - self.m_emb + n_faces
             _require(chi % 2 == 0, f"odd Euler characteristic {chi}")
 
@@ -517,18 +663,19 @@ class EmbeddingState:
         sp, sn = self.sigma_prev, self.sigma_next
         near = set()
         for eid in eids:
-            for d in (dart(eid, 0), dart(eid, 1)):
-                near.update((d, sp.get(d), sn.get(d)))
-        near.discard(None)
+            for d in (2 * eid, 2 * eid + 1):
+                near.update((d, sp[d], sn[d]))
+        near.discard(-1)
         self._audit_darts(near)
 
     def _audit_darts(self, darts) -> None:
         """Check the rotation links leaving each of ``darts``."""
+        sn, sp, vo = self.sigma_next, self.sigma_prev, self.vertex_of
         for d in darts:
-            nxt = self.sigma_next.get(d)
-            _require(self.sigma_prev.get(nxt) == d,
+            nxt = sn[d]
+            _require(0 <= nxt < len(sp) and sp[nxt] == d,
                      f"sigma_prev of dart {nxt}")
-            _require(self.vertex_of.get(nxt) == self.vertex_of.get(d),
+            _require(vo[nxt] == vo[d],
                      f"rotation of dart {d} leaves its vertex")
 
 
@@ -585,14 +732,16 @@ def build_embedding(
     st = EmbeddingState.tree_embedding(g, tree)
     for pair in pairs:
         st.insert_adjacent_pair(g, pair, check=check)
+    fd = st.first_dart
     for eid in g.edge_ids():
         if eid not in tree and eid not in pair_edges:
             u, v = g.endpoints(eid)
-            st.insert_edge(eid, u, v, st.first_dart.get(u),
-                           st.first_dart.get(v), check=check)
+            # a bare end (-1) is the one vertex of a graph of loops
+            st.insert_edge(eid, u, v, fd[u] if fd[u] >= 0 else None,
+                           fd[v] if fd[v] >= 0 else None, check=check)
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
-    n_faces = _face_count(st.sigma_next) if g.n_edges else 1
+    n_faces = _face_count(st._darts(), st.sigma_next) if g.n_edges else 1
     genus = _euler_genus(g.n_vertices, g.n_edges, n_faces)
     k = len(pairs.pairs)
     if genus < k:

@@ -1,4 +1,5 @@
-"""Test corpora: exhaustive small multigraphs and seeded random instances.
+"""Test corpora: exhaustive small multigraphs, seeded random instances and
+shuffled circulants.
 
 The exhaustive corpus holds every connected multigraph with at most
 ``max_edges`` edges, one representative per isomorphism class.  It is
@@ -18,14 +19,17 @@ itself an isomorphism, so the key is sound in both directions.
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import permutations, product
 
 from maxgenus import (
     CertificationError,
     MultiGraph,
     build_embedding,
+    gen_circulant,
     gen_random_connected_multigraph,
     genus_of,
+    parse_edge_list,
     run_pipeline,
     verify_pair_set,
 )
@@ -133,6 +137,29 @@ def random_corpus(count: int = 500) -> list[MultiGraph]:
             seed=seed,
         ))
     return graphs
+
+
+def circulant_shuffled_ids(n: int, seed: int) -> MultiGraph:
+    """C_n(1,2) with its edge ids in seeded random order; vertex ids and
+    edge orientations stay those of ``gen_circulant``."""
+    g = gen_circulant(n)
+    edges = [g.endpoints(e) for e in g.edge_ids()]
+    random.Random(seed).shuffle(edges)
+    out = MultiGraph(n)
+    for uv in edges:
+        out.add_edge(*uv)
+    return out
+
+
+def circulant_from_shuffled_text(n: int, seed: int) -> MultiGraph:
+    """C_n(1, 2) as edge-list text with edge order and orientation drawn
+    from ``seed``, parsed, so vertex and edge ids follow that order."""
+    rng = random.Random(seed)
+    edges = [(i, (i + d) % n) for d in (1, 2) for i in range(n)]
+    rng.shuffle(edges)
+    return parse_edge_list("".join(
+        f"{v} {u}\n" if rng.random() < 0.5 else f"{u} {v}\n"
+        for u, v in edges))
 
 
 def certify_digest(graphs: list[MultiGraph]) -> str:

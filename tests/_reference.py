@@ -1,5 +1,6 @@
-"""From-scratch references: connectivity for checking ``DfsBackend``, and
-pair insertion for checking ``EmbeddingState``'s corner list."""
+"""From-scratch references: connectivity for checking ``DfsBackend``,
+pair insertion for checking ``EmbeddingState``'s corner list, and the
+corner list's merge step on one flat list for checking its blocks."""
 
 from __future__ import annotations
 
@@ -124,6 +125,16 @@ class ReferenceEmbedding:
                 cyc = cyc[i:] + cyc[:i]
             order[v] = tuple(cyc)
         return RotationSystem(order).to_text()
+
+
+def merge_corners(c: list[int], x: int, y: int, z: int) -> bool:
+    """``EmbeddingState._merge_corners`` on one flat list ``c``: whether z
+    lies on the arc [y, x), and ``c`` updated by swapping the two arcs
+    of the three cuts that do not wrap around its end."""
+    i, j, k = c.index(x), c.index(y), c.index(z)
+    lo, mid, hi = sorted((i, j, k))
+    c[lo:hi] = c[mid:hi] + c[lo:mid]
+    return j < k < i or k < i < j or i < j < k
 
 
 def reference_rotation_text(g: MultiGraph, pairs) -> str:

@@ -2,7 +2,8 @@
 
 Each test appends one PASS or FAIL line to ``ACCEPTANCE_LINES``; the
 conftest terminal-summary hook prints them after the run.  Criterion 9
-additionally reports fitted runtime slopes as INFO lines.  Set
+additionally reports fitted runtime slopes, of the greedy per backend and
+of ``build_embedding`` on the ``dfs`` greedy's pairs, as INFO lines.  Set
 ``MAXGENUS_FULL_SLOPES=1`` to time the full size grid up to 2**15 edges
 (minutes); the default grid keeps the suite fast.
 """
@@ -283,16 +284,24 @@ def test_criterion_9():
     }
     for backend, sizes in grids.items():
         points = []
+        embed_points = []
         for m in sizes:
             g = gen_random_connected_multigraph(m // 2, m, seed=1)
             t0 = time.perf_counter()
-            greedy_max_genus(g, backend=backend)
-            points.append((float(m), time.perf_counter() - t0))
-        slope = fit_loglog_slope(points)
+            pairs = greedy_max_genus(g, backend=backend).pairs
+            t1 = time.perf_counter()
+            points.append((float(m), t1 - t0))
+            if backend == "dfs":
+                build_embedding(g, pairs)
+                embed_points.append((float(m), time.perf_counter() - t1))
         span = f"2^{int(math.log2(sizes[0]))}..2^{int(math.log2(sizes[-1]))}"
         ACCEPTANCE_LINES.append(
-            f"INFO criterion 9: slope(elapsed~m, {backend}) = {slope:.2f} "
-            f"over m = {span}")
+            f"INFO criterion 9: slope(elapsed~m, {backend}) = "
+            f"{fit_loglog_slope(points):.2f} over m = {span}")
+        if embed_points:
+            ACCEPTANCE_LINES.append(
+                f"INFO criterion 9: slope(embed~m) = "
+                f"{fit_loglog_slope(embed_points):.2f} over m = {span}")
 
 
 @_record(10, "the certify path gives the same digest under python -O")

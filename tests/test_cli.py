@@ -280,10 +280,10 @@ class TestExitCodes:
             "import sys\n"
             "from maxgenus import cli, embedding\n"
             "face_count = embedding._face_count\n"
-            "embedding.EmbeddingState.n_faces = property(\n"
-            "    lambda self: face_count(self.sigma_next) or 1)\n"
-            "embedding._face_count = lambda sigma_next: (\n"
-            "    face_count(sigma_next) * 2)\n"
+            "embedding.EmbeddingState.n_faces = property(lambda self:\n"
+            "    face_count(self._darts(), self.sigma_next) or 1)\n"
+            "embedding._face_count = lambda darts, sigma_next: (\n"
+            "    face_count(darts, sigma_next) * 2)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         proc = subprocess.run(
@@ -303,8 +303,7 @@ class TestExitCodes:
             "from maxgenus.embedding import EmbeddingState\n"
             "audit = EmbeddingState._audit\n"
             "def corrupted(self):\n"
-            "    d = next(iter(self.sigma_prev))\n"
-            "    self.sigma_prev[d] = -1\n"
+            "    self.sigma_prev[self.first_dart[0]] = -1\n"
             "    audit(self)\n"
             "EmbeddingState._audit = corrupted\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"

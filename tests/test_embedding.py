@@ -29,7 +29,12 @@ from maxgenus import (
 )
 from maxgenus.graph import bfs_tree, dart
 
-from _reference import ReferenceEmbedding, reference_rotation_text
+from _corpus import circulant_shuffled_ids
+from _reference import (
+    ReferenceEmbedding,
+    merge_corners,
+    reference_rotation_text,
+)
 
 
 def path_graph(n):
@@ -39,15 +44,9 @@ def path_graph(n):
     return g
 
 
-def shuffled_circulant(n, seed):
-    """C_n(1,2) with its edge ids in seeded random order."""
-    g = gen_circulant(n)
-    edges = [g.endpoints(e) for e in g.edge_ids()]
-    random.Random(seed).shuffle(edges)
-    out = MultiGraph(n)
-    for uv in edges:
-        out.add_edge(*uv)
-    return out
+def edge_01_state(n):
+    """The embedded edge 0 from vertex 0 to 1, vertices 2..n-1 bare."""
+    return EmbeddingState.from_sigma(n, {0: (0,), 1: (1,)}, {0: 0, 1: 1})
 
 
 def k4():
@@ -235,8 +234,7 @@ class TestEmbeddingState:
         # grow a path edge by edge; every step attaches a bare vertex
         g = MultiGraph(4)
         g.add_edge(0, 1)
-        state = EmbeddingState.tree_embedding(path_graph(2), {0})
-        state.n_vertices = 4
+        state = edge_01_state(4)
         for v in (1, 2):
             eid = g.add_edge(v, v + 1)
             corner = state.first_dart[v]
@@ -249,14 +247,32 @@ class TestEmbeddingState:
     def test_bare_join_rejected(self):
         g = MultiGraph(4)
         g.add_edge(0, 1)
-        state = EmbeddingState.tree_embedding(path_graph(2), {0})
-        state.n_vertices = 4
+        state = edge_01_state(4)
         eid = g.add_edge(2, 3)
         with pytest.raises(GraphError):
             state.insert_edge(eid, 2, 3, None, None)
         # with two vertices still bare the Euler count is meaningless
         with pytest.raises(GraphError):
             state.genus
+
+    def test_corner_outside_the_dart_lists_is_rejected(self):
+        # -1 would index the last dart of a list, so it must not pass
+        g = path_graph(2)
+        state = EmbeddingState.tree_embedding(g, {0})
+        eid = g.add_edge(0, 1)
+        past_end = len(state.vertex_of)
+        for corners in ((-1, 1), (0, -1), (past_end, 1), (0, past_end + 1)):
+            with pytest.raises(GraphError, match="not at vertex"):
+                state.insert_edge(eid, 0, 1, *corners)
+        assert state.m_emb == 1
+
+    def test_rotation_without_twins_is_rejected(self):
+        # a missing twin would index the last dart of a list
+        for order in ({0: (0,)}, {0: (0, 2), 1: (1,)}, {0: (0, 1, 0)},
+                      {0: (-2, -1)}):
+            vertex_of = {d: v for v, cyc in order.items() for d in cyc}
+            with pytest.raises(GraphError, match="twins"):
+                EmbeddingState.from_sigma(2, order, vertex_of)
 
     def test_first_loop_on_isolated_vertex(self):
         g = MultiGraph(1)
@@ -399,8 +415,7 @@ class TestCornerRule:
         g.add_edge(0, 1)
         g.add_edge(0, 2)
         g.add_edge(0, 0)
-        state = EmbeddingState.tree_embedding(path_graph(2), {0})
-        state.n_vertices = 3
+        state = edge_01_state(3)
         with pytest.raises(CertificationError):
             state.insert_adjacent_pair(g, AdjacentPair(1, 2, 0))
 
@@ -409,9 +424,9 @@ class TestFinalChecks:
     def test_wrong_corner_fails_the_final_trace(self, monkeypatch):
         # pair insertion keeps one face by the corner rule alone; if the
         # corner choice were wrong, only the final trace could tell
-        merge_corners = EmbeddingState._merge_corners
+        blocked = EmbeddingState._merge_corners
         monkeypatch.setattr(EmbeddingState, "_merge_corners",
-                            lambda self, *a: not merge_corners(self, *a))
+                            lambda self, *a: not blocked(self, *a))
         g = gen_random_connected_multigraph(32, 64, seed=1)
         pairs = greedy_max_genus(g).pairs
         assert pairs
@@ -433,8 +448,9 @@ class TestFinalChecks:
         def stale(self, g, pair, **kw):
             insert(self, g, pair, **kw)
             if self.m_emb == g.n_edges:  # after the last pair only
-                self.corners[0], self.corners[1] = (self.corners[1],
-                                                    self.corners[0])
+                # the first darts of the first two blocks trade places
+                a, b = self.corners[0], self.corners[1]
+                a[0], b[0] = b[0], a[0]
         monkeypatch.setattr(EmbeddingState, "insert_adjacent_pair", stale)
         # beta = 64 and tree-first pairs every cotree edge, so no leftover
         # edge clears the corner list before the final audit
@@ -485,6 +501,56 @@ class TestFinalChecks:
         state.one_face = True
         with pytest.raises(CertificationError, match="one face expected"):
             state._audit()
+
+
+class TestBlockedCorners:
+    """The corner list's blocks against the flat list they stand for."""
+
+    @staticmethod
+    def _assert_blocks(state, flat):
+        assert [d for block in state.corners for d in block] == flat
+        for block in state.corners:
+            assert 0 < len(block) <= state.block_cap
+            for d in block:
+                assert state.where[d] is block
+
+    @staticmethod
+    def _triple(rng, blocks, flat, shape):
+        """Three distinct first darts: anywhere, all in one block, or at
+        block starts as far as there are blocks."""
+        if shape == "one-block":
+            full = [b for b in blocks if len(b) >= 3]
+            if full:
+                return rng.sample(rng.choice(full), 3)
+        if shape == "starts":
+            starts = [b[0] for b in blocks]
+            picked = rng.sample(starts, min(3, len(starts)))
+            rest = [d for d in flat if d not in picked]
+            return rng.sample(picked + rng.sample(rest, 3 - len(picked)), 3)
+        return rng.sample(flat, 3)
+
+    def test_merge_matches_the_flat_list(self):
+        rng = random.Random(16)
+        seen = {"single block": 0, "one-block": 0, "starts": 0}
+        for n in range(1, 301):
+            state = EmbeddingState(n)
+            state._grow(2 * n)
+            flat = rng.sample(range(2 * n), n)
+            state._set_corners(list(flat))
+            self._assert_blocks(state, flat)
+            for _ in range(20 if n >= 3 else 0):
+                shape = rng.choice(["any", "one-block", "starts"])
+                x, y, z = self._triple(rng, state.corners, flat, shape)
+                holders = {id(state.where[d]) for d in (x, y, z)}
+                seen["single block"] += len(state.corners) == 1
+                seen["one-block"] += (len(state.corners) > 1
+                                      and len(holders) == 1)
+                seen["starts"] += (len(state.corners) >= 3 and all(
+                    state.where[d][0] == d for d in (x, y, z)))
+                side = merge_corners(flat, x, y, z)
+                assert state._merge_corners(x, y, z) == side
+                self._assert_blocks(state, flat)
+        assert min(seen.values()) > 100, seen
 
 
 def _assert_certified_embedding(g, policy):
@@ -550,7 +616,7 @@ class TestBuildEmbedding:
     @pytest.mark.parametrize("shuffled", [False, True],
                              ids=["natural", "shuffled"])
     def test_circulant_edge_orders(self, policy, shuffled):
-        g = shuffled_circulant(64, 64) if shuffled else gen_circulant(64)
+        g = circulant_shuffled_ids(64, 64) if shuffled else gen_circulant(64)
         _assert_certified_embedding(g, policy)
 
     def test_planar_k4_exists(self):
@@ -591,7 +657,7 @@ class TestCornerListMatchesFullTraces:
 
     @pytest.mark.parametrize("policy", ["tree-first", "edge-id"])
     def test_shuffled_circulant(self, policy):
-        g = shuffled_circulant(512, 1)
+        g = circulant_shuffled_ids(512, 1)
         pairs = greedy_max_genus(g, policy=policy).pairs
         assert (build_embedding(g, pairs).rotation.to_text()
                 == reference_rotation_text(g, pairs))

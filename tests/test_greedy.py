@@ -25,14 +25,13 @@ from maxgenus import (
     greedy_max_genus,
     is_connected,
     odd_components,
-    parse_edge_list,
     verify_pair_set,
 )
 from maxgenus import bench, cli, greedy
 from maxgenus.graph import bfs_tree
 from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
-from _corpus import random_corpus
+from _corpus import circulant_from_shuffled_text, random_corpus
 from _reference import MirrorGraph
 
 
@@ -240,21 +239,11 @@ def test_deterministic_policies_keep_their_certificates(graph, policy):
         PINNED_PAIRS[graph][policy]
 
 
-def shuffled_circulant(n, seed):
-    """C_n(1, 2) as edge-list text with edge order and orientation drawn
-    from ``seed``, parsed, so vertex and edge ids follow that order."""
-    rng = random.Random(seed)
-    edges = [(i, (i + d) % n) for d in (1, 2) for i in range(n)]
-    rng.shuffle(edges)
-    return parse_edge_list("".join(
-        f"{v} {u}\n" if rng.random() < 0.5 else f"{u} {v}\n"
-        for u, v in edges))
-
-
 def test_cut_scans_keep_the_certificate():
     # Failed probes on the shuffled circulant pay for cut scans, whose
     # records then answer probes; the pairs are those of the search alone.
-    r = greedy_max_genus(shuffled_circulant(512, 1), policy="edge-id")
+    r = greedy_max_genus(circulant_from_shuffled_text(512, 1),
+                         policy="edge-id")
     text = ";".join(f"{p.e},{p.f},{p.witness}" for p in r.pairs)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "813f59badb199649f69247d2882d7c89d045f52e74689ce9420dc42429cc25ed"
@@ -354,7 +343,7 @@ class TestKotzigPhaseOne:
 
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_shuffled_circulant_needs_no_probe(self, seed):
-        g = shuffled_circulant(512, seed)
+        g = circulant_from_shuffled_text(512, seed)
         r = greedy_max_genus(g)
         assert len(r.pairs) == r.stats.tree_pairs == cycle_rank(g) // 2
         assert r.stats.tests == 0
