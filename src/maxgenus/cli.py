@@ -7,7 +7,8 @@ embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
 disconnected graph or invalid option value (also argparse usage errors,
 generator probabilities outside [0, 1] and a generated graph with a
-vertex of no edge), 3 edge-list or rotation parse error, 4 exact-oracle
+vertex of no edge), 3 edge-list or rotation parse error, or input that
+is not UTF-8 (the message gives the byte offset), 4 exact-oracle
 limit exceeded, 5 certification failure (the exact oracles disagree, or
 a certificate check or a ``--check`` audit fails).
 """
@@ -49,10 +50,18 @@ EXIT_CERT = 5
 
 
 def _read_text(path: str | None) -> str:
+    """The file at ``path`` (stdin for None or '-') as strict UTF-8;
+    raises :class:`ParseError` at the first byte that is not."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path or 'stdin'}: not UTF-8 at byte offset "
+                         f"{exc.start}") from None
 
 
 def _read_graph(path: str | None) -> MultiGraph:

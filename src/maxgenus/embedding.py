@@ -13,7 +13,11 @@ one); the remaining cases attach a pendant dart or seed a loop on a bare
 vertex.  :func:`build_embedding` turns a verified family of k disjoint
 adjacent pairs into an explicit embedding of genus at least k: embed a
 spanning tree avoiding the pair edges (one face), then add each pair with
-a split followed by a forced merge, then place the leftover edges.
+a split followed by a forced merge, then place the leftover edges.  It
+validates once, then inserts: the family is checked up front, and each
+pair goes to the check-free insertion body
+:meth:`EmbeddingState._insert_pair`, which the checking
+:meth:`EmbeddingState.insert_adjacent_pair` also runs.
 
 A corner is named by the dart it precedes: inserting at corner ``r``
 splices the new dart immediately before ``r`` in the vertex rotation.
@@ -571,6 +575,49 @@ class EmbeddingState:
 
         Requires a single current face, so every dart is a corner on it;
         unless ``corners`` is kept, one trace checks that and rebuilds it.
+        Checks that the witness is an end of both edges, that neither edge
+        is embedded and that every end of the pair carries a dart (raising
+        :class:`CertificationError` if one does not: then the first edge
+        cannot split the face), then inserts by :meth:`_insert_pair`.
+        """
+        if g.n_vertices > self.n_vertices:
+            raise GraphError("graph has more vertices than the embedding")
+        if self.corners is None:
+            flat = self._trace_corners()
+            if flat is None:
+                raise GraphError("pair insertion needs a single face")
+            self._set_corners(flat)
+            self.one_face = True
+        e, f, w = pair.e, pair.f, pair.witness
+        eu, ev = g.endpoints(e)
+        fu, fv = g.endpoints(f)
+        if w not in (eu, ev):
+            raise GraphError("witness is not an endpoint of the first edge")
+        if w not in (fu, fv):
+            raise GraphError("witness is not an endpoint of the second edge")
+        if 2 * f + 2 > len(self.vertex_of):  # f > e, and not negative
+            self._grow(2 * f + 2)
+        for eid in (e, f):
+            if self.vertex_of[2 * eid] >= 0:
+                raise GraphError(f"edge {eid} already embedded")
+        fd = self.first_dart
+        # only two loops on the vertex of a dartless state may start bare
+        if min(fd[eu], fd[ev], fd[fu], fd[fv]) < 0 and (
+                self.m_emb or len({eu, ev, fu, fv}) > 1):
+            raise CertificationError(
+                f"pair ({e}, {f}) at {w} has an end without "
+                "darts, so it cannot split and merge the one face")
+        self._insert_pair(e, f, w, eu, ev, fu, fv)
+        if check:
+            self._audit_edges((e, f))
+
+    def _insert_pair(
+        self, e: int, f: int, w: int, eu: int, ev: int, fu: int, fv: int,
+    ) -> None:
+        """Insert the pair of edges e = (eu, ev) and f = (fu, fv) meeting
+        at w, with no check: the caller has validated the pair as
+        :meth:`insert_adjacent_pair` does, and the dart lists reach 2f + 2.
+
         The first edge goes in at ``first_dart`` of its ends, x at the
         witness w and y at its far end a, and splits the face: its witness
         dart ``d_w`` is then flanked by a corner on each new face, before
@@ -582,53 +629,61 @@ class EmbeddingState:
         the rest is O(1).  A loop as second edge goes in at both flanking
         corners.  If the first edge is a loop, its far end's face is the
         one-dart face {``after``}, and if b = a, z = y lies on [y, x);
-        either way the witness end goes before ``after``.  Raises
-        :class:`CertificationError` if an end of the pair carries no dart
-        (then the first edge cannot split the face).
+        either way the witness end goes before ``after``.  Only the first
+        loop of a dartless state starts on a bare vertex.
         """
-        if g.n_vertices > self.n_vertices:
-            raise GraphError("graph has more vertices than the embedding")
-        if self.corners is None:
-            flat = self._trace_corners()
-            if flat is None:
-                raise GraphError("pair insertion needs a single face")
-            self._set_corners(flat)
-            self.one_face = True
-        w = pair.witness
-        eu, ev = g.endpoints(pair.e)
-        fu, fv = g.endpoints(pair.f)
-        if w not in (eu, ev):
-            raise GraphError("witness is not an endpoint of the first edge")
-        if w not in (fu, fv):
-            raise GraphError("witness is not an endpoint of the second edge")
-        vo = self.vertex_of
-        for eid in (pair.e, pair.f):  # graph edges, so not negative
-            if 2 * eid < len(vo) and vo[2 * eid] >= 0:
-                raise GraphError(f"edge {eid} already embedded")
-        fd = self.first_dart
-        # only two loops on the vertex of a dartless state may start bare
-        if min(fd[eu], fd[ev], fd[fu], fd[fv]) < 0 and (
-                self.m_emb or len({eu, ev, fu, fv}) > 1):
-            raise CertificationError(
-                f"pair ({pair.e}, {pair.f}) at {w} has an end without "
-                "darts, so it cannot split and merge the one face")
-        self._splice_edge(pair.e, eu, ev, fd[eu], fd[ev])
-        d_w = 2 * pair.e + (eu != w)
-        after = self.sigma_next[d_w]
-        a = ev if eu == w else eu
+        sn, sp, vo, fd = (self.sigma_next, self.sigma_prev, self.vertex_of,
+                          self.first_dart)
+        d0 = 2 * e
+        x = fd[eu]
+        if x < 0:
+            self._splice_edge(e, eu, ev, -1, -1)
+        else:
+            # splice d0 before x at eu, then d0 + 1 before y at ev
+            vo[d0] = eu
+            p = sp[x]
+            sn[p] = d0
+            sp[d0] = p
+            sn[d0] = x
+            sp[x] = d0
+            y = fd[ev]
+            vo[d0 + 1] = ev
+            p = sp[y]
+            sn[p] = d0 + 1
+            sp[d0 + 1] = p
+            sn[d0 + 1] = y
+            sp[y] = d0 + 1
+            self.m_emb += 1
+        if eu == w:
+            d_w, a = d0, ev
+        else:
+            d_w, a = d0 + 1, eu
+        after = sn[d_w]
         b = fv if fu == w else fu
         if b == w:
             ref_w, ref_b = d_w, after
         else:
             ref_b = fd[b]
             # after is x = first_dart[w] unless the first edge is a loop
-            on_d_w_face = a in (w, b) or self._merge_corners(
+            on_d_w_face = a == w or a == b or self._merge_corners(
                 after, fd[a], ref_b)
             ref_w = after if on_d_w_face else d_w
-        corners = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
-        self._splice_edge(pair.f, fu, fv, *corners)
-        if check:
-            self._audit_edges(pair.edges())
+        cu, cv = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
+        # splice 2f before cu at fu, then 2f + 1 before cv at fv
+        d = 2 * f
+        vo[d] = fu
+        p = sp[cu]
+        sn[p] = d
+        sp[d] = p
+        sn[d] = cu
+        sp[cu] = d
+        vo[d + 1] = fv
+        p = sp[cv]
+        sn[p] = d + 1
+        sp[d + 1] = p
+        sn[d + 1] = cv
+        sp[cv] = d + 1
+        self.m_emb += 1
 
     # -- auditing ----------------------------------------------------------
 
@@ -704,11 +759,18 @@ def build_embedding(
 ) -> EmbeddingResult:
     """Embedding of g with genus at least ``len(pairs)``.
 
-    Verifies the pair family as :func:`verify_pair_set` does, with the
-    BFS that checks connectivity also giving the spanning tree that avoids
-    the pair edges; a failure raises :class:`GraphError` with the same
-    reason.  Then embeds the tree, applies the pairs in order (each raises
-    the genus by exactly one), and inserts each leftover edge at
+    Validates once, then inserts.  Verifies the pair family as
+    :func:`verify_pair_set` does, with the BFS that checks connectivity
+    also giving the spanning tree that avoids the pair edges; a failure
+    raises :class:`GraphError` with the same reason.  Then embeds the
+    tree and applies the pairs in order by
+    :meth:`EmbeddingState._insert_pair`, with none of
+    :meth:`~EmbeddingState.insert_adjacent_pair`'s per-pair checks: the
+    family passed them, no pair edge is in the tree, and every pair end
+    carries a dart, since for n >= 2 the tree spans every vertex (for
+    n = 1 every edge is a loop, and only the first starts bare).  Each
+    pair raises the genus by exactly one.  Then it inserts each leftover
+    edge at
     ``first_dart`` of its ends; a leftover edge splits or merges faces,
     so it never lowers the genus.  The genus comes from one trace of the
     final rotations.
@@ -730,8 +792,13 @@ def build_embedding(
     if tree is None:
         raise GraphError(f"pair family fails verification: {reason}")
     st = EmbeddingState.tree_embedding(g, tree)
-    for pair in pairs:
-        st.insert_adjacent_pair(g, pair, check=check)
+    # validated above, so each pair goes straight to the insertion body
+    edges, insert = g._edges, st._insert_pair
+    for p in pairs:
+        e, f = p.e, p.f
+        insert(e, f, p.witness, *edges[e], *edges[f])
+        if check:
+            st._audit_edges((e, f))
     fd = st.first_dart
     for eid in g.edge_ids():
         if eid not in tree and eid not in pair_edges:

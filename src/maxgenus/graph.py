@@ -250,25 +250,26 @@ def parse_edge_list(text: str) -> MultiGraph:
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(
                 f"expected two vertex labels, got {len(parts)}", line_no
             )
-        uv = []
-        for label in parts:
-            if label not in index:
-                index[label] = len(index)
-            uv.append(index[label])
-        edges.append((uv[0], uv[1]))
+        a, b = parts
+        u = index.setdefault(a, len(index))
+        edges.append((u, index.setdefault(b, len(index))))
     if not index:
         raise ParseError("empty graph: no edges or vertices")
+    # the ids come from ``index``, so they are in range: no add_edge checks
     g = MultiGraph(len(index))
-    for u, v in edges:
-        g.add_edge(u, v)
+    g._edges = dict(enumerate(edges))
+    g._next_id = len(edges)
+    inc = g._inc
+    for eid, (u, v) in enumerate(edges):
+        inc[u][2 * eid] = v
+        inc[v][2 * eid + 1] = u
     g.labels = {i: label for label, i in index.items()}
     return g
 

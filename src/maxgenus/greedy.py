@@ -169,19 +169,21 @@ def candidate_pairs(g: MultiGraph, v: int) -> list[tuple[int, int]]:
 
 def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]:
     """The edge ids of ``pairs``, and the reason of the first existence,
-    disjointness or adjacency check they fail (None if they pass all)."""
+    disjointness or adjacency check they fail (None if they pass all).
+    One pass over ``g._edges``: a family that passes needs no further
+    check to be inserted pair by pair."""
+    edges = g._edges
     seen: set[int] = set()
     for p in pairs:
         for eid in (p.e, p.f):
-            if not g.has_edge(eid):
+            if eid not in edges:
                 return seen, f"missing-edge:{eid}"
             if eid in seen:
                 return seen, f"duplicate-edge:{eid}"
             seen.add(eid)
-        ue = set(g.endpoints(p.e))
-        uf = set(g.endpoints(p.f))
-        if p.witness not in (ue & uf):
-            return seen, f"not-adjacent:{p.e},{p.f}@{p.witness}"
+        w = p.witness
+        if not (w in edges[p.e] and w in edges[p.f]):
+            return seen, f"not-adjacent:{p.e},{p.f}@{w}"
     return seen, None
 
 

@@ -20,6 +20,7 @@ All three are exponential; each takes an explicit limit and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 
 from .graph import (
@@ -29,7 +30,7 @@ from .graph import (
     MultiGraph,
     is_connected,
 )
-from .greedy import AdjacentPair, PairSet, candidate_pairs
+from .greedy import AdjacentPair, PairSet
 
 DEFAULT_PAIRS_EDGE_LIMIT = 16
 DEFAULT_TREE_LIMIT = 100_000
@@ -56,63 +57,79 @@ def exact_max_genus_pairs(
 
     Branch and bound over pair subsets in a fixed global pair order
     (ascending witness degree, then edge ids; low-degree witnesses first
-    reaches loop-heavy optima quickly).  Each node's bound is
+    reaches loop-heavy optima quickly).  A pair of parallel edges is taken
+    once, at its lower end.  Each node's bound is
     ``chosen + floor(beta_residual / 2)``; since removing a pair always
     lowers the residual cycle rank by exactly 2, the bound can only prune
     once an optimal incumbent exists, so the search additionally stops as
-    soon as the incumbent hits ``floor(beta / 2)``.
+    soon as the incumbent hits ``floor(beta / 2)``.  The search runs on an
+    explicit stack, one entry per chosen pair, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     _require_connected(g)
     if g.n_edges > max_edges:
         raise LimitExceededError(
             f"m={g.n_edges} exceeds pair-search limit {max_edges}"
         )
-    seen_pairs: set[tuple[int, int]] = set()
-    cands: list[AdjacentPair] = []
-    for v in g.vertices():
-        for e, f in candidate_pairs(g, v):
-            if (e, f) not in seen_pairs:
-                seen_pairs.add((e, f))
-                cands.append(AdjacentPair(e, f, v))
-    cands.sort(key=lambda p: (g.degree(p.witness), p.e, p.f))
+    # (witness degree, e, f, witness), each pair once, as plain tuples
+    cands: list[tuple[int, int, int, int]] = []
+    for v, darts in enumerate(g._inc):
+        far = {d >> 1: w for d, w in darts.items()}
+        deg = len(darts)
+        for e, f in combinations(sorted(far), 2):
+            if far[e] == far[f] < v:
+                continue  # parallel edges, met at their lower end
+            cands.append((deg, e, f, v))
+    cands.sort()
 
     n = g.n_vertices
-    beta0 = g.n_edges - n + 1
-    cap = beta0 // 2
+    cap = (g.n_edges - n + 1) // 2
     work = g.copy()
-    best_k = 0
-    best: list[AdjacentPair] = []
-    chosen: list[AdjacentPair] = []
+    edges, ends = work._edges, g._edges  # a deleted edge's ends stay in g
 
-    def search(start: int) -> bool:
-        """Returns True once the global cap was reached (stop everything)."""
-        nonlocal best_k, best
+    def restore(c: tuple[int, int, int, int]) -> None:
+        work.restore_edges(((c[1], *ends[c[1]]), (c[2], *ends[c[2]])))
+
+    best_k = 0
+    best: list[tuple[int, int, int, int]] = []
+    chosen: list[tuple[int, int, int, int]] = []
+    starts: list[int] = []  # each open node's next candidate index
+    start = 0
+    while True:
+        # enter the node of ``chosen``, whose candidates begin at start
         k = len(chosen)
         if k > best_k:
-            best_k = k
-            best = list(chosen)
+            best_k, best = k, list(chosen)
             if best_k == cap:
-                return True
-        beta = work.n_edges - n + 1
-        if k + beta // 2 <= best_k:
-            return False
-        for i in range(start, len(cands)):
-            p = cands[i]
-            if not (work.has_edge(p.e) and work.has_edge(p.f)):
+                break
+        if k + (work.n_edges - n + 1) // 2 > best_k:
+            starts.append(start)
+        elif chosen:  # pruned: back to the parent
+            restore(chosen.pop())
+        # the next child of the innermost open node, closing each node
+        # that has none left
+        while starts:
+            for i in range(starts[-1], len(cands)):
+                c = cands[i]
+                _, e, f, _ = c
+                if not (e in edges and f in edges):
+                    continue
+                work.delete_edge(e)
+                work.delete_edge(f)
+                if is_connected(work):
+                    break
+                restore(c)
+            else:
+                starts.pop()
+                if chosen:
+                    restore(chosen.pop())
                 continue
-            removed = work.delete_edges((p.e, p.f))
-            done = False
-            if is_connected(work):
-                chosen.append(p)
-                done = search(i + 1)
-                chosen.pop()
-            work.restore_edges(removed)
-            if done:
-                return True
-        return False
-
-    search(0)
-    return best_k, PairSet(list(best))
+            starts[-1] = start = i + 1
+            chosen.append(c)
+            break
+        else:
+            break
+    return best_k, PairSet([AdjacentPair(e, f, v) for _, e, f, v in best])
 
 
 # ---------------------------------------------------------------------------

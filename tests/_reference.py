@@ -1,13 +1,23 @@
 """From-scratch references: connectivity for checking ``DfsBackend``,
-pair insertion for checking ``EmbeddingState``'s corner list, and the
-corner list's merge step on one flat list for checking its blocks."""
+pair insertion for checking ``EmbeddingState``'s corner list, the
+corner list's merge step on one flat list for checking its blocks, and
+plain forms of the pair check, the edge-list parser and the pair oracle
+(recursive) for checking the faster ones."""
 
 from __future__ import annotations
 
 from collections import deque
 
-from maxgenus import MultiGraph, RotationSystem, is_connected
+from maxgenus import (
+    AdjacentPair,
+    MultiGraph,
+    PairSet,
+    ParseError,
+    RotationSystem,
+    is_connected,
+)
 from maxgenus.graph import bfs_tree
+from maxgenus.greedy import candidate_pairs
 
 
 class MirrorGraph:
@@ -151,3 +161,100 @@ def reference_rotation_text(g: MultiGraph, pairs) -> str:
             u, v = g.endpoints(eid)
             ref.insert_edge(eid, ref.first.get(u), ref.first.get(v))
     return ref.rotation_text()
+
+
+def pair_edge_set(g: MultiGraph, pairs) -> tuple[set[int], str | None]:
+    """``greedy._pair_edge_set`` through the public graph queries: the
+    pair edge ids and the first failed check's reason, or None."""
+    seen: set[int] = set()
+    for p in pairs:
+        for eid in (p.e, p.f):
+            if not g.has_edge(eid):
+                return seen, f"missing-edge:{eid}"
+            if eid in seen:
+                return seen, f"duplicate-edge:{eid}"
+            seen.add(eid)
+        ue = set(g.endpoints(p.e))
+        uf = set(g.endpoints(p.f))
+        if p.witness not in (ue & uf):
+            return seen, f"not-adjacent:{p.e},{p.f}@{p.witness}"
+    return seen, None
+
+
+def parse_edge_list(text: str) -> MultiGraph:
+    """``graph.parse_edge_list`` by one ``add_edge`` call per line."""
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(
+                f"expected two vertex labels, got {len(parts)}", line_no
+            )
+        uv = []
+        for label in parts:
+            if label not in index:
+                index[label] = len(index)
+            uv.append(index[label])
+        edges.append((uv[0], uv[1]))
+    if not index:
+        raise ParseError("empty graph: no edges or vertices")
+    g = MultiGraph(len(index))
+    for u, v in edges:
+        g.add_edge(u, v)
+    g.labels = {i: label for label, i in index.items()}
+    return g
+
+
+def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
+    """``oracle.exact_max_genus_pairs`` as a recursive branch and bound
+    over ``AdjacentPair`` candidates, with no edge limit; it recurses
+    once per chosen pair."""
+    seen_pairs: set[tuple[int, int]] = set()
+    cands: list[AdjacentPair] = []
+    for v in g.vertices():
+        for e, f in candidate_pairs(g, v):
+            if (e, f) not in seen_pairs:
+                seen_pairs.add((e, f))
+                cands.append(AdjacentPair(e, f, v))
+    cands.sort(key=lambda p: (g.degree(p.witness), p.e, p.f))
+
+    n = g.n_vertices
+    cap = (g.n_edges - n + 1) // 2
+    work = g.copy()
+    best_k = 0
+    best: list[AdjacentPair] = []
+    chosen: list[AdjacentPair] = []
+
+    def search(start: int) -> bool:
+        """Returns True once the global cap was reached (stop everything)."""
+        nonlocal best_k, best
+        k = len(chosen)
+        if k > best_k:
+            best_k = k
+            best = list(chosen)
+            if best_k == cap:
+                return True
+        beta = work.n_edges - n + 1
+        if k + beta // 2 <= best_k:
+            return False
+        for i in range(start, len(cands)):
+            p = cands[i]
+            if not (work.has_edge(p.e) and work.has_edge(p.f)):
+                continue
+            removed = work.delete_edges((p.e, p.f))
+            done = False
+            if is_connected(work):
+                chosen.append(p)
+                done = search(i + 1)
+                chosen.pop()
+            work.restore_edges(removed)
+            if done:
+                return True
+        return False
+
+    search(0)
+    return best_k, PairSet(list(best))

@@ -272,6 +272,25 @@ class TestExitCodes:
         proc = run_cli("greedy", stdin="", check=False)
         assert proc.returncode == 3
 
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path):
+        bad = b"a b\nb c\n\xff\xfe\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(bad)
+        good = tmp_path / "k4.edges"
+        good.write_text(K4_TEXT)
+        # a C locale would decode stdin with surrogateescape
+        env = {**ENV, "LC_ALL": "C", "PYTHONIOENCODING": ""}
+        for argv, stdin in ((["greedy", str(path)], None),
+                            (["greedy"], bad),
+                            (["embed", str(good), "--rotation", str(path)],
+                             None)):
+            proc = subprocess.run(CLI + argv, input=stdin,
+                                  capture_output=True, env=env)
+            err = proc.stderr.decode()
+            assert proc.returncode == 3, err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert "not UTF-8 at byte offset 8" in err
+
     def test_wrong_embedding_genus_under_optimize(self):
         # with asserts stripped by -O, a wrong genus must still be caught:
         # a trace of the emitted rotation that counts every face twice

@@ -17,7 +17,9 @@ from maxgenus import (
     ParseError,
     RotationSystem,
     build_embedding,
+    gen_bouquet,
     gen_circulant,
+    gen_dipole,
     genus_of,
     greedy_max_genus,
     gen_random_connected_multigraph,
@@ -443,20 +445,20 @@ class TestFinalChecks:
             state._audit()
 
     def test_final_audit_sees_a_stale_corner_list(self, monkeypatch):
-        insert = EmbeddingState.insert_adjacent_pair
-
-        def stale(self, g, pair, **kw):
-            insert(self, g, pair, **kw)
-            if self.m_emb == g.n_edges:  # after the last pair only
-                # the first darts of the first two blocks trade places
-                a, b = self.corners[0], self.corners[1]
-                a[0], b[0] = b[0], a[0]
-        monkeypatch.setattr(EmbeddingState, "insert_adjacent_pair", stale)
         # beta = 64 and tree-first pairs every cotree edge, so no leftover
         # edge clears the corner list before the final audit
         g = gen_circulant(63)
         pairs = greedy_max_genus(g).pairs
         assert 2 * len(pairs) == g.n_edges - g.n_vertices + 1
+        insert = EmbeddingState._insert_pair
+
+        def stale(self, *args):
+            insert(self, *args)
+            if self.m_emb == g.n_edges:  # after the last pair only
+                # the first darts of the first two blocks trade places
+                a, b = self.corners[0], self.corners[1]
+                a[0], b[0] = b[0], a[0]
+        monkeypatch.setattr(EmbeddingState, "_insert_pair", stale)
         with pytest.raises(CertificationError, match="corner list"):
             build_embedding(g, pairs, check=True)
 
@@ -688,6 +690,68 @@ class TestCornerListMatchesFullTraces:
         assert state.rotation().to_text() == ref.rotation_text()
         assert state.genus == len(pairs) + 1
         state._audit()
+
+
+def public_path_rotation_text(g, pairs):
+    """The rotation text ``build_embedding(g, pairs)`` should emit, built
+    through the public, checking insertions: the tree, each pair by
+    ``insert_adjacent_pair``, each leftover edge at the first darts of
+    its ends."""
+    pair_edges = set(pairs.edge_ids())
+    tree = bfs_tree(g, pair_edges)
+    state = EmbeddingState.tree_embedding(g, tree)
+    for pair in pairs:
+        state.insert_adjacent_pair(g, pair, check=True)
+    fd = state.first_dart
+    for eid in g.edge_ids():
+        if eid not in tree and eid not in pair_edges:
+            u, v = g.endpoints(eid)
+            state.insert_edge(eid, u, v, fd[u] if fd[u] >= 0 else None,
+                              fd[v] if fd[v] >= 0 else None, check=True)
+    state._audit()
+    return state.rotation().to_text()
+
+
+class TestInsertionBodyMatchesPublicPath:
+    """``build_embedding`` validates the family once and calls the
+    insertion body directly; it emits the rotations that the checking
+    ``insert_adjacent_pair`` path gives."""
+
+    @staticmethod
+    def _assert_same(g, pairs):
+        text = public_path_rotation_text(g, pairs)
+        assert build_embedding(g, pairs).rotation.to_text() == text
+        assert build_embedding(g, pairs, check=True).rotation.to_text() == text
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_seeded_multigraphs(self, policy):
+        for seed in range(60):
+            n = 2 + seed % 13
+            g = gen_random_connected_multigraph(
+                n, n + 1 + seed % 30, seed=seed,
+                loop_prob=0.3 if seed % 2 else 0.1,
+                parallel_prob=0.3 if seed % 2 else 0.1)
+            self._assert_same(g, greedy_max_genus(g, policy=policy,
+                                                  seed=seed).pairs)
+
+    def test_shuffled_circulant(self):
+        g = circulant_shuffled_ids(512, 3)
+        self._assert_same(g, greedy_max_genus(g).pairs)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_bouquet(self, k):
+        # one vertex: the first loop of the first pair starts bare
+        g = gen_bouquet(k)
+        pairs = greedy_max_genus(g).pairs
+        assert len(pairs) == k // 2
+        self._assert_same(g, pairs)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 40])
+    def test_dipole(self, k):
+        g = gen_dipole(k)
+        pairs = greedy_max_genus(g).pairs
+        assert len(pairs) == (k - 1) // 2
+        self._assert_same(g, pairs)
 
 
 # SHA-256 of build_embedding(g, greedy pairs).rotation.to_text() and the

@@ -17,6 +17,8 @@ from maxgenus import (
 )
 from maxgenus.graph import dart, dart_edge, dart_end, format_dart, parse_dart, twin
 
+import _reference
+
 
 def triangle():
     g = MultiGraph(3)
@@ -142,6 +144,51 @@ class TestParsing:
         assert g.endpoints(0) == (0, 1)
         assert g.endpoints(1) == (1, 2)
         assert g.labels == {0: "v", 1: "u", 2: "w"}
+
+
+def _parse(parse, text):
+    """Everything ``parse`` gives for ``text`` that can be compared: the
+    edge and incidence maps in insertion order and the labels, or the
+    parse error's message and line number."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+    return (list(g._edges.items()), [list(d.items()) for d in g._inc],
+            g._next_id, g.labels)
+
+
+LABELS = st.sampled_from(["a", "b", "c", "a1", "\u00e9", "7"])
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\u2003", " \t\u2003"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\u2028"])
+
+
+@st.composite
+def edge_list_lines(draw):
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "loop", "blank",
+                                 "comment", "bad"]))
+    sep = draw(SEPARATORS)
+    if kind in ("edge", "loop"):
+        u = draw(LABELS)
+        words = [u, u if kind == "loop" else draw(LABELS)]
+    elif kind == "bad":
+        words = draw(st.lists(LABELS, min_size=1, max_size=3).filter(
+            lambda w: len(w) != 2))
+    else:
+        words = []
+    line = draw(st.sampled_from(["", sep])) + sep.join(words)
+    if kind == "comment" or draw(st.booleans()):
+        line += draw(st.sampled_from(["#", " # x y", "\t#a b c"]))
+    return line + draw(st.sampled_from(["", sep]))
+
+
+@given(st.lists(st.tuples(edge_list_lines(), LINE_ENDS, st.integers(1, 2)),
+                max_size=12))
+def test_property_parse_matches_the_reference(lines):
+    # each drawn line appears once or twice, so repeats are common
+    text = "".join((line + end) * times for line, end, times in lines)
+    assert _parse(parse_edge_list, text) == _parse(
+        _reference.parse_edge_list, text)
 
 
 class TestConnectivity:

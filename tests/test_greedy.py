@@ -32,6 +32,7 @@ from maxgenus.graph import bfs_tree
 from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
 from _corpus import circulant_from_shuffled_text, random_corpus
+import _reference
 from _reference import MirrorGraph
 
 
@@ -103,6 +104,43 @@ class TestVerify:
         # removing both parallel edges of one leaf cuts it off
         res = verify_pair_set(g, PairSet([AdjacentPair(0, 1, 0)]))
         assert not res and res.reason == "disconnected"
+
+    def test_pair_check_matches_the_reference(self):
+        # corrupt greedy families: a missing e, a missing f, an edge
+        # shared by two pairs, a wrong witness, and two of these at once
+        rng = random.Random(0)
+        reasons = set()
+        for seed in range(40):
+            n = 4 + seed % 17
+            g = gen_random_connected_multigraph(
+                n, 2 * n + seed % 9, seed=seed, loop_prob=0.2,
+                parallel_prob=0.2)
+            pairs = greedy_max_genus(g, seed=seed).pairs.pairs
+            assert len(pairs) >= 2
+            for faults in ([0], [1], [2], [3], rng.sample(range(4), 2)):
+                family = list(pairs)
+                for kind in faults:
+                    i = rng.randrange(len(family))
+                    p = family[i]
+                    if kind == 0:
+                        p = AdjacentPair(-1 - i, p.f, p.witness)
+                    elif kind == 1:
+                        p = AdjacentPair(p.e, g._next_id + i, p.witness)
+                    elif kind == 2:
+                        other = family[(i + 1) % len(family)]
+                        p = AdjacentPair(p.e, other.f, p.witness)
+                    else:
+                        common = set(g._edges.get(p.e, ())) & set(
+                            g._edges.get(p.f, ()))
+                        p = AdjacentPair(p.e, p.f, rng.choice(
+                            [v for v in range(-1, n + 1) if v not in common]))
+                    family[i] = p
+                family = PairSet(family)
+                seen, reason = greedy._pair_edge_set(g, family)
+                assert (seen, reason) == _reference.pair_edge_set(g, family)
+                assert reason is not None
+                reasons.add(reason.split(":")[0])
+        assert reasons == {"missing-edge", "duplicate-edge", "not-adjacent"}
 
 
 class TestGreedy:

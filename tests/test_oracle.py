@@ -21,6 +21,8 @@ from maxgenus import (
 )
 from maxgenus.oracle import rotation_count
 
+import _reference
+
 
 def cycle(n):
     g = MultiGraph(n)
@@ -157,6 +159,18 @@ class TestPairSearch:
         g = gen_bouquet(5)
         k, witness = exact_max_genus_pairs(g)
         assert k == 2 and len(witness.pairs) == 2
+
+    def test_same_value_and_witness_as_the_recursive_search(
+            self, exhaustive_corpus, seeded_corpus):
+        for g in exhaustive_corpus + seeded_corpus:
+            k, witness = exact_max_genus_pairs(g)
+            assert (k, witness) == _reference.exact_max_genus_pairs(g)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 1200 pairs deep, past the default limit of 1000 frames
+        k, witness = exact_max_genus_pairs(gen_bouquet(2400),
+                                           max_edges=100_000)
+        assert k == 1200 and len(witness.pairs) == 1200
 
 
 class TestRotations:
