@@ -35,6 +35,9 @@ from .graph import (
 )
 from .greedy import DEFAULT_POLICY, POLICIES
 from .oracle import (
+    DEFAULT_PAIRS_EDGE_LIMIT,
+    DEFAULT_ROTATION_LIMIT,
+    DEFAULT_TREE_LIMIT,
     LimitExceededError,
     exact_max_genus_pairs,
     exact_max_genus_rotations,
@@ -213,11 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--method", choices=("pairs", "xuong", "rotations", "all"),
                    default="all")
-    p.add_argument("--max-edges", type=int, default=16,
+    p.add_argument("--max-edges", type=int, default=DEFAULT_PAIRS_EDGE_LIMIT,
                    help="edge limit for the pair search")
-    p.add_argument("--tree-limit", type=int, default=100_000,
+    p.add_argument("--tree-limit", type=int, default=DEFAULT_TREE_LIMIT,
                    help="spanning-tree enumeration limit")
-    p.add_argument("--rotation-limit", type=int, default=1_000_000,
+    p.add_argument("--rotation-limit", type=int,
+                   default=DEFAULT_ROTATION_LIMIT,
                    help="rotation-system enumeration limit")
     p.set_defaults(func=cmd_exact)
 

@@ -5,13 +5,15 @@ the greedy's bounds:
 
 * :func:`exact_max_genus_pairs` searches over families of disjoint
   adjacent pairs whose removal keeps the graph connected; the optimum
-  family size equals the maximum genus.
+  family size equals the maximum genus.  A candidate pair at witness v
+  is tested by one search from v that stops once it meets the pair's
+  other ends.
 * :func:`xuong_max_genus` minimizes, over all spanning trees, the number
   of cotree components with an odd edge count; the maximum genus is
   ``(beta - min_odd) / 2``.
 * :func:`exact_max_genus_rotations` enumerates rotation systems (first
-  dart per vertex pinned) and maximizes the genus of the traced
-  embedding.
+  dart per vertex pinned) and maximizes the genus, tracing each
+  rotation's faces itself, apart from :mod:`.embedding`.
 
 All three are exponential; each takes an explicit limit and raises
 :class:`LimitExceededError` beyond it rather than running away.
@@ -20,7 +22,7 @@ All three are exponential; each takes an explicit limit and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .graph import (
@@ -84,11 +86,38 @@ def exact_max_genus_pairs(
 
     n = g.n_vertices
     cap = (g.n_edges - n + 1) // 2
-    work = g.copy()
-    edges, ends = work._edges, g._edges  # a deleted edge's ends stay in g
+    # the work graph, edited in place: incidence maps and present edges
+    inc = [dict(d) for d in g._inc]
+    present = set(g._edges)
+    ends = g._edges
+    mark = [0] * n
+    stamp = 0
+
+    def cut(c: tuple[int, int, int, int]) -> None:
+        for e in c[1:3]:
+            u, w = ends[e]
+            present.remove(e)
+            del inc[u][2 * e], inc[w][2 * e + 1]
 
     def restore(c: tuple[int, int, int, int]) -> None:
-        work.restore_edges(((c[1], *ends[c[1]]), (c[2], *ends[c[2]])))
+        for e in c[1:3]:
+            u, w = ends[e]
+            present.add(e)
+            inc[u][2 * e], inc[w][2 * e + 1] = w, u
+
+    def reaches(v: int, a: int, b: int) -> bool:
+        nonlocal stamp
+        stamp += 1
+        mark[v] = stamp
+        stack = [v]
+        while stack:
+            for y in inc[stack.pop()].values():
+                if mark[y] != stamp:
+                    mark[y] = stamp
+                    if mark[a] == mark[b] == stamp:
+                        return True
+                    stack.append(y)
+        return False
 
     best_k = 0
     best: list[tuple[int, int, int, int]] = []
@@ -102,21 +131,23 @@ def exact_max_genus_pairs(
             best_k, best = k, list(chosen)
             if best_k == cap:
                 break
-        if k + (work.n_edges - n + 1) // 2 > best_k:
+        if k + (len(present) - n + 1) // 2 > best_k:
             starts.append(start)
         elif chosen:  # pruned: back to the parent
             restore(chosen.pop())
         # the next child of the innermost open node, closing each node
-        # that has none left
+        # that has none left.  The work graph is connected at every node,
+        # so every piece of it minus {e, f} holds an end of e or f.
         while starts:
             for i in range(starts[-1], len(cands)):
                 c = cands[i]
-                _, e, f, _ = c
-                if not (e in edges and f in edges):
+                _, e, f, v = c
+                if not (e in present and f in present):
                     continue
-                work.delete_edge(e)
-                work.delete_edge(f)
-                if is_connected(work):
+                cut(c)
+                a = ends[e][ends[e][0] == v]  # the far ends from v
+                b = ends[f][ends[f][0] == v]
+                if a == b == v or reaches(v, a, b):
                     break
                 restore(c)
             else:
@@ -321,32 +352,57 @@ def exact_max_genus_rotations(
 
     Cyclic orders are counted once by pinning the first dart at every
     vertex.  Raises :class:`LimitExceededError` when the rotation count
-    exceeds ``limit``.
+    exceeds ``limit``.  Each rotation is written into one flat list of
+    face successors, ``phi[d] = sigma_next[d ^ 1]``, whose orbits are
+    counted under a stamp reused across rotations.
     """
-    from itertools import permutations, product
-
-    from .embedding import genus_of
-
     _require_connected(g)
     total = rotation_count(g)
     if total > limit:
         raise LimitExceededError(
             f"{total} rotation systems exceed limit {limit}"
         )
-    per_vertex: list[list[tuple[int, ...]]] = []
-    verts = list(g.vertices())
-    for v in verts:
-        darts = sorted(g.darts_at(v))
-        if len(darts) <= 1:
-            per_vertex.append([tuple(darts)])
-        else:
-            head, rest = darts[0], darts[1:]
-            per_vertex.append([(head,) + p for p in permutations(rest)])
-    best = 0
-    cap = (g.n_edges - g.n_vertices + 1) // 2
-    for combo in product(*per_vertex):
-        rot = {v: order for v, order in zip(verts, combo)}
-        genus = genus_of(g, rot, validate=False)
+    n, m = g.n_vertices, g.n_edges
+    phi = [0] * (2 * g._next_id)
+    mark = [0] * len(phi)
+    every = [d for darts in g._inc for d in darts]
+    # per vertex of degree > 2: the twins of its sorted darts and, per
+    # permutation of all but the first dart, the successor of each dart
+    twins: list[tuple[int, ...]] = []
+    choices: list[list[tuple[int, ...]]] = []
+    for darts in g._inc:
+        darts = sorted(darts)
+        if len(darts) <= 2:  # one rotation: written once
+            for i, d in enumerate(darts):
+                phi[d ^ 1] = darts[i - 1]  # the other dart, or d itself
+            continue
+        twins.append(tuple(d ^ 1 for d in darts))
+        choices.append([])
+        for p in permutations(darts[1:]):
+            nxt = dict(zip((darts[0],) + p, p + (darts[0],)))
+            choices[-1].append(tuple(nxt[d] for d in darts))
+    best = stamp = 0
+    cap = (m - n + 1) // 2
+    last = [None] * len(twins)  # rewrite only the vertices that changed
+    for combo in product(*choices):
+        for j, succ in enumerate(combo):
+            if succ is not last[j]:
+                last[j] = succ
+                for t, s in zip(twins[j], succ):
+                    phi[t] = s
+        stamp += 1
+        faces = 0
+        for d in every:
+            if mark[d] != stamp:
+                faces += 1
+                while mark[d] != stamp:
+                    mark[d] = stamp
+                    d = phi[d]
+        chi = n - m + (faces or 1)  # a lone vertex has one face
+        if chi > 2 or chi % 2:
+            raise CertificationError(
+                f"Euler characteristic {chi} is odd or > 2")
+        genus = (2 - chi) // 2
         if genus > best:
             best = genus
             if best == cap:

@@ -1,5 +1,5 @@
 """Test corpora: exhaustive small multigraphs, seeded random instances and
-shuffled circulants.
+shuffled circulants, and digests of what the package computes on them.
 
 The exhaustive corpus holds every connected multigraph with at most
 ``max_edges`` edges, one representative per isomorphism class.  It is
@@ -24,14 +24,18 @@ from itertools import permutations, product
 
 from maxgenus import (
     CertificationError,
+    LimitExceededError,
     MultiGraph,
     build_embedding,
+    exact_max_genus_pairs,
+    exact_max_genus_rotations,
     gen_circulant,
     gen_random_connected_multigraph,
     genus_of,
     parse_edge_list,
     run_pipeline,
     verify_pair_set,
+    xuong_max_genus,
 )
 
 Edges = tuple[tuple[int, int], ...]
@@ -179,3 +183,27 @@ def certify_digest(graphs: list[MultiGraph]) -> str:
         triples = [(p.e, p.f, p.witness) for p in pairs]
         h.update(f"{triples}\n{emb.rotation.to_text()}{genus}\n".encode())
     return h.hexdigest()
+
+
+def oracle_values(graphs: list[MultiGraph]) -> list[str]:
+    """The three exact oracles' values at their default limits, one
+    ``pairs/xuong/rotations`` token per graph (``skipped`` where a limit
+    is hit), then a SHA-256 over the pair oracle's witnesses.  Like
+    :func:`certify_digest`, it checks nothing itself."""
+    h = hashlib.sha256()
+    tokens = []
+    for g in graphs:
+        values = []
+        for oracle in (exact_max_genus_pairs, xuong_max_genus,
+                       exact_max_genus_rotations):
+            try:
+                out = oracle(g)
+            except LimitExceededError:
+                values.append("skipped")
+                continue
+            if oracle is exact_max_genus_pairs:
+                h.update(f"{[(p.e, p.f, p.witness) for p in out[1]]}\n"
+                         .encode())
+            values.append(str(out if isinstance(out, int) else out[0]))
+        tokens.append("/".join(values))
+    return tokens + [h.hexdigest()]

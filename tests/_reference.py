@@ -1,12 +1,14 @@
 """From-scratch references: connectivity for checking ``DfsBackend``,
 pair insertion for checking ``EmbeddingState``'s corner list, the
 corner list's merge step on one flat list for checking its blocks, and
-plain forms of the pair check, the edge-list parser and the pair oracle
-(recursive) for checking the faster ones."""
+plain forms of the pair check, the edge-list parser, the pair oracle
+(recursive) and the rotation oracle (traced by ``genus_of``) for checking
+the faster ones."""
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import permutations, product
 
 from maxgenus import (
     AdjacentPair,
@@ -14,6 +16,7 @@ from maxgenus import (
     PairSet,
     ParseError,
     RotationSystem,
+    genus_of,
     is_connected,
 )
 from maxgenus.graph import bfs_tree
@@ -258,3 +261,26 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
 
     search(0)
     return best_k, PairSet(list(best))
+
+
+def exact_max_genus_rotations(g: MultiGraph) -> int:
+    """``oracle.exact_max_genus_rotations`` as a product over every
+    vertex's orders (first dart pinned), each rotation's genus traced by
+    ``genus_of``, with no rotation limit."""
+    per_vertex: list[list[tuple[int, ...]]] = []
+    for v in g.vertices():
+        darts = sorted(g.darts_at(v))
+        if len(darts) <= 1:
+            per_vertex.append([tuple(darts)])
+        else:
+            head, rest = darts[0], darts[1:]
+            per_vertex.append([(head,) + p for p in permutations(rest)])
+    best = 0
+    cap = (g.n_edges - g.n_vertices + 1) // 2
+    for combo in product(*per_vertex):
+        genus = genus_of(g, dict(enumerate(combo)), validate=False)
+        if genus > best:
+            best = genus
+            if best == cap:
+                break
+    return best

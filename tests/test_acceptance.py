@@ -42,7 +42,7 @@ from maxgenus import (
 )
 from maxgenus.oracle import rotation_count
 
-from _corpus import certify_digest, random_corpus
+from _corpus import certify_digest, oracle_values, random_corpus
 from _reference import MirrorGraph
 
 ACCEPTANCE_LINES: list[str] = []
@@ -304,13 +304,15 @@ def test_criterion_9():
                 f"{fit_loglog_slope(embed_points):.2f} over m = {span}")
 
 
-@_record(10, "the certify path gives the same digest under python -O")
+@_record(10, "the certify path and the oracles agree under python -O")
 def test_criterion_10():
     # -O strips assert statements, so the child only prints; every
     # comparison is made here
     script = ("import sys\n"
-              "from _corpus import certify_digest, random_corpus\n"
-              "print(sys.flags.optimize, certify_digest(random_corpus(100)))\n")
+              "from _corpus import certify_digest, oracle_values, "
+              "random_corpus\n"
+              "print(sys.flags.optimize, certify_digest(random_corpus(100)),"
+              " *oracle_values(random_corpus(60)))\n")
     here = Path(__file__).resolve().parent
     src = Path(maxgenus.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -318,5 +320,7 @@ def test_criterion_10():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    values = oracle_values(random_corpus(60))
+    assert "skipped" in " ".join(values)  # a limit is hit, and reported
     assert proc.stdout.split() == [
-        "1", certify_digest(random_corpus(100))]
+        "1", certify_digest(random_corpus(100)), *values]

@@ -21,7 +21,7 @@ from maxgenus import (
     parse_edge_list,
     verify_pair_set,
 )
-from maxgenus import BenchConfig, bench, cli
+from maxgenus import BenchConfig, bench, cli, oracle
 from maxgenus.graph import format_dart
 
 CLI = [sys.executable, "-m", "maxgenus.cli"]
@@ -120,6 +120,12 @@ class TestExact:
         assert proc.returncode == 0
         assert "gamma_M = 0" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    def test_limit_defaults_are_the_oracles_own(self):
+        args = cli.build_parser().parse_args(["exact"])
+        assert (args.max_edges, args.tree_limit, args.rotation_limit) == (
+            oracle.DEFAULT_PAIRS_EDGE_LIMIT, oracle.DEFAULT_TREE_LIMIT,
+            oracle.DEFAULT_ROTATION_LIMIT)
 
     def test_oracle_disagreement(self, tmp_path, monkeypatch, capsys):
         graph_file = tmp_path / "k4.edges"

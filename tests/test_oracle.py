@@ -13,12 +13,14 @@ from maxgenus import (
     gen_dipole,
     gen_tight_star,
     gen_random_connected_multigraph,
+    is_connected,
     odd_components,
     parse_edge_list,
     spanning_trees,
     verify_pair_set,
     xuong_max_genus,
 )
+from maxgenus import graph
 from maxgenus.oracle import rotation_count
 
 import _reference
@@ -29,6 +31,27 @@ def cycle(n):
     for v in range(n):
         g.add_edge(v, (v + 1) % n)
     return g
+
+
+def without_edge(g, eid):
+    """A copy of g without edge ``eid``: its edge ids have a gap, so
+    ``_next_id`` exceeds the edge count."""
+    h = g.copy()
+    h.delete_edge(eid)
+    return h
+
+
+def heavy_multigraphs():
+    """Loop-heavy and parallel-heavy multigraphs with m <= 14, and copies
+    with an edge id gap."""
+    graphs = []
+    for seed in range(24):
+        n, m = 2 + seed % 5, 8 + seed % 7
+        loops = 0.5 if seed % 2 else 0.3
+        graphs.append(gen_random_connected_multigraph(
+            n, m, loop_prob=loops, parallel_prob=0.8 - loops, seed=seed))
+    gaps = [without_edge(g, g.n_edges // 2) for g in graphs[:8]]
+    return graphs + [h for h in gaps if is_connected(h)]
 
 
 FROZEN = [
@@ -166,6 +189,22 @@ class TestPairSearch:
             k, witness = exact_max_genus_pairs(g)
             assert (k, witness) == _reference.exact_max_genus_pairs(g)
 
+    def test_same_value_and_witness_on_heavy_multigraphs(self):
+        for g in heavy_multigraphs():
+            k, witness = exact_max_genus_pairs(g)
+            assert (k, witness) == _reference.exact_max_genus_pairs(g)
+
+    def test_one_whole_graph_connectivity_check(self, monkeypatch):
+        # candidates are tested by a search from the witness; only the
+        # input is checked for connectivity as a whole
+        calls = []
+        count = graph._component_count
+        monkeypatch.setattr(graph, "_component_count",
+                            lambda g: calls.append(1) or count(g))
+        k, _ = exact_max_genus_pairs(
+            gen_random_connected_multigraph(6, 14, seed=3))
+        assert k == 4 and len(calls) <= 1
+
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # 1200 pairs deep, past the default limit of 1000 frames
         k, witness = exact_max_genus_pairs(gen_bouquet(2400),
@@ -186,6 +225,19 @@ class TestRotations:
     def test_every_rotation_within_bound(self):
         g = gen_dipole(3)
         assert exact_max_genus_rotations(g) == 1
+
+    def test_same_value_as_the_genus_of_search(
+            self, exhaustive_corpus, seeded_corpus):
+        graphs = [gen_bouquet(k) for k in range(1, 5)]
+        graphs += [gen_dipole(k) for k in range(2, 6)]
+        graphs += [gen_complete(4), MultiGraph(1),
+                   without_edge(gen_complete(4), 2),
+                   without_edge(gen_tight_star(1), 0)]
+        graphs += [g for g in exhaustive_corpus + seeded_corpus
+                   if rotation_count(g) <= 10_000]
+        for g in graphs:
+            assert (exact_max_genus_rotations(g)
+                    == _reference.exact_max_genus_rotations(g))
 
 
 @given(st.integers(0, 300))
