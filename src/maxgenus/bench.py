@@ -198,9 +198,11 @@ def run_bench(cfg: BenchConfig) -> list[RunReport]:
 def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    Needs at least two distinct x values; y is clamped away from zero so
-    timer underflow cannot poison the fit.
+    Needs at least two distinct x values, all positive; y is clamped away
+    from zero so timer underflow cannot poison the fit.
     """
+    if any(x <= 0 for x, _ in points):
+        raise GraphError("slope fit needs positive sizes")
     if len({x for x, _ in points}) < 2:
         raise GraphError("slope fit needs at least two distinct sizes")
     lx = [math.log(x) for x, _ in points]
@@ -216,7 +218,8 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
 @dataclass(frozen=True)
 class BenchSummary:
     """Per policy: rows of (n, m, mean elapsed, mean tests) sorted by m,
-    plus log-log slopes of both quantities against m."""
+    plus log-log slopes of both quantities against m over the rows with
+    m >= 1."""
 
     rows: dict[str, list[tuple[int, int, float, float]]]
     elapsed_slopes: dict[str, float]
@@ -239,11 +242,12 @@ def summarize(reports: list[RunReport]) -> BenchSummary:
             mean_q = sum(r.stats["tests"] for r in rs) / len(rs)
             table.append((n, m, mean_t, mean_q))
         rows[policy] = table
-        if len({m for _, m, _, _ in table}) >= 2:
+        fitted = [row for row in table if row[1] >= 1]
+        if len({m for _, m, _, _ in fitted}) >= 2:
             elapsed_slopes[policy] = fit_loglog_slope(
-                [(m, t) for _, m, t, _ in table])
+                [(m, t) for _, m, t, _ in fitted])
             test_slopes[policy] = fit_loglog_slope(
-                [(m, q) for _, m, _, q in table])
+                [(m, q) for _, m, _, q in fitted])
     return BenchSummary(rows, elapsed_slopes, test_slopes)
 
 

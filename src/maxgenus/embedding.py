@@ -1,4 +1,4 @@
-"""Rotation-system embeddings and incremental genus-raising insertion.
+"""Rotation-system embeddings and the certified embedding of a pair family.
 
 A rotation system assigns every vertex a cyclic order of its darts and
 determines an embedding in an orientable surface.  Faces are the orbits
@@ -6,18 +6,14 @@ of ``d -> sigma_next[twin(d)]``; with n vertices, m edges and f faces the
 genus is ``(2 - (n - m + f)) / 2``.  Faces are only ever counted by
 tracing these orbits; no face labels are kept.
 
-:class:`EmbeddingState` maintains an embedding under one-edge insertions.
-Inserting an edge whose two corners lie on a common face splits that face
-(genus unchanged); corners on distinct faces merge them (genus rises by
-one); the remaining cases attach a pendant dart or seed a loop on a bare
-vertex.  :func:`build_embedding` turns a verified family of k disjoint
-adjacent pairs into an explicit embedding of genus at least k: embed a
-spanning tree avoiding the pair edges (one face), then add each pair with
-a split followed by a forced merge, then place the leftover edges.  It
-validates once, then inserts: the family is checked up front, and each
-pair goes to the check-free insertion body
-:meth:`EmbeddingState._insert_pair`, which the checking
-:meth:`EmbeddingState.insert_adjacent_pair` also runs.
+:func:`build_embedding` turns a verified family of k disjoint adjacent
+pairs into an explicit embedding of genus at least k: embed a spanning
+tree avoiding the pair edges (one face), then add each pair with a split
+followed by a forced merge, then place the leftover edges.  It validates
+once, then inserts: the family is checked up front, and
+:class:`EmbeddingState`, its engine, inserts with no further check.  An
+edge whose two corners lie on a common face splits that face (genus
+unchanged); corners on distinct faces merge them (genus rises by one).
 
 A corner is named by the dart it precedes: inserting at corner ``r``
 splices the new dart immediately before ``r`` in the vertex rotation.
@@ -35,10 +31,9 @@ arcs they cut in the reverse cyclic order, so swapping two arcs keeps
 the list.  The list is kept in blocks of about sqrt(n) darts, which the
 swap moves whole, so a pair costs about sqrt(n) steps, not n.  A loop or
 a parallel pair needs no lookup.  The rotations are flat lists indexed
-by dart.  The state also tracks whether it is known to have one face
-(``one_face``), which pair insertion keeps.  A leftover edge goes
-in at ``first_dart`` of both ends: whether it splits or merges, the
-genus never drops, so the pairs' k stays a lower bound.
+by dart.  A leftover edge goes in at ``first_dart`` of both ends:
+whether it splits or merges, the genus never drops, so the pairs' k stays
+a lower bound.
 :func:`build_embedding` takes the genus from one trace of the final
 rotations.
 """
@@ -234,89 +229,52 @@ def genus_and_faces(
 # ---------------------------------------------------------------------------
 
 class EmbeddingState:
-    """Embedding of a growing subgraph on a fixed vertex set.
+    """:func:`build_embedding`'s engine: the embedding of a growing
+    subgraph on a fixed vertex set.  It starts from :meth:`tree_embedding`;
+    :meth:`_insert_pair` and :meth:`_splice_edge` then insert with no
+    check, the caller having verified its input.
 
-    Darts index flat lists: ``sigma_next[d]`` and ``sigma_prev[d]`` give
-    the vertex rotations and ``vertex_of[d]`` the vertex of dart d, each
-    -1 for a dart not embedded.  The lists grow when an edge id past
-    their end goes in.  ``first_dart[v]`` is a dart at v, -1 at a bare
-    vertex.  Faces are counted by tracing; a dartless state counts one
-    virtual face so Euler bookkeeping works from the start.  ``one_face``
-    is true while the state is known to have a single face: a trace sets
-    it after construction, pair insertion keeps it, and single-edge
-    insertion clears it.  While it holds, ``corners`` holds ``first_dart``
-    of every vertex with darts in the order the one face meets them, up
-    to rotation, cut into blocks: Python lists, each non-empty and at
-    most ``block_cap`` = max(16, 2·isqrt(n)) long, built half full, with
-    ``where[d]`` the block that holds the first dart d.  Single-edge
-    insertion and a splice that sets a new ``first_dart`` reset
-    ``corners`` to None, and the next pair retraces it.
+    Darts index flat lists of ``n_darts`` entries: ``sigma_next[d]`` and
+    ``sigma_prev[d]`` give the vertex rotations and ``vertex_of[d]`` the
+    vertex of dart d, each -1 for a dart not embedded.  ``first_dart[v]``
+    is a dart at v, -1 at a bare vertex.  Faces are counted by tracing; a
+    dartless state counts one virtual face so Euler bookkeeping works
+    from the start.  While the pairs go in there is one face, and
+    ``corners`` holds ``first_dart`` of every vertex with darts in the
+    order that face meets them, up to rotation, cut into blocks: Python
+    lists, each non-empty and at most ``block_cap`` = max(16,
+    2·isqrt(n)) long, built half full, with ``where[d]`` the block that
+    holds the first dart d.  :meth:`_splice_edge` drops ``corners`` (sets
+    it to None): the edge it puts in may split the face.
     """
 
     __slots__ = (
         "n_vertices", "m_emb", "sigma_next", "sigma_prev", "vertex_of",
-        "first_dart", "one_face", "corners", "where", "block_cap",
+        "first_dart", "corners", "where", "block_cap",
     )
 
-    def __init__(self, n_vertices: int):
+    def __init__(self, n_vertices: int, n_darts: int):
         if n_vertices <= 0:
             raise GraphError("embedding needs at least one vertex")
         self.n_vertices = n_vertices
         self.m_emb = 0
-        self.sigma_next: list[int] = []
-        self.sigma_prev: list[int] = []
-        self.vertex_of: list[int] = []
-        self.where: list[list[int] | None] = []
+        self.sigma_next = [-1] * n_darts
+        self.sigma_prev = [-1] * n_darts
+        self.vertex_of = [-1] * n_darts
+        self.where: list[list[int] | None] = [None] * n_darts
         self.first_dart = [-1] * n_vertices
-        self.one_face = True
         self.corners: list[list[int]] | None = []
         self.block_cap = max(16, 2 * isqrt(n_vertices))
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_sigma(
-        cls, n_vertices: int, order: Mapping[int, Sequence[int]],
-        vertex_of: Mapping[int, int],
-    ) -> "EmbeddingState":
-        """State with the rotation ``order`` (vertex to its darts in
-        cyclic order).  Every dart must be listed once, together with its
-        twin, at the vertex ``vertex_of`` gives it; else raises
-        :class:`GraphError`."""
-        darts = [d for cyc in order.values() for d in cyc]
-        listed = set(darts)
-        if len(listed) < len(darts) or any(d < 0 or d ^ 1 not in listed
-                                           for d in listed):
-            raise GraphError("rotation darts must be distinct, non-negative "
-                             "and listed with their twins")
-        st = cls(n_vertices)
-        # the largest dart is odd, its twin being listed
-        st._grow(max(darts, default=-1) + 1)
-        sn, sp, vo = st.sigma_next, st.sigma_prev, st.vertex_of
-        for v, cyc in order.items():
-            if not 0 <= v < n_vertices:
-                raise GraphError(f"vertex {v} out of range")
-            k = len(cyc)
-            for i, d in enumerate(cyc):
-                sn[d] = cyc[(i + 1) % k]
-                sp[cyc[(i + 1) % k]] = d
-                vo[d] = v
-            if k:
-                st.first_dart[v] = cyc[0]
-        st.m_emb = len(darts) // 2
-        for d in darts:
-            if vertex_of[d] != vo[d]:
-                raise GraphError(f"dart {d} listed at the wrong vertex")
-        st._set_corners(st._trace_corners())
-        st.one_face = st.corners is not None
-        return st
+    # -- constructor -------------------------------------------------------
 
     @classmethod
     def tree_embedding(
         cls, g: MultiGraph, tree_edges: "set[int] | frozenset[int]"
     ) -> "EmbeddingState":
         """Single-face embedding of a spanning tree, sorted darts per
-        vertex, written straight into the dart lists."""
+        vertex, written straight into dart lists sized for every edge id
+        of g."""
         n = g.n_vertices
         if len(tree_edges) != n - 1:
             raise GraphError("spanning tree needs n-1 edges")
@@ -327,8 +285,7 @@ class EmbeddingState:
                 raise GraphError("loop in spanning tree")
             at[u].append(2 * eid)
             at[v].append(2 * eid + 1)
-        st = cls(n)
-        st._grow(2 * g._next_id)
+        st = cls(n, 2 * g._next_id)
         sn, sp, vo = st.sigma_next, st.sigma_prev, st.vertex_of
         for v, darts in enumerate(at):
             if darts:
@@ -341,19 +298,11 @@ class EmbeddingState:
                     p = d
                 st.first_dart[v] = darts[0]
         st.m_emb = n - 1
-        st._set_corners(st._trace_corners())
-        if st.corners is None:
+        flat = st._trace_corners()
+        if flat is None:
             raise GraphError("tree edges do not span the graph")
+        st._set_corners(flat)
         return st
-
-    def _grow(self, n_darts: int) -> None:
-        """Lengthen the dart lists to at least ``n_darts``, at least
-        doubling them; an even ``n_darts`` keeps them even."""
-        extra = max(n_darts, 2 * len(self.vertex_of)) - len(self.vertex_of)
-        self.sigma_next += [-1] * extra
-        self.sigma_prev += [-1] * extra
-        self.vertex_of += [-1] * extra
-        self.where += [None] * extra
 
     # -- queries -----------------------------------------------------------
 
@@ -404,18 +353,11 @@ class EmbeddingState:
             order[v] = _canonical_cycle(cyc)
         return RotationSystem(order)
 
-    def faces(self) -> FaceSet:
-        """Face boundaries by one O(m) trace."""
-        return _face_set(self.rotation().order)
-
     # -- the corner list ---------------------------------------------------
 
-    def _set_corners(self, flat: list[int] | None) -> None:
+    def _set_corners(self, flat: list[int]) -> None:
         """Keep the first darts ``flat`` as ``corners``, in blocks half
-        full; None drops the list."""
-        if flat is None:
-            self.corners = None
-            return
+        full."""
         half = self.block_cap // 2
         self.corners = [flat[i:i + half] for i in range(0, len(flat), half)]
         where = self.where
@@ -506,7 +448,6 @@ class EmbeddingState:
         if ref < 0:
             sn[d] = sp[d] = d
             self.first_dart[v] = d
-            self.corners = None
             return
         p = sp[ref]
         sn[p] = d
@@ -517,106 +458,27 @@ class EmbeddingState:
     def _splice_edge(
         self, eid: int, u: int, v: int, corner_u: int, corner_v: int,
     ) -> None:
-        """Splice edge ``eid``'s darts in before the given corners.  A bare
-        end (corner -1) gets a one-dart rotation; a loop on a bare vertex
-        puts its second dart next to the first."""
+        """Splice edge ``eid``, dart 2*eid at u and 2*eid+1 at v (its
+        stored endpoint order), in before the given corners, and drop
+        ``corners``.  A bare end (corner -1) gets a one-dart rotation; a
+        loop on a bare vertex puts its second dart next to the first."""
         d0 = 2 * eid
-        if d0 >= len(self.vertex_of):
-            self._grow(d0 + 2)
         self._splice(d0, u, corner_u)
         if corner_v < 0 and u == v:
             corner_v = d0
         self._splice(d0 + 1, v, corner_v)
         self.m_emb += 1
-
-    def _check_corner(self, v: int, corner: int | None) -> None:
-        if not 0 <= v < self.n_vertices:
-            raise GraphError(f"vertex {v} out of range")
-        if corner is None:
-            if self.first_dart[v] >= 0:
-                raise GraphError(f"vertex {v} has darts, corner required")
-            return
-        if not (0 <= corner < len(self.vertex_of)
-                and self.vertex_of[corner] == v):
-            raise GraphError(f"corner dart {corner} is not at vertex {v}")
-
-    def insert_edge(
-        self, eid: int, u: int, v: int,
-        corner_u: int | None, corner_v: int | None, *, check: bool = False,
-    ) -> None:
-        """Insert edge ``eid`` with dart 2*eid at u and 2*eid+1 at v.
-
-        The edge splits a face if its corners lie on one face and merges
-        two otherwise; a bare endpoint (corner None) gets a one-dart
-        rotation.  Clears ``one_face`` and ``corners``.  The caller must
-        pass u, v in the edge's stored endpoint order so dart encoding
-        stays aligned with the graph.
-        """
-        if eid < 0:
-            raise GraphError(f"bad edge id {eid}")
-        if 2 * eid < len(self.vertex_of) and self.vertex_of[2 * eid] >= 0:
-            raise GraphError(f"edge {eid} already embedded")
-        self._check_corner(u, corner_u)
-        self._check_corner(v, corner_v)
-        if corner_u is None and corner_v is None and u != v:
-            raise GraphError("cannot join two bare vertices: embedded "
-                             "subgraph must stay connected")
-        self._splice_edge(eid, u, v, -1 if corner_u is None else corner_u,
-                          -1 if corner_v is None else corner_v)
-        self.one_face = False
         self.corners = None
-        if check:
-            self._audit_edges((eid,))
-
-    def insert_adjacent_pair(
-        self, g: MultiGraph, pair: AdjacentPair, *, check: bool = False
-    ) -> None:
-        """Insert both edges of an adjacent pair, raising the genus by one.
-
-        Requires a single current face, so every dart is a corner on it;
-        unless ``corners`` is kept, one trace checks that and rebuilds it.
-        Checks that the witness is an end of both edges, that neither edge
-        is embedded and that every end of the pair carries a dart (raising
-        :class:`CertificationError` if one does not: then the first edge
-        cannot split the face), then inserts by :meth:`_insert_pair`.
-        """
-        if g.n_vertices > self.n_vertices:
-            raise GraphError("graph has more vertices than the embedding")
-        if self.corners is None:
-            flat = self._trace_corners()
-            if flat is None:
-                raise GraphError("pair insertion needs a single face")
-            self._set_corners(flat)
-            self.one_face = True
-        e, f, w = pair.e, pair.f, pair.witness
-        eu, ev = g.endpoints(e)
-        fu, fv = g.endpoints(f)
-        if w not in (eu, ev):
-            raise GraphError("witness is not an endpoint of the first edge")
-        if w not in (fu, fv):
-            raise GraphError("witness is not an endpoint of the second edge")
-        if 2 * f + 2 > len(self.vertex_of):  # f > e, and not negative
-            self._grow(2 * f + 2)
-        for eid in (e, f):
-            if self.vertex_of[2 * eid] >= 0:
-                raise GraphError(f"edge {eid} already embedded")
-        fd = self.first_dart
-        # only two loops on the vertex of a dartless state may start bare
-        if min(fd[eu], fd[ev], fd[fu], fd[fv]) < 0 and (
-                self.m_emb or len({eu, ev, fu, fv}) > 1):
-            raise CertificationError(
-                f"pair ({e}, {f}) at {w} has an end without "
-                "darts, so it cannot split and merge the one face")
-        self._insert_pair(e, f, w, eu, ev, fu, fv)
-        if check:
-            self._audit_edges((e, f))
 
     def _insert_pair(
         self, e: int, f: int, w: int, eu: int, ev: int, fu: int, fv: int,
     ) -> None:
         """Insert the pair of edges e = (eu, ev) and f = (fu, fv) meeting
-        at w, with no check: the caller has validated the pair as
-        :meth:`insert_adjacent_pair` does, and the dart lists reach 2f + 2.
+        at w, raising the genus by one, with no check: the caller has
+        verified the family (w is an end of both edges, neither is
+        embedded) and every end of the pair carries a dart, except for
+        the first loop of a dartless state, so the first edge splits the
+        one face.
 
         The first edge goes in at ``first_dart`` of its ends, x at the
         witness w and y at its far end a, and splits the face: its witness
@@ -625,12 +487,13 @@ class EmbeddingState:
         sigma_next[d_w]`` on the face of [x, y).  The second edge's far
         end b takes z = ``first_dart[b]``, and its witness end enters at
         the flanking corner on the other face, merging the two back into
-        one.  In general :meth:`_merge_corners` tells which face holds z;
-        the rest is O(1).  A loop as second edge goes in at both flanking
-        corners.  If the first edge is a loop, its far end's face is the
-        one-dart face {``after``}, and if b = a, z = y lies on [y, x);
-        either way the witness end goes before ``after``.  Only the first
-        loop of a dartless state starts on a bare vertex.
+        one.  In general :meth:`_merge_corners` tells which face holds z
+        and keeps ``corners``; the rest is O(1).  A loop as second edge
+        goes in at both flanking corners.  If the first edge is a loop,
+        its far end's face is the one-dart face {``after``}, and if b = a,
+        z = y lies on [y, x); either way the witness end goes before
+        ``after``.  Only the first loop of a dartless state starts on a
+        bare vertex.
         """
         sn, sp, vo, fd = (self.sigma_next, self.sigma_prev, self.vertex_of,
                           self.first_dart)
@@ -694,8 +557,6 @@ class EmbeddingState:
         self._audit_darts([d for d in range(len(sn))
                            if sn[d] >= 0 or vo[d] >= 0])
         n_faces = self.n_faces
-        _require(not self.one_face or n_faces == 1,
-                 f"one face expected, the trace finds {n_faces}")
         if self.corners is not None:
             traced = self._trace_corners()
             flat = [d for block in self.corners for d in block]
@@ -759,19 +620,19 @@ def build_embedding(
 ) -> EmbeddingResult:
     """Embedding of g with genus at least ``len(pairs)``.
 
-    Validates once, then inserts.  Verifies the pair family as
+    Validates once, then inserts; this is the one way into
+    :class:`EmbeddingState`.  Verifies the pair family as
     :func:`verify_pair_set` does, with the BFS that checks connectivity
     also giving the spanning tree that avoids the pair edges; a failure
     raises :class:`GraphError` with the same reason.  Then embeds the
     tree and applies the pairs in order by
-    :meth:`EmbeddingState._insert_pair`, with none of
-    :meth:`~EmbeddingState.insert_adjacent_pair`'s per-pair checks: the
-    family passed them, no pair edge is in the tree, and every pair end
+    :meth:`EmbeddingState._insert_pair`, which checks nothing: the family
+    passed the checks, no pair edge is in the tree, and every pair end
     carries a dart, since for n >= 2 the tree spans every vertex (for
     n = 1 every edge is a loop, and only the first starts bare).  Each
-    pair raises the genus by exactly one.  Then it inserts each leftover
-    edge at
-    ``first_dart`` of its ends; a leftover edge splits or merges faces,
+    pair raises the genus by exactly one.  Then it splices each leftover
+    edge in at ``first_dart`` of its ends (a bare vertex, -1, is the one
+    vertex of a graph of loops); a leftover edge splits or merges faces,
     so it never lowers the genus.  The genus comes from one trace of the
     final rotations.
     Raises :class:`CertificationError` if an edge is missing, the traced
@@ -802,10 +663,10 @@ def build_embedding(
     fd = st.first_dart
     for eid in g.edge_ids():
         if eid not in tree and eid not in pair_edges:
-            u, v = g.endpoints(eid)
-            # a bare end (-1) is the one vertex of a graph of loops
-            st.insert_edge(eid, u, v, fd[u] if fd[u] >= 0 else None,
-                           fd[v] if fd[v] >= 0 else None, check=check)
+            u, v = edges[eid]
+            st._splice_edge(eid, u, v, fd[u], fd[v])
+            if check:
+                st._audit_edges((eid,))
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
     n_faces = _face_count(st._darts(), st.sigma_next) if g.n_edges else 1

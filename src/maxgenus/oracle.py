@@ -49,7 +49,7 @@ def _require_connected(g: MultiGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Route 1: optimal adjacent-pair family (branch and bound)
+# Route 1: optimal adjacent-pair family (depth-first search)
 # ---------------------------------------------------------------------------
 
 def exact_max_genus_pairs(
@@ -57,16 +57,15 @@ def exact_max_genus_pairs(
 ) -> tuple[int, PairSet]:
     """Maximum number of disjoint removable adjacent pairs, with a witness.
 
-    Branch and bound over pair subsets in a fixed global pair order
+    Depth-first search over pair subsets in a fixed global pair order
     (ascending witness degree, then edge ids; low-degree witnesses first
     reaches loop-heavy optima quickly).  A pair of parallel edges is taken
-    once, at its lower end.  Each node's bound is
-    ``chosen + floor(beta_residual / 2)``; since removing a pair always
-    lowers the residual cycle rank by exactly 2, the bound can only prune
-    once an optimal incumbent exists, so the search additionally stops as
-    soon as the incumbent hits ``floor(beta / 2)``.  The search runs on an
-    explicit stack, one entry per chosen pair, so its depth is not bounded
-    by the interpreter's recursion limit.
+    once, at its lower end.  Removing a pair lowers the cycle rank by
+    exactly 2, so no family exceeds ``floor(beta / 2)``: the search stops
+    as soon as it has chosen that many pairs, and otherwise visits every
+    family it can reach.  It runs on an explicit stack, one entry per
+    chosen pair, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     _require_connected(g)
     if g.n_edges > max_edges:
@@ -131,10 +130,7 @@ def exact_max_genus_pairs(
             best_k, best = k, list(chosen)
             if best_k == cap:
                 break
-        if k + (len(present) - n + 1) // 2 > best_k:
-            starts.append(start)
-        elif chosen:  # pruned: back to the parent
-            restore(chosen.pop())
+        starts.append(start)
         # the next child of the innermost open node, closing each node
         # that has none left.  The work graph is connected at every node,
         # so every piece of it minus {e, f} holds an end of e or f.

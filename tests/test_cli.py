@@ -249,6 +249,32 @@ class TestBench:
         assert cli.main(["bench", str(cfg)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_zero_edge_size_prints_its_row(self, tmp_path):
+        # a bouquet of no loops has m = 0, which a log-log fit cannot take
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("family = bouquet\nsizes = 0,2\n")
+        proc = run_cli("bench", str(cfg), check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [r[:2] for r in rows if r[0].isdigit()] == [["1", "0"],
+                                                           ["1", "2"]]
+
+    def test_slopes_skip_zero_edge_rows(self):
+        reports = bench.run_bench(BenchConfig(family="bouquet",
+                                              sizes=(0, 2, 4)))
+        summary = bench.summarize(reports)
+        (policy,) = summary.rows
+        table = summary.rows[policy]
+        assert [m for _, m, _, _ in table] == [0, 2, 4]
+        assert summary.elapsed_slopes[policy] == bench.fit_loglog_slope(
+            [(m, t) for _, m, t, _ in table[1:]])
+
+    def test_slope_fit_rejects_nonpositive_sizes(self):
+        for x in (0, -1, -0.5):
+            with pytest.raises(GraphError, match="positive"):
+                bench.fit_loglog_slope([(x, 1.0), (2, 1.0)])
+
     def test_cells_in_grid_order(self):
         cfg = BenchConfig(sizes=(8, 12), seeds=(0, 1),
                           policies=("edge-id", "loops-first"))

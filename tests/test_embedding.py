@@ -1,4 +1,4 @@
-"""Rotation systems, face tracing, and incremental embedding construction."""
+"""Rotation systems, face tracing, and the certified embedding build."""
 
 import hashlib
 import random
@@ -32,11 +32,7 @@ from maxgenus import (
 from maxgenus.graph import bfs_tree, dart
 
 from _corpus import circulant_shuffled_ids
-from _reference import (
-    ReferenceEmbedding,
-    merge_corners,
-    reference_rotation_text,
-)
+from _reference import merge_corners, reference_rotation_text
 
 
 def path_graph(n):
@@ -44,11 +40,6 @@ def path_graph(n):
     for v in range(n - 1):
         g.add_edge(v, v + 1)
     return g
-
-
-def edge_01_state(n):
-    """The embedded edge 0 from vertex 0 to 1, vertices 2..n-1 bare."""
-    return EmbeddingState.from_sigma(n, {0: (0,), 1: (1,)}, {0: 0, 1: 1})
 
 
 def k4():
@@ -181,10 +172,10 @@ class TestTraceFaces:
 class TestEmbeddingState:
     def test_tree_single_face(self):
         g = path_graph(5)
-        state = EmbeddingState.tree_embedding(g, set(g.edge_ids()))
-        assert state.n_faces == 1
-        assert state.genus == 0
-        (face,) = state.faces()
+        emb = build_embedding(g, [], check=True)
+        assert emb.n_faces == 1
+        assert emb.genus == 0
+        (face,) = trace_faces(g, emb.rotation)
         assert len(face) == 2 * g.n_edges
 
     def test_tree_rejects_nontree(self):
@@ -199,90 +190,14 @@ class TestEmbeddingState:
         with pytest.raises(GraphError):
             EmbeddingState.tree_embedding(g2, {loop})
 
-    def test_chord_split(self):
-        # path 0-1-2-3 plus chord (0,3): both corners in the one face
-        g = path_graph(4)
-        state = EmbeddingState.tree_embedding(g, set(g.edge_ids()))
-        eid = g.add_edge(0, 3)
-        face = next(iter(state.faces()))
-        corner_u = next(d for d in face if state.vertex_of[d] == 0)
-        corner_v = next(d for d in face if state.vertex_of[d] == 3)
-        state.insert_edge(eid, 0, 3, corner_u, corner_v, check=True)
-        assert state.n_faces == 2
-        assert state.genus == 0
-
-    def test_parallel_merge_raises_genus(self):
-        g = path_graph(2)
-        state = EmbeddingState.tree_embedding(g, set(g.edge_ids()))
-        eid = g.add_edge(0, 1)
-        f0 = next(iter(state.faces()))
-        state.insert_edge(
-            eid, 0, 1,
-            next(d for d in f0 if state.vertex_of[d] == 0),
-            next(d for d in f0 if state.vertex_of[d] == 1),
-            check=True,
-        )
-        assert state.n_faces == 2
-        # a third parallel edge routed across the two faces merges them
-        eid2 = g.add_edge(0, 1)
-        fa, fb = state.faces()
-        corner_u = next(d for d in fa if state.vertex_of[d] == 0)
-        corner_v = next(d for d in fb if state.vertex_of[d] == 1)
-        state.insert_edge(eid2, 0, 1, corner_u, corner_v, check=True)
-        assert state.n_faces == 1
-        assert state.genus == 1
-
-    def test_absorb_extends_face(self):
-        # grow a path edge by edge; every step attaches a bare vertex
-        g = MultiGraph(4)
-        g.add_edge(0, 1)
-        state = edge_01_state(4)
-        for v in (1, 2):
-            eid = g.add_edge(v, v + 1)
-            corner = state.first_dart[v]
-            state.insert_edge(eid, v, v + 1, corner, None, check=True)
-        assert state.n_faces == 1
-        assert state.genus == 0
-        (face,) = state.faces()
-        assert len(face) == 6
-
-    def test_bare_join_rejected(self):
-        g = MultiGraph(4)
-        g.add_edge(0, 1)
-        state = edge_01_state(4)
-        eid = g.add_edge(2, 3)
-        with pytest.raises(GraphError):
-            state.insert_edge(eid, 2, 3, None, None)
-        # with two vertices still bare the Euler count is meaningless
-        with pytest.raises(GraphError):
-            state.genus
-
-    def test_corner_outside_the_dart_lists_is_rejected(self):
-        # -1 would index the last dart of a list, so it must not pass
-        g = path_graph(2)
-        state = EmbeddingState.tree_embedding(g, {0})
-        eid = g.add_edge(0, 1)
-        past_end = len(state.vertex_of)
-        for corners in ((-1, 1), (0, -1), (past_end, 1), (0, past_end + 1)):
-            with pytest.raises(GraphError, match="not at vertex"):
-                state.insert_edge(eid, 0, 1, *corners)
-        assert state.m_emb == 1
-
-    def test_rotation_without_twins_is_rejected(self):
-        # a missing twin would index the last dart of a list
-        for order in ({0: (0,)}, {0: (0, 2), 1: (1,)}, {0: (0, 1, 0)},
-                      {0: (-2, -1)}):
-            vertex_of = {d: v for v, cyc in order.items() for d in cyc}
-            with pytest.raises(GraphError, match="twins"):
-                EmbeddingState.from_sigma(2, order, vertex_of)
-
     def test_first_loop_on_isolated_vertex(self):
+        # a leftover loop on the bare vertex: its darts sit side by side
         g = MultiGraph(1)
-        eid = g.add_edge(0, 0)
-        state = EmbeddingState.tree_embedding(g, set())
-        state.insert_edge(eid, 0, 0, None, None, check=True)
-        assert state.n_faces == 2
-        assert state.genus == 0
+        g.add_edge(0, 0)
+        emb = build_embedding(g, [], check=True)
+        assert emb.rotation.order == {0: (0, 1)}
+        assert emb.n_faces == len(trace_faces(g, emb.rotation)) == 2
+        assert emb.genus == 0
 
     def test_spanning_tree_state_is_planar(self):
         g = k4()
@@ -292,65 +207,26 @@ class TestEmbeddingState:
 
 
 class TestInsertAdjacentPair:
+    """One pair through ``build_embedding``, with no edge left over."""
+
     def test_doubled_star_pair(self):
-        g = gen_tight_star(1)
-        tree_ids = bfs_tree(g)
-        state = EmbeddingState.tree_embedding(g, tree_ids)
-        # the two loops at leaf 1 and leaf 2 pair with nothing here; use
-        # the parallel copies instead: tree took one (0,v) per leaf
-        extra = sorted(set(g.edge_ids()) - tree_ids)
-        pair = AdjacentPair(extra[0], extra[1], 0)
-        state.insert_adjacent_pair(g, pair, check=True)
-        assert state.n_faces == 1
-        assert state.genus == 1
+        # the tight star's doubled spokes without its loops: the tree takes
+        # one copy of each spoke, and the other two copies are the pair
+        g = MultiGraph(3)
+        for v in (1, 1, 2, 2):
+            g.add_edge(0, v)
+        emb = build_embedding(g, [AdjacentPair(1, 3, 0)], check=True)
+        assert emb.n_faces == len(trace_faces(g, emb.rotation)) == 1
+        assert emb.genus == 1
 
     def test_loop_pair_bouquet(self):
+        # the first loop starts on the bare vertex
         g = MultiGraph(1)
         g.add_edge(0, 0)
         g.add_edge(0, 0)
-        state = EmbeddingState.tree_embedding(g, set())
-        state.insert_adjacent_pair(g, AdjacentPair(0, 1, 0), check=True)
-        assert state.n_faces == 1
-        assert state.genus == 1
-
-    def test_requires_single_face(self):
-        g = path_graph(2)
-        state = EmbeddingState.tree_embedding(g, {0})
-        eid = g.add_edge(0, 1)
-        f0 = next(iter(state.faces()))
-        state.insert_edge(
-            eid, 0, 1,
-            next(d for d in f0 if state.vertex_of[d] == 0),
-            next(d for d in f0 if state.vertex_of[d] == 1),
-        )
-        assert state.n_faces == 2
-        ex1 = g.add_edge(0, 1)
-        ex2 = g.add_edge(1, 1)
-        with pytest.raises(GraphError):
-            state.insert_adjacent_pair(g, AdjacentPair(ex1, ex2, 1))
-
-    def test_accepts_a_face_merged_back_by_insert_edge(self):
-        # insert_edge clears one_face, so the pair must trace to see that
-        # the split and the merge left one face
-        g = path_graph(2)
-        state = EmbeddingState.tree_embedding(g, {0})
-        for _ in range(2):
-            eid = g.add_edge(0, 1)
-            faces = list(state.faces())
-            state.insert_edge(
-                eid, 0, 1,
-                next(d for d in faces[0] if state.vertex_of[d] == 0),
-                next(d for d in faces[-1] if state.vertex_of[d] == 1),
-                check=True,
-            )
-        assert state.n_faces == 1
-        assert not state.one_face
-        ex1 = g.add_edge(0, 1)
-        ex2 = g.add_edge(1, 1)
-        state.insert_adjacent_pair(g, AdjacentPair(ex1, ex2, 1), check=True)
-        assert state.one_face
-        assert state.n_faces == 1
-        assert state.genus == 2
+        emb = build_embedding(g, [AdjacentPair(0, 1, 0)], check=True)
+        assert emb.n_faces == len(trace_faces(g, emb.rotation)) == 1
+        assert emb.genus == 1
 
 
 def _path_plus(*extra):
@@ -361,22 +237,26 @@ def _path_plus(*extra):
     return g
 
 
-def _witness_corner(state, g, pair):
-    """Which corner flanking the witness dart d_w took the second edge:
-    ``"after"`` (between d_w and sigma_next[d_w]) or ``"d_w"`` (before
-    d_w)."""
+def _witness_corner(rot, g, pair):
+    """Which corner flanking the witness dart d_w took the second edge,
+    read from the rotation at the witness: ``"after"`` (between d_w and
+    its successor) or ``"d_w"`` (before d_w)."""
     w = pair.witness
     d_w = dart(pair.e, 0 if g.endpoints(pair.e)[0] == w else 1)
     f_w = dart(pair.f, 0 if g.endpoints(pair.f)[0] == w else 1)
-    if state.sigma_prev[f_w] == d_w:
+    cyc = rot.order[w]
+    i = cyc.index(f_w)
+    if cyc[i - 1] == d_w:
         return "after"
-    assert state.sigma_next[f_w] == d_w
+    assert cyc[(i + 1) % len(cyc)] == d_w
     return "d_w"
 
 
 class TestCornerRule:
     """The second edge's far end sits at ``first_dart[x]``; its witness
-    end goes to whichever corner beside d_w lies on the other face."""
+    end goes to whichever corner beside d_w lies on the other face.  The
+    pair goes in by ``build_embedding`` over the tree {0, 1}, with no
+    edge left over."""
 
     @pytest.mark.parametrize("extra, witness, corner", [
         # first_dart[x] lies on d_w's own face: enter after d_w
@@ -389,12 +269,11 @@ class TestCornerRule:
             "other-face-at-middle"])
     def test_far_end_face_picks_witness_corner(self, extra, witness, corner):
         g = _path_plus(*extra)
-        state = EmbeddingState.tree_embedding(g, {0, 1})
         pair = AdjacentPair(2, 3, witness)
-        state.insert_adjacent_pair(g, pair, check=True)
-        assert _witness_corner(state, g, pair) == corner
-        assert state.n_faces == 1
-        assert state.genus == 1
+        emb = build_embedding(g, [pair], check=True)
+        assert _witness_corner(emb.rotation, g, pair) == corner
+        assert emb.n_faces == len(trace_faces(g, emb.rotation)) == 1
+        assert emb.genus == 1
 
     @pytest.mark.parametrize("extra", [
         ((0, 1), (0, 1)),  # parallel pair
@@ -404,22 +283,10 @@ class TestCornerRule:
     ], ids=["parallel", "loop+edge", "edge+loop", "two-loops"])
     def test_pair_shapes_raise_genus_by_one(self, extra):
         g = _path_plus(*extra)
-        state = EmbeddingState.tree_embedding(g, {0, 1})
-        state.insert_adjacent_pair(g, AdjacentPair(2, 3, 1), check=True)
-        assert state.n_faces == 1
-        assert state.genus == 1
-        assert genus_of(g, state.rotation()) == 1
-
-    def test_absorbed_first_edge_is_a_certification_failure(self):
-        # a bare endpoint turns the first edge into an absorb, not a split,
-        # so the second edge cannot merge two faces
-        g = MultiGraph(3)
-        g.add_edge(0, 1)
-        g.add_edge(0, 2)
-        g.add_edge(0, 0)
-        state = edge_01_state(3)
-        with pytest.raises(CertificationError):
-            state.insert_adjacent_pair(g, AdjacentPair(1, 2, 0))
+        emb = build_embedding(g, [AdjacentPair(2, 3, 1)], check=True)
+        assert emb.n_faces == len(trace_faces(g, emb.rotation)) == 1
+        assert emb.genus == 1
+        assert genus_of(g, emb.rotation) == 1
 
 
 class TestFinalChecks:
@@ -495,16 +362,6 @@ class TestFinalChecks:
         # the tree's trace serves every pair; none retraces
         assert traces == [g.n_vertices - 1]
 
-    def test_audit_checks_the_one_face_flag(self):
-        g = path_graph(2)
-        state = EmbeddingState.tree_embedding(g, {0})
-        eid = g.add_edge(0, 1)
-        state.insert_edge(eid, 0, 1, 0, 1)  # a split: two faces
-        state.one_face = True
-        with pytest.raises(CertificationError, match="one face expected"):
-            state._audit()
-
-
 class TestBlockedCorners:
     """The corner list's blocks against the flat list they stand for."""
 
@@ -535,8 +392,7 @@ class TestBlockedCorners:
         rng = random.Random(16)
         seen = {"single block": 0, "one-block": 0, "starts": 0}
         for n in range(1, 301):
-            state = EmbeddingState(n)
-            state._grow(2 * n)
+            state = EmbeddingState(n, 2 * n)
             flat = rng.sample(range(2 * n), n)
             state._set_corners(list(flat))
             self._assert_blocks(state, flat)
@@ -664,79 +520,11 @@ class TestCornerListMatchesFullTraces:
         assert (build_embedding(g, pairs).rotation.to_text()
                 == reference_rotation_text(g, pairs))
 
-    def test_pairs_after_insert_edge_retrace(self):
-        # two edges parallel to a tree edge split the one face and merge it
-        # back; insert_edge drops the corner list, so the first pair after
-        # them retraces it
-        g = gen_random_connected_multigraph(
-            48, 128, seed=5, loop_prob=0.1, parallel_prob=0.2)
-        pairs = greedy_max_genus(g).pairs
-        tree = bfs_tree(g, set(pairs.edge_ids()))
-        u, v = g.endpoints(min(tree))
-        e1, e2 = g.add_edge(u, v), g.add_edge(u, v)
-        state = EmbeddingState.tree_embedding(g, tree)
-        ref = ReferenceEmbedding(g, tree)
-        state.insert_edge(e1, u, v, state.first_dart[u], state.first_dart[v])
-        ref.insert_edge(e1, ref.first[u], ref.first[v])
-        fa, fb = state.faces()
-        corner_u = next(d for d in fa if state.vertex_of[d] == u)
-        corner_v = next(d for d in fb if state.vertex_of[d] == v)
-        state.insert_edge(e2, u, v, corner_u, corner_v, check=True)
-        ref.insert_edge(e2, corner_u, corner_v)
-        assert state.corners is None and state.n_faces == 1
-        for pair in pairs:
-            state.insert_adjacent_pair(g, pair, check=True)
-            ref.insert_pair(pair)
-        assert state.rotation().to_text() == ref.rotation_text()
-        assert state.genus == len(pairs) + 1
-        state._audit()
-
-
-def public_path_rotation_text(g, pairs):
-    """The rotation text ``build_embedding(g, pairs)`` should emit, built
-    through the public, checking insertions: the tree, each pair by
-    ``insert_adjacent_pair``, each leftover edge at the first darts of
-    its ends."""
-    pair_edges = set(pairs.edge_ids())
-    tree = bfs_tree(g, pair_edges)
-    state = EmbeddingState.tree_embedding(g, tree)
-    for pair in pairs:
-        state.insert_adjacent_pair(g, pair, check=True)
-    fd = state.first_dart
-    for eid in g.edge_ids():
-        if eid not in tree and eid not in pair_edges:
-            u, v = g.endpoints(eid)
-            state.insert_edge(eid, u, v, fd[u] if fd[u] >= 0 else None,
-                              fd[v] if fd[v] >= 0 else None, check=True)
-    state._audit()
-    return state.rotation().to_text()
-
-
-class TestInsertionBodyMatchesPublicPath:
-    """``build_embedding`` validates the family once and calls the
-    insertion body directly; it emits the rotations that the checking
-    ``insert_adjacent_pair`` path gives."""
-
     @staticmethod
     def _assert_same(g, pairs):
-        text = public_path_rotation_text(g, pairs)
+        text = reference_rotation_text(g, pairs)
         assert build_embedding(g, pairs).rotation.to_text() == text
         assert build_embedding(g, pairs, check=True).rotation.to_text() == text
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_seeded_multigraphs(self, policy):
-        for seed in range(60):
-            n = 2 + seed % 13
-            g = gen_random_connected_multigraph(
-                n, n + 1 + seed % 30, seed=seed,
-                loop_prob=0.3 if seed % 2 else 0.1,
-                parallel_prob=0.3 if seed % 2 else 0.1)
-            self._assert_same(g, greedy_max_genus(g, policy=policy,
-                                                  seed=seed).pairs)
-
-    def test_shuffled_circulant(self):
-        g = circulant_shuffled_ids(512, 3)
-        self._assert_same(g, greedy_max_genus(g).pairs)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
     def test_bouquet(self, k):
@@ -748,6 +536,7 @@ class TestInsertionBodyMatchesPublicPath:
 
     @pytest.mark.parametrize("k", [1, 2, 9, 40])
     def test_dipole(self, k):
+        # parallel pairs, whose far end needs no corner lookup
         g = gen_dipole(k)
         pairs = greedy_max_genus(g).pairs
         assert len(pairs) == (k - 1) // 2

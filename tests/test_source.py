@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxgenus"
@@ -23,22 +24,28 @@ def test_no_assert_statements():
 
 
 def test_private_module_names_are_used():
-    # a module-level _helper whose last caller was deleted is dead code
+    # a module-level _helper or a _method of a class that nothing outside
+    # its own body references is dead code: its last caller was deleted
     def names(node):
-        return {getattr(n, "id", None) or getattr(n, "attr", None)
-                or getattr(n, "name", None) for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+        return Counter(getattr(n, "id", None) or getattr(n, "attr", None)
+                       or getattr(n, "name", None) for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
 
-    stmts = [(path, stmt) for path in sorted(SRC.rglob("*.py"))
-             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
-    used = [names(stmt) for _, stmt in stmts]
-    unused = [
-        f"{path.relative_to(SRC)}:{stmt.name}"
-        for i, (path, stmt) in enumerate(stmts)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_") and not stmt.name.startswith("__")
-        and not any(stmt.name in u for j, u in enumerate(used) if j != i)
-    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    used = sum((names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        defs = [("", stmt) for stmt in tree.body]
+        defs += [(f"{stmt.name}.", item) for stmt in tree.body
+                 if isinstance(stmt, ast.ClassDef) for item in stmt.body]
+        unused += [
+            f"{path.relative_to(SRC)}:{owner}{node.name}"
+            for owner, node in defs
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and used[node.name] == names(node)[node.name]
+        ]
     assert unused == []
 
 
