@@ -207,9 +207,7 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
         raise GraphError("slope fit needs at least two distinct sizes")
     lx = [math.log(x) for x, _ in points]
     ly = [math.log(max(y, 1e-9)) for _, y in points]
-    n = len(points)
-    mx = sum(lx) / n
-    my = sum(ly) / n
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
     num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
     den = sum((a - mx) ** 2 for a in lx)
     return num / den

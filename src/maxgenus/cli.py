@@ -26,7 +26,6 @@ from .embedding import RotationSystem, build_embedding, genus_and_faces
 from .generators import FAMILIES, GeneratorSpec
 from .graph import (
     CertificationError,
-    DisconnectedError,
     GraphError,
     MultiGraph,
     ParseError,
@@ -69,6 +68,13 @@ def _read_text(path: str | None) -> str:
 
 def _read_graph(path: str | None) -> MultiGraph:
     return parse_edge_list(_read_text(path))
+
+
+def _limit(text: str) -> int:
+    """An exact-oracle limit: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
 
 
 def _add_graph_arg(p: argparse.ArgumentParser) -> None:
@@ -216,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--method", choices=("pairs", "xuong", "rotations", "all"),
                    default="all")
-    p.add_argument("--max-edges", type=int, default=DEFAULT_PAIRS_EDGE_LIMIT,
+    p.add_argument("--max-edges", type=_limit, default=DEFAULT_PAIRS_EDGE_LIMIT,
                    help="edge limit for the pair search")
-    p.add_argument("--tree-limit", type=int, default=DEFAULT_TREE_LIMIT,
+    p.add_argument("--tree-limit", type=_limit, default=DEFAULT_TREE_LIMIT,
                    help="spanning-tree enumeration limit")
-    p.add_argument("--rotation-limit", type=int,
+    p.add_argument("--rotation-limit", type=_limit,
                    default=DEFAULT_ROTATION_LIMIT,
                    help="rotation-system enumeration limit")
     p.set_defaults(func=cmd_exact)
@@ -257,28 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the first class an error is an instance of names its exit code
+EXIT_CODES = ((ParseError, EXIT_PARSE), (LimitExceededError, EXIT_LIMIT),
+              (CertificationError, EXIT_CERT), (GraphError, EXIT_INVALID),
+              (OSError, EXIT_IO))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERT
-    except DisconnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ workload; it stays only for the certify benchmark's traced comparison run.
 
 * :class:`DfsBackend` searches a ``MultiGraph`` copy on every query,
   O(1) per update; loops stay in it, and a search passes over them, as a
-  loop's far end is a vertex already reached.
+  loop's far end is a vertex already reached.  An insertion appends its
+  darts, so the copy's maps leave dart order after a rollback; neither
+  the search nor the cut scan needs that order for its answer.
   ``connected_all`` is one full traversal, O(m).  ``connected`` and
   ``cut_side`` search from every endpoint in lockstep, one vertex
   expansion per side in turn (Even and Shiloach, J. ACM 28(1), 1981): a
@@ -50,6 +52,7 @@ and never scans, so its memo stays empty.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from math import ceil, log2
 
@@ -76,12 +79,13 @@ SCAN_FACTOR = 8
 # ---------------------------------------------------------------------------
 
 class DfsBackend:
-    """Traversal-per-query backend over its own copy of the graph."""
+    """Traversal-per-query backend over its own copy of the graph minus
+    the edges in ``without``."""
 
-    def __init__(self, g: MultiGraph):
-        self._g = g.copy()
-        self._endpoints = {e: g.endpoints(e) for e in g.edge_ids()}
-        self.stats = BackendStats(inserts=g.n_edges)
+    def __init__(self, g: MultiGraph, without: AbstractSet[int] = frozenset()):
+        self._g = g.copy(without)
+        self._endpoints = dict(self._g._edges)
+        self.stats = BackendStats(inserts=self._g.n_edges)
         self.bridges: set[int] = set()
         self.cut_key: dict[int, int] = {}
         self._dry_work = 0  # vertices failed searches expanded since a scan
@@ -96,17 +100,21 @@ class DfsBackend:
         return self._g.has_edge(eid)
 
     def delete_edge(self, eid: int) -> None:
-        self.endpoints(eid)  # raises for an edge the backend never had
-        if not self._g.has_edge(eid):
+        if eid not in self._g._edges:
+            self.endpoints(eid)  # raises for an edge the backend never had
             raise GraphError(f"edge {eid} is not present")
-        self._g.delete_edge(eid)
+        self._g._unlink((eid,))
         self.stats.deletes += 1
 
     def insert_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
-        if self._g.has_edge(eid):
+        g = self._g
+        if eid in g._edges:
             raise GraphError(f"edge {eid} already present")
-        self._g.restore_edges(((eid, u, v),))
+        # appended, out of dart order: nothing here reads the order
+        g._edges[eid] = (u, v)
+        g._inc[u][2 * eid] = v
+        g._inc[v][2 * eid + 1] = u
         self.stats.inserts += 1
         # the new edge may join the two sides of a memoised cut
         self.bridges.clear()
@@ -413,9 +421,10 @@ class _EulerForest:
 class DynamicBackend:
     """Fully dynamic connectivity with O(log^2 n) amortized updates."""
 
-    def __init__(self, g: MultiGraph):
+    def __init__(self, g: MultiGraph, without: AbstractSet[int] = frozenset()):
         self._n = g.n_vertices
-        self._endpoints = {e: g.endpoints(e) for e in g.edge_ids()}
+        self._endpoints = {e: uv for e, uv in g._edges.items()
+                           if e not in without}
         self._max_level = ceil(log2(self._n)) if self._n >= 2 else 0
         self._forests = [_EulerForest() for _ in range(self._max_level + 1)]
         # per level: vertex -> set of non-tree edge ids of exactly that level

@@ -72,7 +72,7 @@ class RotationSystem:
         if set(self.order) != set(g.vertices()):
             raise GraphError("rotation vertex set does not match graph")
         for v, cyc in self.order.items():
-            if sorted(cyc) != sorted(g.darts_at(v)):
+            if sorted(cyc) != g.darts_at(v):  # darts_at is in dart order
                 raise GraphError(f"rotation at vertex {v} is not a "
                                  "permutation of its darts")
 

@@ -9,8 +9,9 @@ Each edge ``e`` owns two darts (edge ends) encoded as the integers ``2*e``
 and ``2*e + 1``; the twin of a dart ``d`` is ``d ^ 1``.  A loop contributes
 both of its darts to its single vertex, which is why a loop adds 2 to the
 degree and the handshake identity sum(deg) = 2m holds unconditionally.
-Traversals walk each vertex's map from dart to far end, and sort the
-darts, which orders them by edge id, where lower ids must win.
+Each vertex keeps a map from dart to far end in ascending dart order, so
+traversals walk it as it stands and meet lower edge ids first, where
+lower ids must win.
 
 Text format: one edge per line as two whitespace-separated vertex labels,
 ``#`` starts a comment, blank lines are ignored, repeated lines denote
@@ -19,8 +20,7 @@ parallel edges and identical endpoints denote a loop.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Container, Iterable, Set as AbstractSet
 
 
 class GraphError(Exception):
@@ -62,14 +62,6 @@ def twin(d: int) -> int:
     return d ^ 1
 
 
-def dart_edge(d: int) -> int:
-    return d >> 1
-
-
-def dart_end(d: int) -> int:
-    return d & 1
-
-
 def format_dart(d: int) -> str:
     """Text form ``edgeId.end`` used in rotation-system output."""
     return f"{d >> 1}.{d & 1}"
@@ -90,13 +82,13 @@ def parse_dart(text: str) -> int:
 class MultiGraph:
     """Mutable multigraph over vertices ``0..n-1``.
 
-    Incidence is stored per vertex as an ordered map from each dart to
-    the far end of its edge, so a traversal step needs no endpoint lookup
-    and edge deletion and restoration are O(1) dictionary edits.
-    ``delete_edges`` returns the removed ``(eid, u, v)`` records and
-    ``restore_edges`` puts them back under their old ids, in any order;
-    the graph keeps no undo history.  Single-writer: no concurrent
-    mutation.
+    Incidence is stored per vertex as a map from each dart to the far end
+    of its edge, in ascending dart order: ``add_edge`` appends a larger
+    id, deletion keeps the order, and ``restore_edges`` re-sorts a map it
+    wrote out of order.  ``delete_edges`` returns the removed ``(eid, u,
+    v)`` records and ``restore_edges`` puts them back under their old
+    ids, in any order; the graph keeps no undo history.  Single-writer:
+    no concurrent mutation.
     """
 
     __slots__ = ("_n", "_edges", "_inc", "_next_id", "labels")
@@ -124,10 +116,19 @@ class MultiGraph:
         self._inc[v][2 * eid + 1] = u
         return eid
 
-    def copy(self) -> "MultiGraph":
+    def copy(self, without: AbstractSet[int] = frozenset()) -> "MultiGraph":
+        """A copy minus the edges in ``without``, built from the edges it
+        keeps in ascending id order, so its maps are in dart order."""
         g = MultiGraph(self._n)
-        g._edges = dict(self._edges)
-        g._inc = [dict(d) for d in self._inc]
+        if without:
+            edges, inc = self._edges, g._inc
+            g._edges = {e: edges[e] for e in sorted(edges.keys() - without)}
+            for eid, (u, v) in g._edges.items():
+                inc[u][2 * eid] = v
+                inc[v][2 * eid + 1] = u
+        else:
+            g._edges = dict(self._edges)
+            g._inc = [dict(m) for m in self._inc]
         g._next_id = self._next_id
         g.labels = self.labels
         return g
@@ -181,10 +182,8 @@ class MultiGraph:
     # -- deletion / restoration --------------------------------------------
 
     def delete_edge(self, eid: int) -> None:
-        u, v = self.endpoints(eid)
-        del self._edges[eid]
-        del self._inc[u][2 * eid]
-        del self._inc[v][2 * eid + 1]
+        self.endpoints(eid)  # raises for an unknown id
+        self._unlink((eid,))
 
     def delete_edges(
         self, eids: Iterable[int]
@@ -198,31 +197,43 @@ class MultiGraph:
             if eid not in self._edges:
                 raise GraphError(f"unknown edge id {eid}")
         records = [(eid, *self._edges[eid]) for eid in eids]
-        for eid in eids:
-            self.delete_edge(eid)
+        self._unlink(eids)
         return records
 
+    def _unlink(self, eids: Iterable[int]) -> None:
+        """Delete the present, distinct edges ``eids`` with no checks."""
+        edges, inc = self._edges, self._inc
+        for eid in eids:
+            u, v = edges.pop(eid)
+            del inc[u][2 * eid]
+            del inc[v][2 * eid + 1]
+
     def restore_edges(self, records: Iterable[tuple[int, int, int]]) -> None:
-        """Re-insert edges from :meth:`delete_edges` records."""
-        for eid, u, v in records:
-            if eid in self._edges:
-                raise GraphError(f"cannot restore edge {eid}: it is present")
-            self._edges[eid] = (u, v)
-            self._inc[u][2 * eid] = v
-            self._inc[v][2 * eid + 1] = u
+        """Re-insert edges from :meth:`delete_edges` records, in any order;
+        a map that gets a dart below its last key is re-sorted at the end."""
+        edges, inc = self._edges, self._inc
+        late = set()
+        try:
+            for eid, u, v in records:
+                if eid in edges:
+                    raise GraphError(f"cannot restore edge {eid}: it is present")
+                edges[eid] = (u, v)
+                for x, d, w in ((u, 2 * eid, v), (v, 2 * eid + 1, u)):
+                    if inc[x] and d < next(reversed(inc[x])):
+                        late.add(x)
+                    inc[x][d] = w
+        finally:
+            for x in late:
+                inc[x] = dict(sorted(inc[x].items()))
 
     # -- equality -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
-        return (
-            self._n == other._n
-            and self._edges == other._edges
-            and all(
-                set(a) == set(b) for a, b in zip(self._inc, other._inc)
-            )
-        )
+        # dict equality: the same darts and far ends, in any order
+        return (self._n, self._edges, self._inc) == \
+            (other._n, other._edges, other._inc)
 
     def __hash__(self):  # mutable; identity hashing only
         return id(self)
@@ -300,9 +311,8 @@ def _component_count(g: MultiGraph) -> int:
             continue
         count += 1
         seen[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        queue = [s]
+        for v in queue:
             for w in g._inc[v].values():
                 if not seen[w]:
                     seen[w] = 1
@@ -315,23 +325,22 @@ def is_connected(g: MultiGraph) -> bool:
     return _component_count(g) == 1
 
 
-def bfs_tree(g: MultiGraph, excluded: Iterable[int] = ()) -> set[int]:
+def bfs_tree(g: MultiGraph, excluded: Container[int] = ()) -> set[int]:
     """Spanning tree by BFS from vertex 0 over the edges not in
     ``excluded``, lowest ids first; loops are never tree edges.  Raises
     :class:`DisconnectedError` if those edges do not span g."""
-    excluded = set(excluded)
-    seen = {0}
+    seen = bytearray(g.n_vertices)
+    seen[0] = 1
     tree: set[int] = set()
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        # darts sort by edge id, so lower ids win
-        for d, w in sorted(g._inc[v].items()):
-            if w not in seen and d >> 1 not in excluded:
-                seen.add(w)
+    queue = [0]  # grows while it is read, so it is read in BFS order
+    for v in queue:
+        # the map is in dart order, so lower ids win
+        for d, w in g._inc[v].items():
+            if not seen[w] and d >> 1 not in excluded:
+                seen[w] = 1
                 tree.add(d >> 1)
                 queue.append(w)
-    if len(seen) != g.n_vertices:
+    if len(queue) != g.n_vertices:
         raise DisconnectedError("the edges left do not span the graph")
     return tree
 

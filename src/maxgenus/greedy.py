@@ -39,13 +39,15 @@ F is connected iff F holds no nonempty cut of R, and the cuts are the
 edge sets orthogonal over GF(2) to every cycle.  Every cycle of R avoids
 B, so R and the core have the same cycle space, and a set of core edges
 is a cut of R iff it is a cut (a separating boundary) of the core.  The
-backend is therefore built on R after phase 1 with B deleted from it,
-and only when the pass starts with beta >= 2, since otherwise it makes
-no probe.  A probe then searches only the core component that holds the
-pair (2-edge-connected when the pass starts), not the trees hanging off
-it, and every cut the backend memoises is a cut of R as well.  Bridges
-that later deletions create are not dropped; their probes fail as
-before.
+backend is therefore built from the core's edges alone, in one pass, and
+only when the pass starts with beta >= 2, since otherwise it makes no
+probe.  A probe then searches only the core component that holds the
+pair (2-edge-connected when the pass starts), and every cut the backend
+memoises is a cut of R as well.  Bridges that later deletions create are
+not dropped; their probes fail as before.  The pass visits only core
+vertices, where two core edges meet; any other vertex keeps its degree,
+and a ``random`` pass draws there the shuffle its candidates would take,
+so the random stream is kept.
 """
 
 from __future__ import annotations
@@ -101,15 +103,8 @@ class PairSet:
     def __iter__(self):
         return iter(self.pairs)
 
-    def __bool__(self):
-        return bool(self.pairs)
-
     def edge_ids(self) -> list[int]:
-        out = []
-        for p in self.pairs:
-            out.append(p.e)
-            out.append(p.f)
-        return out
+        return [eid for p in self.pairs for eid in (p.e, p.f)]
 
 
 @dataclass(frozen=True)
@@ -133,17 +128,17 @@ class VerifyResult:
 
 @dataclass
 class GreedyStats:
-    """Operation counters for reports and complexity property tests."""
+    """Operation counters for reports and complexity property tests.
+    No bridge enters the backend: its ``inserts`` are the core's edges
+    plus probe rollbacks, and its ``deletes`` are probe deletions."""
 
     candidate_pairs: int = 0
     tests: int = 0
     removed: int = 0
-    candidate_budget: int = 0  # sum of C(deg, 2) over processed vertices
+    candidate_budget: int = 0  # sum of C(deg, 2) over visited core vertices
     tree_pairs: int = 0  # tree-first phase-1 pairs, taken with no probe
     core_bridges: int = 0  # bridges of the residual the pass starts on
-    # Always 0: the single pass has no final pass.  Kept because report
-    # and benchmark readers still name the field.
-    final_pass_tests: int = 0
+    final_pass_tests: int = 0  # always 0, no final pass; readers name it
 
 
 @dataclass
@@ -163,8 +158,8 @@ def candidate_pairs(g: MultiGraph, v: int) -> list[tuple[int, int]]:
     Dart pairs collapse to edge pairs: a loop meets every other incident
     edge once and every other loop once, and never pairs with itself.
     """
-    edges = sorted({d >> 1 for d in g._inc[v]})
-    return list(combinations(edges, 2))
+    # the map is in dart order, so the edges come in ascending id order
+    return list(combinations(dict.fromkeys(d >> 1 for d in g._inc[v]), 2))
 
 
 def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]:
@@ -207,12 +202,10 @@ def verify_pair_set(g: MultiGraph, pairs: PairSet) -> VerifyResult:
 
 
 def _pair_order_key(policy: str, g: MultiGraph):
-    if policy == "loops-first":
-        def key(pair):
-            has_loop = g.is_loop(pair[0]) or g.is_loop(pair[1])
-            return (0 if has_loop else 1, pair)
-        return key
-    return lambda pair: pair
+    if policy == "loops-first":  # pairs holding a loop first
+        return lambda pair: (not (g.is_loop(pair[0]) or g.is_loop(pair[1])),
+                             pair)
+    return None  # candidate_pairs already gives the lexicographic order
 
 
 def _vertex_key(policy: str, g: MultiGraph):
@@ -248,7 +241,7 @@ def _pair_cotree_edges(residual: MultiGraph, pairs: PairSet) -> None:
             continue
         seen[root] = True
         order.append(root)
-        stack = [(root, iter(sorted(inc[root].items())))]
+        stack = [(root, iter(inc[root].items()))]
         while stack:
             v, darts = stack[-1]
             for d, w in darts:
@@ -262,19 +255,20 @@ def _pair_cotree_edges(residual: MultiGraph, pairs: PairSet) -> None:
                 seen[w] = True
                 up[w] = (e, v)
                 order.append(w)
-                stack.append((w, iter(sorted(inc[w].items()))))
+                stack.append((w, iter(inc[w].items())))
                 break
             else:
                 stack.pop()
+    taken = []
     for v in reversed(order):
         mine = held[v]
         if up[v] is not None:
             e, parent = up[v]
             (mine if len(mine) % 2 else held[parent]).append(e)
         for e, f in zip(mine[0::2], mine[1::2]):
-            residual.delete_edge(e)
-            residual.delete_edge(f)
+            taken += (e, f)
             pairs.pairs.append(AdjacentPair(e, f, v))
+    residual._unlink(taken)
 
 
 def check_policy(policy: str) -> None:
@@ -321,57 +315,60 @@ def greedy_max_genus(
         pass_policy = "edge-id"
 
     beta = residual.n_edges - residual.n_vertices + 1
-    core_bridges: set[int] = set()
-    be = None
+    edges, inc = residual._edges, residual._inc
+    rng = random.Random(seed)
+    be, bridges, core, order = None, set(), set(), []
     if beta >= 2:  # else the pass makes no probe
         # the pass probes only the core: the residual minus its bridges
-        core_bridges = cut_scan(residual)[0]
-        be = BACKENDS[backend](residual)
-        for eid in core_bridges:
-            be.delete_edge(eid)
-    stats.core_bridges = len(core_bridges)
-
-    rng = random.Random(seed)
-    order = list(residual.vertices())
-    if pass_policy == "random":
-        rng.shuffle(order)
-    else:
-        order.sort(key=_vertex_key(pass_policy, residual))
+        bridges = cut_scan(residual)[0]
+        be = BACKENDS[backend](residual, bridges)
+        # two core edges meet at v: core degree > 2, or 2 but not one loop
+        deg = [len(m) for m in inc]
+        for b in bridges:
+            for x in edges[b]:
+                deg[x] -= 1
+        core = {v for v, d in enumerate(deg)
+                if d > 2 or d == 2 and v not in inc[v].values()}
+        if pass_policy == "random":
+            order = list(residual.vertices())
+            rng.shuffle(order)
+        else:
+            order = sorted(core, key=_vertex_key(pass_policy, residual))
+    stats.core_bridges = len(bridges)
     pkey = _pair_order_key(pass_policy, residual)
 
     for v in order:
         if beta < 2:
             break
+        if v not in core:
+            # every candidate here holds a bridge; a random pass still
+            # draws the shuffle they would take, keeping its stream
+            k = len({d >> 1 for d in inc[v]})
+            rng.shuffle([None] * (k * (k - 1) // 2))
+            continue
         cands = candidate_pairs(residual, v)
         if pass_policy == "random":
             rng.shuffle(cands)
-        else:
+        elif pkey is not None:
             cands.sort(key=pkey)
-        if core_bridges:  # after the shuffle, so the RNG stream is kept
+        if bridges:  # after the shuffle, so the RNG stream is kept
             cands = [(e, f) for e, f in cands
-                     if e not in core_bridges and f not in core_bridges]
-        deg = residual.degree(v)
-        stats.candidate_budget += deg * (deg - 1) // 2
+                     if e not in bridges and f not in bridges]
+        deg_v = len(inc[v])
+        stats.candidate_budget += deg_v * (deg_v - 1) // 2
         stats.candidate_pairs += len(cands)
         for e, f in cands:
             if beta < 2:
                 break
-            if not (residual.has_edge(e) and residual.has_edge(f)):
+            if not (e in edges and f in edges):
                 continue  # a member was removed by an earlier pair at v
             stats.tests += 1
             if pair_removal_keeps_connected(be, e, f):
-                residual.delete_edges((e, f))
+                residual._unlink((e, f))
                 pairs.pairs.append(AdjacentPair(e, f, v))
                 stats.removed += 1
                 beta -= 2
 
     bounds = GenusBounds.from_pairs(len(pairs), g.n_edges - g.n_vertices + 1)
-    return GreedyResult(
-        pairs=pairs,
-        bounds=bounds,
-        residual=residual,
-        stats=stats,
-        policy=policy,
-        seed=seed,
-        backend_stats=be.stats if be is not None else BackendStats(),
-    )
+    return GreedyResult(pairs, bounds, residual, stats, policy, seed,
+                        be.stats if be is not None else BackendStats())

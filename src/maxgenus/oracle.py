@@ -220,12 +220,10 @@ def odd_components(g: MultiGraph, tree_edges: frozenset[int] | set[int]) -> int:
         u, v = g.endpoints(eid)
         cot.union(u, v)
         edge_count[cot.find(u)] += 1
-    totals: dict[int, int] = {}
-    for v in range(n):
-        totals[cot.find(v)] = 0
+    totals = [0] * n  # edge count per component, at its root
     for v in range(n):
         totals[cot.find(v)] += edge_count[v]
-    return sum(1 for c in totals.values() if c % 2 == 1)
+    return sum(c % 2 for c in totals)
 
 
 def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
@@ -285,12 +283,10 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
             continue
         while True:
             eid = edges[i]
-            if eid not in removed and uf.find(g.endpoints(eid)[0]) != uf.find(
-                g.endpoints(eid)[1]
-            ):
+            u, v = g.endpoints(eid)
+            if eid not in removed and uf.find(u) != uf.find(v):
                 break
             i += 1
-        u, v = g.endpoints(eid)
         # contract branch first: eid in the tree
         sub = _UnionFind(n)
         sub.parent = list(uf.parent)

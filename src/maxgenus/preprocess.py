@@ -51,36 +51,30 @@ def reduce_multiedges(g: MultiGraph) -> PreprocessResult:
     """
     if not is_connected(g):
         raise DisconnectedError("preprocess requires a connected graph")
-    reduced = g.copy()
     pairs: list[AdjacentPair] = []
-    ops = 0
-
     classes: dict[tuple[int, int], list[int]] = {}
     loops: dict[int, list[int]] = {}
-    for eid in reduced.edge_ids():
-        ops += 1
-        u, v = reduced.endpoints(eid)
+    edges = g._edges
+    for eid in sorted(edges):
+        u, v = edges[eid]
         if u == v:
             loops.setdefault(u, []).append(eid)
         else:
             key = (u, v) if u < v else (v, u)
             classes.setdefault(key, []).append(eid)
 
-    for (u, _v), ids in sorted(classes.items()):
-        while len(ids) > 2:
-            e, f = ids[0], ids[1]
-            ids = ids[2:]
-            reduced.delete_edges((e, f))
-            pairs.append(AdjacentPair(e, f, u))
-            ops += 1
-    for v, ids in sorted(loops.items()):
-        while len(ids) > 1:
-            e, f = ids[0], ids[1]
-            ids = ids[2:]
-            reduced.delete_edges((e, f))
-            pairs.append(AdjacentPair(e, f, v))
-            ops += 1
+    # a class of s keeps 2 - s % 2 edges, a bundle of t loops t % 2
+    for (u, _v), ids in sorted(c for c in classes.items() if len(c[1]) > 2):
+        for i in range(0, len(ids) - 2 + len(ids) % 2, 2):
+            pairs.append(AdjacentPair(ids[i], ids[i + 1], u))
+    for v, ids in sorted(c for c in loops.items() if len(c[1]) > 1):
+        for i in range(0, len(ids) - len(ids) % 2, 2):
+            pairs.append(AdjacentPair(ids[i], ids[i + 1], v))
 
+    # the ids come from g itself, so the copy drops them with no checks
+    reduced = g.copy()
+    reduced._unlink(eid for p in pairs for eid in (p.e, p.f))
+    ops = g.n_edges + len(pairs)
     return PreprocessResult(reduced, PairSet(pairs), ops)
 
 

@@ -113,6 +113,16 @@ class TestExact:
                        stdin=gen.stdout, check=False)
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("flag", ["--max-edges", "--tree-limit",
+                                      "--rotation-limit"])
+    def test_negative_limit_is_an_invalid_option(self, flag):
+        # a negative limit is a bad option value, not an exceeded limit
+        proc = run_cli("exact", flag, "-1", stdin=K4_TEXT, check=False)
+        assert proc.returncode == 2
+        assert f"argument {flag}: not an integer >= 0: '-1'" \
+            in proc.stderr
+        assert not proc.stdout
+
     def test_long_cycle(self):
         # the tree oracle decides one edge per search level: 3000 levels
         text = "".join(f"{v} {(v + 1) % 3000}\n" for v in range(3000))

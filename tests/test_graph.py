@@ -15,7 +15,13 @@ from maxgenus import (
     parse_edge_list,
     xuong_max_genus,
 )
-from maxgenus.graph import dart, dart_edge, dart_end, format_dart, parse_dart, twin
+from maxgenus.graph import (
+    bfs_tree,
+    dart,
+    format_dart,
+    parse_dart,
+    twin,
+)
 
 import _reference
 
@@ -33,7 +39,6 @@ class TestDarts:
         assert dart(5, 0) == 10
         assert dart(5, 1) == 11
         assert twin(10) == 11 and twin(11) == 10
-        assert dart_edge(11) == 5 and dart_end(11) == 1
 
     def test_bad_end(self):
         with pytest.raises(ValueError):
@@ -328,3 +333,42 @@ def test_property_delete_restore_identity(edges, data):
     g.restore_edges(data.draw(st.permutations(removed)))
     check_far_ends(g)
     assert g == snapshot
+
+
+@given(st.data())
+def test_property_maps_stay_in_dart_order(data):
+    # adds, deletions and out-of-order restores, loops included; each map
+    # must stay ascending, and the graph must equal, order and all, one
+    # built by the same adds and only the deletions still in force
+    n = 5
+    vertex = st.integers(0, n - 1)
+    g = MultiGraph(n)
+    added, deleted = [], []
+    for _ in range(data.draw(st.integers(1, 25))):
+        op = data.draw(st.sampled_from(("add", "delete", "restore")))
+        if op == "add":
+            added.append((data.draw(vertex), data.draw(vertex)))
+            g.add_edge(*added[-1])
+        elif op == "delete" and g.n_edges:
+            deleted += g.delete_edges(data.draw(st.lists(
+                st.sampled_from(g.edge_ids()), min_size=1, unique=True)))
+        elif op == "restore" and deleted:
+            batch = data.draw(st.permutations(deleted))
+            batch = batch[:data.draw(st.integers(1, len(batch)))]
+            deleted = [r for r in deleted if r not in batch]
+            g.restore_edges(batch)
+        assert all(list(m) == sorted(m) for m in g._inc)
+    fresh = MultiGraph(n)
+    for u, v in added:
+        fresh.add_edge(u, v)
+    fresh.delete_edges(eid for eid, _, _ in deleted)
+    assert [list(m.items()) for m in g._inc] == \
+        [list(m.items()) for m in fresh._inc]
+    if is_connected(g):
+        assert bfs_tree(g) == bfs_tree(fresh)
+    without = data.draw(st.sets(st.integers(0, len(added))))
+    h = g.copy(without)
+    for eid in without & set(g.edge_ids()):
+        fresh.delete_edge(eid)
+    assert [list(m.items()) for m in h._inc] == \
+        [list(m.items()) for m in fresh._inc]

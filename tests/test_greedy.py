@@ -10,6 +10,7 @@ from maxgenus import (
     AdjacentPair,
     BackendStats,
     CertificationError,
+    DfsBackend,
     DisconnectedError,
     GenusBounds,
     GraphError,
@@ -28,7 +29,7 @@ from maxgenus import (
     verify_pair_set,
 )
 from maxgenus import bench, cli, greedy
-from maxgenus.graph import bfs_tree
+from maxgenus.graph import bfs_tree, cut_scan
 from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
 from _corpus import circulant_from_shuffled_text, random_corpus
@@ -335,23 +336,26 @@ class TestTreeFirst:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_traversals_follow_edge_ids_not_insertion_order(seed):
-    # delete and restore edges so each vertex's darts leave id order, then
-    # compare with the same graph built in id order
+    # restore edges out of id order, then compare with the same graph
+    # built in id order: restore_edges puts every dart map back in order
     g = gen_random_connected_multigraph(30, 80, seed=seed,
                                         loop_prob=0.2, parallel_prob=0.2)
     rng = random.Random(seed)
     records = g.delete_edges(rng.sample(g.edge_ids(), 40))
     rng.shuffle(records)
     g.restore_edges(records)
-    assert any(list(inc) != sorted(inc) for inc in g._inc)
+    assert all(list(inc) == sorted(inc) for inc in g._inc)
     fresh = MultiGraph(g.n_vertices)
     for eid in g.edge_ids():
         fresh.add_edge(*g.endpoints(eid))
     assert bfs_tree(g) == bfs_tree(fresh)
     pairs, fresh_pairs = PairSet(), PairSet()
     greedy._pair_cotree_edges(g.copy(), pairs)
-    greedy._pair_cotree_edges(fresh, fresh_pairs)
+    greedy._pair_cotree_edges(fresh.copy(), fresh_pairs)
     assert pairs == fresh_pairs
+    for policy in POLICIES:
+        assert greedy_max_genus(g, policy=policy, seed=seed).pairs == \
+            greedy_max_genus(fresh, policy=policy, seed=seed).pairs
 
 
 def kotzig_pair_count(g):
@@ -516,9 +520,27 @@ class TestCycleCore:
                 skipped += len(cut)
         assert skipped > 0
 
-    def test_phase_two_probes_only_the_core(self):
+    def test_phase_two_probes_only_the_core(self, monkeypatch):
         # 16172 phase-2 tests when every candidate was probed
         g = gen_random_connected_multigraph(8192, 16384, seed=1)
+        built = []
+        monkeypatch.setattr(greedy, "candidate_pairs",
+                            lambda h, v: built.append(v) or candidate_pairs(h, v))
+        backends = []
+        monkeypatch.setitem(greedy.BACKENDS, "dfs", lambda h, without: (
+            backends.append(DfsBackend(h, without)) or backends[-1]))
         r = greedy_max_genus(g)
         assert r.stats.core_bridges > 0
         assert r.stats.tests <= 2500
+        # candidates only where two edges outside the bridges meet
+        residual = phase_two_residual(g, "tree-first")
+        bridges = cut_scan(residual)[0]
+        assert len(bridges) == r.stats.core_bridges
+        core = {v for v in residual.vertices()
+                if len(set(residual.incident_edges(v)) - bridges) >= 2}
+        assert built and set(built) <= core
+        # the backend never held a bridge: it knows only the core's edges
+        (be,) = backends
+        assert set(be._endpoints) == set(residual.edge_ids()) - bridges
+        assert r.backend_stats.inserts - r.backend_stats.deletes \
+            == len(be._endpoints) - 2 * (r.stats.removed - r.stats.tree_pairs)
