@@ -28,7 +28,6 @@ from .connectivity import (
 from .embedding import (
     EmbeddingResult,
     EmbeddingState,
-    FaceSet,
     RotationSystem,
     build_embedding,
     genus_of,
@@ -101,7 +100,6 @@ __all__ = [
     "EmbeddingResult",
     "EmbeddingState",
     "FAMILIES",
-    "FaceSet",
     "GeneratorSpec",
     "GenusBounds",
     "GraphError",

@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .bench import BenchConfig, format_summary, run_bench, run_pipeline, summarize
-from .embedding import RotationSystem, build_embedding, genus_and_faces
+from .embedding import RotationSystem, build_embedding, genus_of, trace_faces
 from .generators import FAMILIES, GeneratorSpec
 from .graph import (
     CertificationError,
@@ -156,9 +156,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     if args.rotation is not None:
         rot = RotationSystem.from_text(_read_text(args.rotation))
-        genus, faces = genus_and_faces(g, rot)
-        print(f"genus={genus} faces={len(faces)} "
-              f"sizes={','.join(map(str, faces.sizes()))}")
+        genus = genus_of(g, rot)
+        sizes = sorted(map(len, trace_faces(g, rot)))
+        print(f"genus={genus} faces={len(sizes)} "
+              f"sizes={','.join(map(str, sizes))}")
         return EXIT_OK
     out = run_pipeline(
         g, label=args.graph or "stdin", policy=args.policy,

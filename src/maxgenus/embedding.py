@@ -2,9 +2,12 @@
 
 A rotation system assigns every vertex a cyclic order of its darts and
 determines an embedding in an orientable surface.  Faces are the orbits
-of ``d -> sigma_next[twin(d)]``; with n vertices, m edges and f faces the
+of ``d -> sigma_next[d ^ 1]``; with n vertices, m edges and f faces the
 genus is ``(2 - (n - m + f)) / 2``.  Faces are only ever counted by
-tracing these orbits; no face labels are kept.
+tracing these orbits; no face labels are kept.  A rotation is read by
+:func:`genus_of` or :func:`trace_faces`, and both first check it in one
+pass over its darts (:meth:`RotationSystem.validate`), which also builds
+the successor map they trace.
 
 :func:`build_embedding` turns a verified family of k disjoint adjacent
 pairs into an explicit embedding of genus at least k: embed a spanning
@@ -35,7 +38,7 @@ by dart.  A leftover edge goes in at ``first_dart`` of both ends:
 whether it splits or merges, the genus never drops, so the pairs' k stays
 a lower bound.
 :func:`build_embedding` takes the genus from one trace of the final
-rotations.
+state, ``EmbeddingState.n_faces``.
 """
 
 from __future__ import annotations
@@ -68,13 +71,29 @@ class RotationSystem:
 
     order: dict[int, tuple[int, ...]]
 
-    def validate(self, g: MultiGraph) -> None:
+    def validate(self, g: MultiGraph) -> dict[int, int]:
+        """Check that the rotation lists each dart of g once, under the
+        vertex it lies at, over g's vertices, and return its successor
+        map ``d -> sigma_next[d]``.  One pass over the darts; raises
+        :class:`GraphError`."""
         if set(self.order) != set(g.vertices()):
             raise GraphError("rotation vertex set does not match graph")
+        inc = g._inc
+        sigma_next: dict[int, int] = {}
+        listed = 0
         for v, cyc in self.order.items():
-            if sorted(cyc) != g.darts_at(v):  # darts_at is in dart order
-                raise GraphError(f"rotation at vertex {v} is not a "
-                                 "permutation of its darts")
+            listed += len(cyc)
+            at_v = inc[v]  # the darts at v, each mapped to its far end
+            for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                if d not in at_v:
+                    raise GraphError(f"rotation at vertex {v} lists "
+                                     f"{format_dart(d)}, not a dart of it")
+                sigma_next[d] = nxt
+        if len(sigma_next) != listed:
+            raise GraphError("rotation lists a dart twice")
+        if listed != 2 * g.n_edges:
+            raise GraphError("rotation misses darts of the graph")
+        return sigma_next
 
     def to_text(self) -> str:
         lines = []
@@ -116,34 +135,13 @@ def _canonical_cycle(cyc: list[int]) -> tuple[int, ...]:
     return tuple(cyc[i:] + cyc[:i])
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    """Face boundaries as canonicalized dart cycles, sorted."""
-
-    faces: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.faces)
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def sizes(self) -> list[int]:
-        return sorted(len(f) for f in self.faces)
-
-
-def _sigma_next(order: Mapping[int, Sequence[int]]) -> dict[int, int]:
-    return {d: cyc[(i + 1) % len(cyc)]
-            for cyc in order.values() for i, d in enumerate(cyc)}
-
-
 def _face_count(
     darts: Iterable[int], sigma_next: Mapping[int, int] | Sequence[int]
 ) -> int:
-    """Orbit count of ``d -> sigma_next[twin(d)]`` over ``darts``, which
+    """Orbit count of ``d -> sigma_next[d ^ 1]`` over ``darts``, which
     the map must carry into themselves.  No validation.
 
-    :func:`genus_of` passes a dict over the darts as both;
+    :func:`genus_of` passes its successor map as both;
     :class:`EmbeddingState` passes its embedded darts and its list."""
     seen: set[int] = set()
     count = 0
@@ -158,9 +156,19 @@ def _face_count(
     return count
 
 
-def _face_set(order: Mapping[int, Sequence[int]]) -> FaceSet:
-    """Orbits of ``d -> sigma_next[twin(d)]``.  No validation."""
-    sigma_next = _sigma_next(order)
+def _euler_genus(n: int, m: int, f: int) -> int:
+    chi = n - m + f
+    if chi > 2 or chi % 2:
+        raise CertificationError(f"Euler characteristic {chi} is odd or > 2")
+    return (2 - chi) // 2
+
+
+def trace_faces(
+    g: MultiGraph, rot: RotationSystem
+) -> tuple[tuple[int, ...], ...]:
+    """Face boundaries of the embedding given by ``rot``, each a dart
+    cycle rotated to start at its least dart, sorted."""
+    sigma_next = rot.validate(g)
     faces = []
     seen: set[int] = set()
     for d in sigma_next:
@@ -173,55 +181,16 @@ def _face_set(order: Mapping[int, Sequence[int]]) -> FaceSet:
             cyc.append(x)
             x = sigma_next[x ^ 1]
         faces.append(_canonical_cycle(cyc))
-    return FaceSet(tuple(sorted(faces)))
+    return tuple(sorted(faces))
 
 
-def _euler_genus(n: int, m: int, f: int) -> int:
-    chi = n - m + f
-    if chi > 2 or chi % 2:
-        raise CertificationError(f"Euler characteristic {chi} is odd or > 2")
-    return (2 - chi) // 2
-
-
-def trace_faces(g: MultiGraph, rot: "RotationSystem | Mapping") -> FaceSet:
-    """Face orbits of the embedding given by ``rot``."""
-    if not isinstance(rot, RotationSystem):
-        rot = RotationSystem({v: tuple(c) for v, c in rot.items()})
-    rot.validate(g)
-    return _face_set(rot.order)
-
-
-def _check_connected(g: MultiGraph) -> None:
+def genus_of(g: MultiGraph, rot: RotationSystem) -> int:
+    """Genus of the surface in which ``rot`` embeds the connected graph g."""
     if not is_connected(g):
         raise DisconnectedError("genus needs a connected graph")
-
-
-def genus_of(
-    g: MultiGraph, rot: "RotationSystem | Mapping", *, validate: bool = True
-) -> int:
-    """Genus of the surface in which ``rot`` embeds the connected graph g.
-
-    ``validate=False`` skips the permutation and connectivity checks; use
-    only on rotations built directly from g's own darts.
-    """
-    order = rot.order if isinstance(rot, RotationSystem) else rot
-    if validate:
-        _check_connected(g)
-        RotationSystem({v: tuple(c) for v, c in order.items()}).validate(g)
-    sn = _sigma_next(order)
-    f = _face_count(sn, sn) if g.n_edges else 1
+    sigma_next = rot.validate(g)
+    f = _face_count(sigma_next, sigma_next) if g.n_edges else 1
     return _euler_genus(g.n_vertices, g.n_edges, f)
-
-
-def genus_and_faces(
-    g: MultiGraph, rot: "RotationSystem | Mapping"
-) -> tuple[int, FaceSet]:
-    """:func:`genus_of` and :func:`trace_faces` from one validation and
-    one trace."""
-    _check_connected(g)
-    faces = trace_faces(g, rot)
-    f = len(faces) if g.n_edges else 1
-    return _euler_genus(g.n_vertices, g.n_edges, f), faces
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +279,6 @@ class EmbeddingState:
     def n_faces(self) -> int:
         """Face count by one O(m) trace."""
         return _face_count(self._darts(), self.sigma_next) or 1
-
-    @property
-    def genus(self) -> int:
-        """Genus by one O(m) trace; raises :class:`CertificationError` if
-        the embedded subgraph does not span the vertices connectedly."""
-        return _euler_genus(self.n_vertices, self.m_emb, self.n_faces)
 
     def _darts(self) -> list[int]:
         """The embedded darts, ascending."""
@@ -669,7 +632,7 @@ def build_embedding(
                 st._audit_edges((eid,))
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
-    n_faces = _face_count(st._darts(), st.sigma_next) if g.n_edges else 1
+    n_faces = st.n_faces
     genus = _euler_genus(g.n_vertices, g.n_edges, n_faces)
     k = len(pairs.pairs)
     if genus < k:

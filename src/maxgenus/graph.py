@@ -50,18 +50,6 @@ class CertificationError(GraphError):
 # Darts
 # ---------------------------------------------------------------------------
 
-def dart(edge_id: int, end: int) -> int:
-    """Dart of ``edge_id`` at endpoint ``end`` (0 or 1)."""
-    if end not in (0, 1):
-        raise ValueError(f"dart end must be 0 or 1, got {end}")
-    return (edge_id << 1) | end
-
-
-def twin(d: int) -> int:
-    """The other dart of the same edge."""
-    return d ^ 1
-
-
 def format_dart(d: int) -> str:
     """Text form ``edgeId.end`` used in rotation-system output."""
     return f"{d >> 1}.{d & 1}"

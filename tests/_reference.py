@@ -2,8 +2,9 @@
 pair insertion for checking ``EmbeddingState``'s corner list, the
 corner list's merge step on one flat list for checking its blocks, and
 plain forms of the pair check, the edge-list parser, the pair oracle
-(recursive) and the rotation oracle (traced by ``genus_of``) for checking
-the faster ones."""
+(recursive), the rotation oracle (traced by ``genus_of``'s face count)
+and the rotation check (by sorting each vertex's darts) for checking the
+faster ones."""
 
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ from maxgenus import (
     MultiGraph,
     PairSet,
     ParseError,
+    GraphError,
     RotationSystem,
-    genus_of,
     is_connected,
 )
+from maxgenus.embedding import _euler_genus, _face_count
 from maxgenus.graph import bfs_tree
 from maxgenus.greedy import candidate_pairs
 
@@ -265,8 +267,10 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
 
 def exact_max_genus_rotations(g: MultiGraph) -> int:
     """``oracle.exact_max_genus_rotations`` as a product over every
-    vertex's orders (first dart pinned), each rotation's genus traced by
-    ``genus_of``, with no rotation limit."""
+    vertex's orders (first dart pinned), each rotation's faces counted by
+    ``_face_count``, the count ``genus_of`` makes, with no rotation limit
+    and no rotation check: every combination is built from g's own
+    darts."""
     per_vertex: list[list[tuple[int, ...]]] = []
     for v in g.vertices():
         darts = sorted(g.darts_at(v))
@@ -277,10 +281,26 @@ def exact_max_genus_rotations(g: MultiGraph) -> int:
             per_vertex.append([(head,) + p for p in permutations(rest)])
     best = 0
     cap = (g.n_edges - g.n_vertices + 1) // 2
+    n, m = g.n_vertices, g.n_edges
     for combo in product(*per_vertex):
-        genus = genus_of(g, dict(enumerate(combo)), validate=False)
+        sigma_next = {d: nxt for cyc in combo
+                      for d, nxt in zip(cyc, cyc[1:] + cyc[:1])}
+        f = _face_count(sigma_next, sigma_next) if m else 1
+        genus = _euler_genus(n, m, f)
         if genus > best:
             best = genus
             if best == cap:
                 break
     return best
+
+
+def validate_rotation(g: MultiGraph, rot: RotationSystem) -> None:
+    """``RotationSystem.validate`` as a sort per vertex: the vertex sets
+    match and each vertex's cycle, sorted, is its darts.  Raises
+    :class:`GraphError`."""
+    if set(rot.order) != set(g.vertices()):
+        raise GraphError("rotation vertex set does not match graph")
+    for v, cyc in rot.order.items():
+        if sorted(cyc) != sorted(g.darts_at(v)):
+            raise GraphError(f"rotation at vertex {v} is not a "
+                             "permutation of its darts")

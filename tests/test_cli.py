@@ -335,14 +335,12 @@ class TestExitCodes:
 
     def test_wrong_embedding_genus_under_optimize(self):
         # with asserts stripped by -O, a wrong genus must still be caught:
-        # a trace of the emitted rotation that counts every face twice
-        # puts K4's genus at 0 (the state's own face count stays honest)
+        # a trace of the final embedding that counts every face twice
+        # puts K4's genus at 0, below its one certified pair
         script = (
             "import sys\n"
             "from maxgenus import cli, embedding\n"
             "face_count = embedding._face_count\n"
-            "embedding.EmbeddingState.n_faces = property(lambda self:\n"
-            "    face_count(self._darts(), self.sigma_next) or 1)\n"
             "embedding._face_count = lambda darts, sigma_next: (\n"
             "    face_count(darts, sigma_next) * 2)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
@@ -355,6 +353,23 @@ class TestExitCodes:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "embedding genus" not in proc.stdout
+
+    def test_repeated_dart_rejected_under_optimize(self, tmp_path):
+        # K4's rotation with dart 0.0 listed twice at vertex 0 is a typed
+        # rejection (exit 2) with asserts stripped, not a traceback
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text(K4_TEXT)
+        rot_file = tmp_path / "g.rot"
+        rot_file.write_text("0: 0.0 1.0 2.0 0.0\n1: 0.1 3.0 4.0\n"
+                            "2: 1.1 3.1 5.0\n3: 2.1 4.1 5.1\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "maxgenus.cli", "embed",
+             str(graph_file), "--rotation", str(rot_file)],
+            capture_output=True, text=True, env=ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: rotation lists a dart twice")
+        assert "Traceback" not in proc.stderr
 
     def test_check_audits_under_optimize(self):
         # --check must audit even with asserts stripped by -O

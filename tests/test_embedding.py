@@ -29,10 +29,11 @@ from maxgenus import (
     verify_pair_set,
     xuong_max_genus,
 )
-from maxgenus.graph import bfs_tree, dart
+from maxgenus.embedding import _euler_genus
+from maxgenus.graph import bfs_tree
 
 from _corpus import circulant_shuffled_ids
-from _reference import merge_corners, reference_rotation_text
+from _reference import merge_corners, reference_rotation_text, validate_rotation
 
 
 def path_graph(n):
@@ -131,16 +132,80 @@ class TestRotationText:
             rot.validate(g)
 
 
+def _perturbed_rotation(g, rng, how):
+    """A shuffled rotation of g, then broken as ``how`` says."""
+    cycles = {v: rng.sample(g.darts_at(v), g.degree(v))
+              for v in g.vertices()}
+
+    def put(d, v=None):
+        cyc = cycles[rng.choice(list(cycles)) if v is None else v]
+        cyc.insert(rng.randrange(len(cyc) + 1), d)
+
+    def take():
+        v = rng.choice([v for v in cycles if cycles[v]])
+        return cycles[v].pop(rng.randrange(len(cycles[v]))), v
+
+    if how == "drop":
+        take()
+    elif how == "repeat":
+        put(rng.choice([d for cyc in cycles.values() for d in cyc]))
+    elif how == "repeat-and-drop":
+        take()
+        put(rng.choice([d for cyc in cycles.values() for d in cyc]))
+    elif how == "move":
+        d, v = take()
+        put(d, rng.choice([w for w in cycles if w != v]))
+    elif how == "foreign":
+        put(2 * g._next_id + rng.randrange(4))
+    elif how == "negative":
+        put(-rng.randrange(1, 5))
+    elif how == "drop-vertex":
+        del cycles[rng.choice(list(cycles))]
+    elif how == "add-vertex":
+        cycles[g.n_vertices + rng.randrange(3)] = []
+    return RotationSystem({v: tuple(cyc) for v, cyc in cycles.items()})
+
+
+def _accepts(check):
+    try:
+        check()
+    except GraphError:
+        return False
+    return True
+
+
+class TestValidateParity:
+    """``RotationSystem.validate``'s one pass accepts exactly the
+    rotations the plain per-vertex sort accepts."""
+
+    @pytest.mark.parametrize("how", [
+        "none", "drop", "repeat", "repeat-and-drop", "move", "foreign",
+        "negative", "drop-vertex", "add-vertex"])
+    @given(seed=st.integers(0, 10_000))
+    def test_same_verdict_as_sorting(self, how, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 5
+        g = gen_random_connected_multigraph(
+            n, n + seed % 6, seed=seed, loop_prob=0.2, parallel_prob=0.3)
+        rot = _perturbed_rotation(g, rng, how)
+        accepted = _accepts(lambda: validate_rotation(g, rot))
+        assert accepted == (how == "none")
+        assert _accepts(lambda: rot.validate(g)) == accepted
+        if accepted:
+            assert rot.validate(g) == {
+                d: cyc[(i + 1) % len(cyc)]
+                for cyc in rot.order.values() for i, d in enumerate(cyc)}
+
+
 class TestTraceFaces:
     def test_triangle_planar(self):
         g = MultiGraph(3)
         g.add_edge(0, 1)
         g.add_edge(1, 2)
         g.add_edge(2, 0)
-        rot = {0: (0, 5), 1: (1, 2), 2: (3, 4)}
+        rot = RotationSystem({0: (0, 5), 1: (1, 2), 2: (3, 4)})
         faces = trace_faces(g, rot)
-        assert len(faces) == 2
-        assert sorted(faces.sizes()) == [3, 3]
+        assert faces == ((0, 2, 4), (1, 5, 3))
         assert genus_of(g, rot) == 0
 
     def test_face_sizes_sum(self):
@@ -151,22 +216,22 @@ class TestTraceFaces:
             darts = sorted(g.darts_at(v))
             rng.shuffle(darts)
             order[v] = tuple(darts)
-        faces = trace_faces(g, order)
-        assert sum(faces.sizes()) == 2 * g.n_edges
+        faces = trace_faces(g, RotationSystem(order))
+        assert sum(map(len, faces)) == 2 * g.n_edges
 
     def test_disconnected_rejected(self):
         g = MultiGraph(2)
         with pytest.raises(DisconnectedError):
-            genus_of(g, {0: (), 1: ()})
+            genus_of(g, RotationSystem({0: (), 1: ()}))
 
     def test_single_vertex_no_edges(self):
         g = MultiGraph(1)
-        assert genus_of(g, {0: ()}) == 0
+        assert genus_of(g, RotationSystem({0: ()})) == 0
 
     def test_euler_check_is_typed(self):
-        # unvalidated and disconnected: n - m + f = 3 has no genus
+        # two vertices, no edge, one face: n - m + f = 3 has no genus
         with pytest.raises(CertificationError):
-            genus_of(MultiGraph(2), {0: (), 1: ()}, validate=False)
+            _euler_genus(2, 0, 1)
 
 
 class TestEmbeddingState:
@@ -202,8 +267,8 @@ class TestEmbeddingState:
     def test_spanning_tree_state_is_planar(self):
         g = k4()
         state = EmbeddingState.tree_embedding(g, bfs_tree(g))
-        assert state.genus == 0
         assert state.n_faces == 1
+        assert _euler_genus(g.n_vertices, state.m_emb, state.n_faces) == 0
 
 
 class TestInsertAdjacentPair:
@@ -242,8 +307,8 @@ def _witness_corner(rot, g, pair):
     read from the rotation at the witness: ``"after"`` (between d_w and
     its successor) or ``"d_w"`` (before d_w)."""
     w = pair.witness
-    d_w = dart(pair.e, 0 if g.endpoints(pair.e)[0] == w else 1)
-    f_w = dart(pair.f, 0 if g.endpoints(pair.f)[0] == w else 1)
+    d_w = 2 * pair.e + (g.endpoints(pair.e)[0] != w)
+    f_w = 2 * pair.f + (g.endpoints(pair.f)[0] != w)
     cyc = rot.order[w]
     i = cyc.index(f_w)
     if cyc[i - 1] == d_w:
@@ -489,7 +554,7 @@ class TestBuildEmbedding:
                 darts = sorted(g.darts_at(v))
                 rng.shuffle(darts)
                 order[v] = tuple(darts)
-            seen.add(genus_of(g, order, validate=False))
+            seen.add(genus_of(g, RotationSystem(order)))
         assert seen == {0, 1}
 
 
@@ -586,11 +651,12 @@ def test_random_rotation_euler(seed):
         darts = sorted(g.darts_at(v))
         rng.shuffle(darts)
         order[v] = tuple(darts)
-    faces = trace_faces(g, order)
-    genus = genus_of(g, order)
+    rot = RotationSystem(order)
+    faces = trace_faces(g, rot)
+    genus = genus_of(g, rot)
     assert g.n_vertices - g.n_edges + len(faces) == 2 - 2 * genus
     assert 0 <= genus <= (g.n_edges - g.n_vertices + 1) // 2
-    assert sum(faces.sizes()) == 2 * g.n_edges
+    assert sum(map(len, faces)) == 2 * g.n_edges
 
 
 @given(seed=st.integers(0, 10_000))
