@@ -1,17 +1,13 @@
 """Benchmark harness: generate, run the pipeline, fit scaling slopes.
 
-A benchmark config is a ``key = value`` text file (``#`` comments):
-
-    family      = random        # any generator family
-    sizes       = 64,128,256    # generator size parameter per run
-    edge_factor = 2.0           # random family: m = round(factor * n)
-    seeds       = 0,1,2
-    policies    = tree-first
-    preprocess  = true
+A benchmark config is a ``key = value`` text file (``#`` comments) such
+as ``scripts/bench_example.conf``; ``sizes`` are generator size
+parameters (random: n, with m = round(edge_factor * n)).
 
 Every (size, seed, policy) combination becomes one cell; the cells run
-in turn, in one process.  Slopes are least-squares fits on log-log
-(edge count vs mean elapsed time / connectivity tests).
+in turn, in one process, and times the pipeline, ``build_embedding``
+(embed) and ``genus_of`` (verify).  Rows are means over the seeds;
+slopes are least-squares log-log fits against the edge count.
 """
 
 from __future__ import annotations
@@ -20,6 +16,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, replace
 
+from .embedding import build_embedding, genus_of
 from .generators import FAMILIES, GeneratorSpec
 from .graph import CertificationError, GraphError, MultiGraph
 from .greedy import (
@@ -145,6 +142,8 @@ class BenchConfig:
             key, value = key.strip(), value.strip()
             if not sep or key not in fields:
                 raise GraphError(f"config line {no}: unknown entry {raw!r}")
+            if key in out:
+                raise GraphError(f"config line {no}: {key} repeated")
             kind = fields[key]
             if kind == "bool":
                 if value not in ("true", "false"):
@@ -177,17 +176,27 @@ def _spec_for(cfg: BenchConfig, size: int, seed: int) -> GeneratorSpec:
 
 def run_bench(cfg: BenchConfig) -> list[RunReport]:
     """Run every cell of the grid in turn, sizes outermost, then seeds,
-    then policies."""
+    then policies; a traced genus off the embedding's is a
+    :class:`CertificationError`."""
     reports = []
     for size in cfg.sizes:
         for seed in cfg.seeds:
             g = _spec_for(cfg, size, seed).build()
             label = f"{cfg.family}-{size}-s{seed}"
             for policy in cfg.policies:
-                reports.append(run_pipeline(
-                    g, label=label, policy=policy, seed=seed,
-                    preprocess=cfg.preprocess,
-                ).report)
+                out = run_pipeline(g, label=label, policy=policy, seed=seed,
+                                   preprocess=cfg.preprocess)
+                t0 = time.perf_counter()
+                emb = build_embedding(g, out.pairs)
+                t1 = time.perf_counter()
+                genus = genus_of(g, emb.rotation)
+                t2 = time.perf_counter()
+                if genus != emb.genus:
+                    raise CertificationError(f"{label}: traced genus "
+                                             f"{genus} != {emb.genus}")
+                reports.append(replace(
+                    out.report, embedding_genus=genus,
+                    phase_s={"embed": t1 - t0, "verify": t2 - t1}))
     return reports
 
 
@@ -213,52 +222,62 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     return num / den
 
 
+# summary column -> decimals printed; counts, then times in s (us per pair)
+COLUMNS = {"n": 0, "m": 0, "k": 0, "genus": 0, "tree_pairs": 0, "tests": 0,
+           "core_bridges": 0, "elapsed_s": 4, "embed_s": 4,
+           "us_per_pair": 1, "verify_s": 4}
+SLOPE_COLUMNS = ("elapsed_s", "tests", "embed_s", "verify_s")
+
+
+def _cell(r: RunReport) -> dict[str, float]:
+    embed, k = r.phase_s["embed"], r.lower
+    return {"n": r.instance.n_vertices, "m": r.instance.n_edges, "k": k,
+            "genus": r.embedding_genus, "elapsed_s": r.elapsed_s,
+            **{c: r.stats[c] for c in ("tree_pairs", "tests", "core_bridges")},
+            "embed_s": embed, "us_per_pair": 1e6 * embed / max(1, k),
+            "verify_s": r.phase_s["verify"]}
+
+
 @dataclass(frozen=True)
 class BenchSummary:
-    """Per policy: rows of (n, m, mean elapsed, mean tests) sorted by m,
-    plus log-log slopes of both quantities against m over the rows with
-    m >= 1."""
+    """Per policy: rows sorted by m, each the means of :data:`COLUMNS`
+    over the seeds of one size, plus log-log slopes of
+    :data:`SLOPE_COLUMNS` against m over the rows with m >= 1."""
 
-    rows: dict[str, list[tuple[int, int, float, float]]]
-    elapsed_slopes: dict[str, float]
-    test_slopes: dict[str, float]
+    rows: dict[str, list[dict[str, float]]]
+    slopes: dict[str, dict[str, float]]
 
 
 def summarize(reports: list[RunReport]) -> BenchSummary:
-    groups: dict[str, dict[tuple[int, int], list[RunReport]]] = {}
+    groups: dict[str, dict[tuple[int, int], list[dict[str, float]]]] = {}
     for r in reports:
-        key = r.config.policy
         size_key = (r.instance.n_vertices, r.instance.n_edges)
-        groups.setdefault(key, {}).setdefault(size_key, []).append(r)
-    rows: dict[str, list[tuple[int, int, float, float]]] = {}
-    elapsed_slopes: dict[str, float] = {}
-    test_slopes: dict[str, float] = {}
+        groups.setdefault(r.config.policy, {}).setdefault(
+            size_key, []).append(_cell(r))
+    rows: dict[str, list[dict[str, float]]] = {}
+    slopes: dict[str, dict[str, float]] = {}
     for policy, by_size in groups.items():
-        table = []
-        for (n, m), rs in sorted(by_size.items(), key=lambda kv: kv[0][1]):
-            mean_t = sum(r.elapsed_s for r in rs) / len(rs)
-            mean_q = sum(r.stats["tests"] for r in rs) / len(rs)
-            table.append((n, m, mean_t, mean_q))
-        rows[policy] = table
-        fitted = [row for row in table if row[1] >= 1]
-        if len({m for _, m, _, _ in fitted}) >= 2:
-            elapsed_slopes[policy] = fit_loglog_slope(
-                [(m, t) for _, m, t, _ in fitted])
-            test_slopes[policy] = fit_loglog_slope(
-                [(m, q) for _, m, _, q in fitted])
-    return BenchSummary(rows, elapsed_slopes, test_slopes)
+        rows[policy] = table = [
+            {c: sum(cell[c] for cell in cells) / len(cells) for c in COLUMNS}
+            for _, cells in sorted(by_size.items(), key=lambda kv: kv[0][1])]
+        fitted = [row for row in table if row["m"] >= 1]
+        if len({row["m"] for row in fitted}) >= 2:
+            slopes[policy] = {c: fit_loglog_slope(
+                [(row["m"], row[c]) for row in fitted]) for c in SLOPE_COLUMNS}
+    return BenchSummary(rows, slopes)
 
 
 def format_summary(summary: BenchSummary) -> str:
     lines = []
     for policy in sorted(summary.rows):
         lines.append(f"policy={policy}")
-        lines.append(f"  {'n':>8} {'m':>8} {'elapsed_s':>12} {'tests':>10}")
-        for n, m, t, q in summary.rows[policy]:
-            lines.append(f"  {n:>8} {m:>8} {t:>12.4f} {q:>10.0f}")
-        if policy in summary.elapsed_slopes:
-            lines.append(
-                f"  slope(elapsed~m)={summary.elapsed_slopes[policy]:.2f} "
-                f"slope(tests~m)={summary.test_slopes[policy]:.2f}"
-            )
+        lines.append("  " + " ".join(f"{c:>{max(8, len(c))}}"
+                                     for c in COLUMNS))
+        for row in summary.rows[policy]:
+            lines.append("  " + " ".join(f"{row[c]:>{max(8, len(c))}.{d}f}"
+                                         for c, d in COLUMNS.items()))
+        if policy in summary.slopes:
+            lines.append("  " + " ".join(
+                f"slope({c.removesuffix('_s')}~m)={v:.2f}"
+                for c, v in summary.slopes[policy].items()))
     return "\n".join(lines)

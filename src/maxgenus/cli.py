@@ -22,14 +22,16 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .bench import BenchConfig, format_summary, run_bench, run_pipeline, summarize
-from .embedding import RotationSystem, build_embedding, genus_of, trace_faces
+from .embedding import RotationSystem, build_embedding, surface_genus, trace_faces
 from .generators import FAMILIES, GeneratorSpec
 from .graph import (
     CertificationError,
+    DisconnectedError,
     GraphError,
     MultiGraph,
     ParseError,
     format_edge_list,
+    is_connected,
     parse_edge_list,
 )
 from .greedy import DEFAULT_POLICY, POLICIES
@@ -156,9 +158,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     if args.rotation is not None:
         rot = RotationSystem.from_text(_read_text(args.rotation))
-        genus = genus_of(g, rot)
+        if not is_connected(g):
+            raise DisconnectedError("genus needs a connected graph")
         sizes = sorted(map(len, trace_faces(g, rot)))
-        print(f"genus={genus} faces={len(sizes)} "
+        print(f"genus={surface_genus(g, len(sizes))} faces={len(sizes)} "
               f"sizes={','.join(map(str, sizes))}")
         return EXIT_OK
     out = run_pipeline(

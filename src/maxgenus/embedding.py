@@ -163,6 +163,11 @@ def _euler_genus(n: int, m: int, f: int) -> int:
     return (2 - chi) // 2
 
 
+def surface_genus(g: MultiGraph, n_faces: int) -> int:
+    """Genus of g embedded with ``n_faces`` traced faces (no edge: one)."""
+    return _euler_genus(g.n_vertices, g.n_edges, n_faces or 1)
+
+
 def trace_faces(
     g: MultiGraph, rot: RotationSystem
 ) -> tuple[tuple[int, ...], ...]:
@@ -189,8 +194,7 @@ def genus_of(g: MultiGraph, rot: RotationSystem) -> int:
     if not is_connected(g):
         raise DisconnectedError("genus needs a connected graph")
     sigma_next = rot.validate(g)
-    f = _face_count(sigma_next, sigma_next) if g.n_edges else 1
-    return _euler_genus(g.n_vertices, g.n_edges, f)
+    return surface_genus(g, _face_count(sigma_next, sigma_next))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ class RunReport:
     ``pairs`` holds ``[e, f, witness]`` triples in removal order, the
     preprocessed ones first.  ``stats`` merges greedy counters with the
     backend's (prefixed ``backend_``).  ``embedding_genus`` is present
-    only when an embedding was built for the certificate.
+    only when an embedding was built for the certificate.  ``phase_s``
+    holds the timed steps after the greedy (``bench``: embed, verify).
     """
 
     instance: InstanceInfo
@@ -43,6 +44,7 @@ class RunReport:
     elapsed_s: float
     stats: dict[str, int] = field(default_factory=dict)
     embedding_genus: int | None = None
+    phase_s: dict[str, float] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
@@ -65,4 +67,5 @@ class RunReport:
             elapsed_s=raw["elapsed_s"],
             stats=dict(raw["stats"]),
             embedding_genus=raw.get("embedding_genus"),
+            phase_s=dict(raw.get("phase_s", {})),
         )

@@ -3,9 +3,9 @@
 Each test appends one PASS or FAIL line to ``ACCEPTANCE_LINES``; the
 conftest terminal-summary hook prints them after the run.  Criterion 9
 additionally reports fitted runtime slopes, of the greedy per backend and
-of ``build_embedding`` on the ``dfs`` greedy's pairs, as INFO lines.  Set
-``MAXGENUS_FULL_SLOPES=1`` to time the full size grid up to 2**15 edges
-(minutes); the default grid keeps the suite fast.
+of ``build_embedding`` on the ``dfs`` greedy's pairs, as INFO lines, on
+a short size grid that keeps the suite fast; ``maxgenus bench
+scripts/slopes_random.conf`` times the full grid up to 2**15 edges.
 """
 
 import functools
@@ -277,10 +277,9 @@ def test_criterion_9():
             assert st.final_pass_tests == 0
             assert (st.tests <= st.candidate_pairs <= st.candidate_budget
                     <= sum(math.comb(g.degree(v), 2) for v in g.vertices()))
-    full = os.environ.get("MAXGENUS_FULL_SLOPES") == "1"
     grids = {
-        "dfs": [2 ** p for p in range(10, 16 if full else 13)],
-        "dynamic": [2 ** p for p in range(10, 16 if full else 14)],
+        "dfs": [2 ** p for p in range(10, 13)],
+        "dynamic": [2 ** p for p in range(10, 14)],
     }
     for backend, sizes in grids.items():
         points = []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,11 @@ from maxgenus import (
     parse_edge_list,
     verify_pair_set,
 )
-from maxgenus import BenchConfig, bench, cli, oracle
+from maxgenus import BenchConfig, RotationSystem, bench, cli, oracle
 from maxgenus.graph import format_dart
 
 CLI = [sys.executable, "-m", "maxgenus.cli"]
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # the child imports the same package copy as this process
 SRC = str(Path(cli.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -170,6 +172,18 @@ class TestEmbed:
                        str(rot_file), check=False)
         assert proc.returncode == 2
 
+    def test_rotation_is_validated_once(self, tmp_path, monkeypatch, capsys):
+        graph_file, rot_file = tmp_path / "g.edges", tmp_path / "g.rot"
+        graph_file.write_text(K4_TEXT)
+        assert cli.main(["embed", str(graph_file)]) == 0
+        rot_file.write_text(capsys.readouterr().out)
+        calls, validate = [], RotationSystem.validate
+        monkeypatch.setattr(RotationSystem, "validate",
+                            lambda rot, g: calls.append(g) or validate(rot, g))
+        cli.main(["embed", str(graph_file), "--rotation", str(rot_file)])
+        assert (len(calls), capsys.readouterr().out) == (
+            1, "genus=1 faces=2 sizes=4,8\n")
+
     def test_unparsable_rotation_is_a_parse_error(self, tmp_path):
         graph_file = tmp_path / "g.edges"
         graph_file.write_text(K4_TEXT)
@@ -245,6 +259,32 @@ class TestBench:
         proc = run_cli("bench", str(cfg), check=False)
         assert proc.returncode == 2
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(GraphError, match="line 3: sizes repeated"):
+            BenchConfig.parse("sizes = 8\n# again\nsizes = 16\n")
+
+    def test_genus_disagreement_exits_5(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("sizes = 8\n")
+        monkeypatch.setattr(bench, "genus_of", lambda g, rot: -1)
+        assert cli.main(["bench", str(cfg)]) == 5
+        assert "traced genus -1" in capsys.readouterr().err
+
+    def test_committed_scripts_run(self):
+        confs = sorted(SCRIPTS.glob("*.conf"))
+        assert len(confs) >= 3  # bench_example and the two slopes grids
+        for conf in confs:
+            cfg = BenchConfig.parse(conf.read_text(encoding="utf-8"))
+            reports = bench.run_bench(replace(cfg, sizes=cfg.sizes[:2]))
+            assert "slope(verify~m)" in bench.format_summary(
+                bench.summarize(reports)), conf.name
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "policy_gap_demo.py"),
+             "--max-n", "2", "--oracle-max-n", "1"],
+            capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[1].split()[-2:] == ["2", "2"]
+
     def test_unknown_policy_fails_before_any_cell(self, tmp_path,
                                                   monkeypatch, capsys):
         with pytest.raises(GraphError, match="bogus"):
@@ -276,9 +316,9 @@ class TestBench:
         summary = bench.summarize(reports)
         (policy,) = summary.rows
         table = summary.rows[policy]
-        assert [m for _, m, _, _ in table] == [0, 2, 4]
-        assert summary.elapsed_slopes[policy] == bench.fit_loglog_slope(
-            [(m, t) for _, m, t, _ in table[1:]])
+        assert [row["m"] for row in table] == [0, 2, 4]
+        assert summary.slopes[policy]["elapsed_s"] == bench.fit_loglog_slope(
+            [(row["m"], row["elapsed_s"]) for row in table[1:]])
 
     def test_slope_fit_rejects_nonpositive_sizes(self):
         for x in (0, -1, -0.5):
@@ -405,6 +445,14 @@ class TestReportSchema:
         payload["schema_version"] = 2
         with pytest.raises(ValueError):
             RunReport.from_json(json.dumps(payload))
+
+    def test_phase_times_round_trip(self):
+        (rep,) = bench.run_bench(BenchConfig(sizes=(8,)))
+        assert set(rep.phase_s) == {"embed", "verify"}
+        assert RunReport.from_json(rep.to_json()) == rep
+        payload = json.loads(rep.to_json())
+        del payload["phase_s"]  # a schema-1 report written before phase_s
+        assert RunReport.from_json(json.dumps(payload)).phase_s == {}
 
     def test_round_trip_is_identity(self):
         proc = run_cli("greedy", "--json", "--embed", stdin=K4_TEXT)
