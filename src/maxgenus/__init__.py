@@ -72,6 +72,7 @@ from .oracle import (
     XuongCertificate,
     exact_max_genus_pairs,
     exact_max_genus_rotations,
+    nebesky_bound,
     odd_components,
     spanning_trees,
     xuong_max_genus,
@@ -137,6 +138,7 @@ __all__ = [
     "is_cactus",
     "is_connected",
     "merge_pairs",
+    "nebesky_bound",
     "odd_components",
     "pair_removal_keeps_connected",
     "parse_edge_list",

@@ -204,18 +204,20 @@ def run_bench(cfg: BenchConfig) -> list[RunReport]:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log(y) against log(x).
+def fit_loglog_slope(points: list[tuple[float, float]]) -> float | None:
+    """Least-squares slope of log(y) against log(x), or None when some y
+    is not positive (a count that stayed 0 has no slope).
 
-    Needs at least two distinct x values, all positive; y is clamped away
-    from zero so timer underflow cannot poison the fit.
+    Needs at least two distinct x values, all positive.
     """
     if any(x <= 0 for x, _ in points):
         raise GraphError("slope fit needs positive sizes")
     if len({x for x, _ in points}) < 2:
         raise GraphError("slope fit needs at least two distinct sizes")
+    if any(y <= 0 for _, y in points):
+        return None
     lx = [math.log(x) for x, _ in points]
-    ly = [math.log(max(y, 1e-9)) for _, y in points]
+    ly = [math.log(y) for _, y in points]
     mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
     num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
     den = sum((a - mx) ** 2 for a in lx)
@@ -245,7 +247,7 @@ class BenchSummary:
     :data:`SLOPE_COLUMNS` against m over the rows with m >= 1."""
 
     rows: dict[str, list[dict[str, float]]]
-    slopes: dict[str, dict[str, float]]
+    slopes: dict[str, dict[str, float | None]]
 
 
 def summarize(reports: list[RunReport]) -> BenchSummary:
@@ -255,7 +257,7 @@ def summarize(reports: list[RunReport]) -> BenchSummary:
         groups.setdefault(r.config.policy, {}).setdefault(
             size_key, []).append(_cell(r))
     rows: dict[str, list[dict[str, float]]] = {}
-    slopes: dict[str, dict[str, float]] = {}
+    slopes: dict[str, dict[str, float | None]] = {}
     for policy, by_size in groups.items():
         rows[policy] = table = [
             {c: sum(cell[c] for cell in cells) / len(cells) for c in COLUMNS}
@@ -278,6 +280,7 @@ def format_summary(summary: BenchSummary) -> str:
                                          for c, d in COLUMNS.items()))
         if policy in summary.slopes:
             lines.append("  " + " ".join(
-                f"slope({c.removesuffix('_s')}~m)={v:.2f}"
+                f"slope({c.removesuffix('_s')}~m)="
+                + ("n/a" if v is None else f"{v:.2f}")
                 for c, v in summary.slopes[policy].items()))
     return "\n".join(lines)

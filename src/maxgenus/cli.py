@@ -30,6 +30,7 @@ from .graph import (
     GraphError,
     MultiGraph,
     ParseError,
+    cut_scan,
     format_edge_list,
     is_connected,
     parse_edge_list,
@@ -42,6 +43,7 @@ from .oracle import (
     LimitExceededError,
     exact_max_genus_pairs,
     exact_max_genus_rotations,
+    nebesky_bound,
     xuong_max_genus,
 )
 
@@ -145,6 +147,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
             print(f"method={name} gamma_M={values[name]}")
         else:
             print(f"method={name} skipped: {skipped[name]}")
+    bridges = cut_scan(g)[0]
+    print(f"upper bound = {nebesky_bound(g, bridges)} "
+          f"(bridges: {len(bridges)})")
     if not values:
         raise LimitExceededError("all exact methods exceeded their limits")
     distinct = set(values.values())

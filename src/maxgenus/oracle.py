@@ -16,11 +16,16 @@ the greedy's bounds:
   rotation's faces itself, apart from :mod:`.embedding`.
 
 All three are exponential; each takes an explicit limit and raises
-:class:`LimitExceededError` beyond it rather than running away.
+:class:`LimitExceededError` beyond it rather than running away.  Each
+search stops once its best value reaches :func:`nebesky_bound` at the
+bridges, an upper bound on the maximum genus that is tight on most small
+graphs; each keeps the first optimum it meets, so the bound only ends a
+search sooner and leaves the witnesses as they are.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
@@ -30,6 +35,7 @@ from .graph import (
     DisconnectedError,
     GraphError,
     MultiGraph,
+    cut_scan,
     is_connected,
 )
 from .greedy import AdjacentPair, PairSet
@@ -48,6 +54,60 @@ def _require_connected(g: MultiGraph) -> None:
         raise DisconnectedError("exact oracles require a connected graph")
 
 
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def nebesky_bound(g: MultiGraph, cut: Collection[int]) -> int:
+    """Upper bound on the maximum genus of connected g from the edge set
+    ``cut``, by one union-find pass over the other edges.
+
+    Nebeský (Czech. Math. J. 31, 1981): ``gamma_M = (beta - max_A xi_A)
+    / 2`` with ``xi_A = c + b - |A| - 1``, where c counts the components
+    of g minus A and b those of odd cycle rank.  So every A gives
+    ``(beta - xi_A) // 2 >= gamma_M``, and some A attains it.  The empty
+    set gives ``floor(beta / 2)``; the bridges, from :func:`cut_scan`,
+    make xi the number of 2-edge-connected pieces of odd cycle rank.
+    Ids in ``cut`` that are not edges of g are ignored.  Raises
+    :class:`DisconnectedError` if g is not connected.
+    """
+    n, m = g.n_vertices, g.n_edges
+    uf = _UnionFind(n)
+    kept = [0] * n  # kept edges, at the root each was counted under
+    for eid, (u, v) in g._edges.items():
+        if eid not in cut:
+            uf.union(u, v)
+            kept[uf.find(u)] += 1
+    rank = [1] * n  # per component, at its root: edges - vertices + 1
+    for v in range(n):
+        rank[uf.find(v)] += kept[v] - 1
+    roots = [v for v in range(n) if uf.parent[v] == v]
+    odd = sum(rank[r] % 2 for r in roots)
+    # the cut's edges join the components back into one iff g is connected
+    if len(roots) - sum(uf.union(*g._edges[e]) for e in cut
+                        if e in g._edges) != 1:
+        raise DisconnectedError("the bound needs a connected graph")
+    xi = len(roots) + odd - (m - sum(kept)) - 1
+    return (m - n + 1 - xi) // 2
+
+
 # ---------------------------------------------------------------------------
 # Route 1: optimal adjacent-pair family (depth-first search)
 # ---------------------------------------------------------------------------
@@ -60,12 +120,11 @@ def exact_max_genus_pairs(
     Depth-first search over pair subsets in a fixed global pair order
     (ascending witness degree, then edge ids; low-degree witnesses first
     reaches loop-heavy optima quickly).  A pair of parallel edges is taken
-    once, at its lower end.  Removing a pair lowers the cycle rank by
-    exactly 2, so no family exceeds ``floor(beta / 2)``: the search stops
-    as soon as it has chosen that many pairs, and otherwise visits every
-    family it can reach.  It runs on an explicit stack, one entry per
-    chosen pair, so its depth is not bounded by the interpreter's
-    recursion limit.
+    once, at its lower end.  No family exceeds the bridge bound of
+    :func:`nebesky_bound`: the search stops as soon as it has chosen that
+    many pairs, and otherwise visits every family it can reach.  It runs
+    on an explicit stack, one entry per chosen pair, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     _require_connected(g)
     if g.n_edges > max_edges:
@@ -84,7 +143,7 @@ def exact_max_genus_pairs(
     cands.sort()
 
     n = g.n_vertices
-    cap = (g.n_edges - n + 1) // 2
+    cap = nebesky_bound(g, cut_scan(g)[0])
     # the work graph, edited in place: incidence maps and present edges
     inc = [dict(d) for d in g._inc]
     present = set(g._edges)
@@ -128,8 +187,8 @@ def exact_max_genus_pairs(
         k = len(chosen)
         if k > best_k:
             best_k, best = k, list(chosen)
-            if best_k == cap:
-                break
+        if best_k == cap:
+            break
         starts.append(start)
         # the next child of the innermost open node, closing each node
         # that has none left.  The work graph is connected at every node,
@@ -170,27 +229,6 @@ class XuongCertificate:
     tree_edges: frozenset[int]
     odd_components: int
     genus: int
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def odd_components(g: MultiGraph, tree_edges: frozenset[int] | set[int]) -> int:
@@ -302,11 +340,13 @@ def xuong_max_genus(
     """Maximum genus via spanning-tree enumeration.
 
     ``gamma = (beta - min_T odd(G - E(T))) / 2``; returns the minimizing
-    tree as a certificate.  The parity of the odd count always matches the
+    tree as a certificate, the first tree that reaches the minimum in
+    enumeration order.  The parity of the odd count always matches the
     parity of beta, so the genus is integral.
     """
     _require_connected(g)
     beta = g.n_edges - g.n_vertices + 1
+    least_odd = beta - 2 * nebesky_bound(g, cut_scan(g)[0])
     best_odd = None
     best_tree = None
     for tree in spanning_trees(g, limit=limit):
@@ -314,8 +354,8 @@ def xuong_max_genus(
         if best_odd is None or odd < best_odd:
             best_odd = odd
             best_tree = tree
-            if odd == beta % 2:
-                break  # cannot do better than the parity floor
+            if odd == least_odd:
+                break  # cannot do better than the bridge bound
     if best_odd is None or (beta - best_odd) % 2:
         raise CertificationError(
             f"tree search gave odd count {best_odd} for beta={beta}")
@@ -374,9 +414,11 @@ def exact_max_genus_rotations(
             nxt = dict(zip((darts[0],) + p, p + (darts[0],)))
             choices[-1].append(tuple(nxt[d] for d in darts))
     best = stamp = 0
-    cap = (m - n + 1) // 2
+    cap = nebesky_bound(g, cut_scan(g)[0])
     last = [None] * len(twins)  # rewrite only the vertices that changed
     for combo in product(*choices):
+        if best == cap:
+            break
         for j, succ in enumerate(combo):
             if succ is not last[j]:
                 last[j] = succ
@@ -394,9 +436,5 @@ def exact_max_genus_rotations(
         if chi > 2 or chi % 2:
             raise CertificationError(
                 f"Euler characteristic {chi} is odd or > 2")
-        genus = (2 - chi) // 2
-        if genus > best:
-            best = genus
-            if best == cap:
-                break
+        best = max(best, (2 - chi) // 2)
     return best

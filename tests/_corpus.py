@@ -188,7 +188,8 @@ def certify_digest(graphs: list[MultiGraph]) -> str:
 def oracle_values(graphs: list[MultiGraph]) -> list[str]:
     """The three exact oracles' values at their default limits, one
     ``pairs/xuong/rotations`` token per graph (``skipped`` where a limit
-    is hit), then a SHA-256 over the pair oracle's witnesses.  Like
+    is hit), then a SHA-256 over the pair oracle's witnesses and the
+    Xuong oracle's trees, in the same order.  Like
     :func:`certify_digest`, it checks nothing itself."""
     h = hashlib.sha256()
     tokens = []
@@ -204,6 +205,8 @@ def oracle_values(graphs: list[MultiGraph]) -> list[str]:
             if oracle is exact_max_genus_pairs:
                 h.update(f"{[(p.e, p.f, p.witness) for p in out[1]]}\n"
                          .encode())
+            elif oracle is xuong_max_genus:
+                h.update(f"{sorted(out[1].tree_edges)}\n".encode())
             values.append(str(out if isinstance(out, int) else out[0]))
         tokens.append("/".join(values))
     return tokens + [h.hexdigest()]

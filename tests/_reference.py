@@ -217,7 +217,9 @@ def parse_edge_list(text: str) -> MultiGraph:
 def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
     """``oracle.exact_max_genus_pairs`` as a recursive branch and bound
     over ``AdjacentPair`` candidates, with no edge limit; it recurses
-    once per chosen pair."""
+    once per chosen pair.  It stops early only at floor(beta/2), not at
+    ``nebesky_bound``: the three package oracles share that bound, so a
+    cap below gamma_M would show only against a search without it."""
     seen_pairs: set[tuple[int, int]] = set()
     cands: list[AdjacentPair] = []
     for v in g.vertices():
@@ -270,7 +272,8 @@ def exact_max_genus_rotations(g: MultiGraph) -> int:
     vertex's orders (first dart pinned), each rotation's faces counted by
     ``_face_count``, the count ``genus_of`` makes, with no rotation limit
     and no rotation check: every combination is built from g's own
-    darts."""
+    darts.  Like :func:`exact_max_genus_pairs`, it stops early only at
+    floor(beta/2), not at the package oracles' shared ``nebesky_bound``."""
     per_vertex: list[list[tuple[int, ...]]] = []
     for v in g.vertices():
         darts = sorted(g.darts_at(v))

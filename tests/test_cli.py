@@ -95,6 +95,20 @@ class TestExact:
         assert "method=rotations gamma_M=1" in proc.stdout
         assert "gamma_M = 1" in proc.stdout
 
+    def test_upper_bound_line(self):
+        # two K4s joined by a bridge: floor(beta/2) = 3, the bound is 2
+        text = (K4_TEXT + K4_TEXT.translate(str.maketrans("abcd", "efgh"))
+                + "d e\n")
+        proc = run_cli("exact", stdin=text)
+        lines = proc.stdout.splitlines()
+        assert lines[-2:] == ["upper bound = 2 (bridges: 1)", "gamma_M = 2"]
+        # every oracle skipped: the bound is still printed, exit 4 stays
+        proc = run_cli("exact", "--max-edges", "0", "--tree-limit", "0",
+                       "--rotation-limit", "0", stdin=text, check=False)
+        assert proc.returncode == 4
+        assert proc.stdout.splitlines()[-1] == \
+            "upper bound = 2 (bridges: 1)"
+
     def test_all_mode_survives_one_limit(self):
         # 8 loops at one vertex: 15! rotations is out of reach
         gen = run_cli("gen", "--family", "bouquet", "-k", "8")
@@ -319,6 +333,15 @@ class TestBench:
         assert [row["m"] for row in table] == [0, 2, 4]
         assert summary.slopes[policy]["elapsed_s"] == bench.fit_loglog_slope(
             [(row["m"], row["elapsed_s"]) for row in table[1:]])
+
+    def test_zero_column_has_no_slope(self):
+        # a count that stayed 0 at every size was not measured flat
+        assert bench.fit_loglog_slope([(8, 0), (16, 0.0)]) is None
+        summary = bench.BenchSummary(
+            {"p": []}, {"p": dict.fromkeys(bench.SLOPE_COLUMNS, 1.0)
+                        | {"tests": None}})
+        assert "slope(tests~m)=n/a slope(embed~m)=1.00" in \
+            bench.format_summary(summary)
 
     def test_slope_fit_rejects_nonpositive_sizes(self):
         for x in (0, -1, -0.5):

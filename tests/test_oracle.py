@@ -1,7 +1,11 @@
+import hashlib
+from itertools import chain, combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from maxgenus import (
+    DisconnectedError,
     GraphError,
     LimitExceededError,
     MultiGraph,
@@ -14,6 +18,7 @@ from maxgenus import (
     gen_tight_star,
     gen_random_connected_multigraph,
     is_connected,
+    nebesky_bound,
     odd_components,
     parse_edge_list,
     spanning_trees,
@@ -24,6 +29,7 @@ from maxgenus import graph
 from maxgenus.oracle import rotation_count
 
 import _reference
+from _corpus import connected_multigraphs_upto, oracle_values, random_corpus
 
 
 def cycle(n):
@@ -238,6 +244,74 @@ class TestRotations:
         for g in graphs:
             assert (exact_max_genus_rotations(g)
                     == _reference.exact_max_genus_rotations(g))
+
+
+def two_k4s_and_a_bridge():
+    g = MultiGraph(8)
+    for base in (0, 4):
+        for u, v in combinations(range(base, base + 4), 2):
+            g.add_edge(u, v)
+    g.add_edge(3, 4)
+    return g
+
+
+def bridge_bound(g):
+    return nebesky_bound(g, graph.cut_scan(g)[0])
+
+
+class TestNebeskyBound:
+    def test_max_over_every_edge_set_is_the_maximum_genus(self):
+        # Nebesky's theorem: the best edge set attains gamma_M
+        for g in connected_multigraphs_upto(6):
+            ids = g.edge_ids()
+            subsets = chain.from_iterable(
+                combinations(ids, r) for r in range(len(ids) + 1))
+            assert (min(nebesky_bound(g, set(a)) for a in subsets)
+                    == xuong_max_genus(g)[0])
+
+    def test_empty_set_gives_half_the_cycle_rank(self, exhaustive_corpus):
+        for g in exhaustive_corpus:
+            assert nebesky_bound(g, ()) == cycle_rank(g) // 2
+
+    def test_bridge_bound_is_an_upper_bound(
+            self, exhaustive_corpus, seeded_corpus):
+        # the recursive reference keeps floor(beta/2) as its cap, so a
+        # bound below gamma_M shows here
+        for g in exhaustive_corpus + seeded_corpus + heavy_multigraphs():
+            assert bridge_bound(g) >= _reference.exact_max_genus_pairs(g)[0]
+
+    def test_bridge_between_two_k4s(self):
+        # each K4 has cycle rank 3, odd: floor(6/2) = 3, but the bound is 2
+        g = two_k4s_and_a_bridge()
+        assert cycle_rank(g) == 6
+        assert nebesky_bound(g, ()) == 3
+        assert bridge_bound(g) == 2
+        assert xuong_max_genus(g)[0] == 2
+        assert exact_max_genus_pairs(g)[0] == 2
+        assert exact_max_genus_rotations(g) == 2
+
+    def test_ids_outside_the_graph_are_ignored(self):
+        g = two_k4s_and_a_bridge()
+        assert nebesky_bound(g, {12, 99}) == bridge_bound(g) == 2
+
+    def test_rejects_a_disconnected_graph(self):
+        g = MultiGraph(3)
+        g.add_edge(0, 1)
+        with pytest.raises(DisconnectedError):
+            nebesky_bound(g, ())
+        with pytest.raises(DisconnectedError):
+            nebesky_bound(g, {0})
+
+
+def test_values_and_witnesses_pinned():
+    # values, pair witnesses and Xuong trees of the oracles as they were
+    # when each search stopped only at floor(beta/2)
+    tokens = oracle_values(random_corpus(500))
+    assert tokens[-1] == ("cd1378b0f330e7f8055dd4796117583f"
+                          "d438e8e6ae422ce5843a30535bad809a")
+    assert hashlib.sha256("\n".join(tokens[:-1]).encode()).hexdigest() == (
+        "fe9ef462006a101f474376acaa230c9a94dd36e44a9744460d2e6e4b23dc28fa")
+    assert sum("skipped" in t for t in tokens[:-1]) == 106
 
 
 @given(st.integers(0, 300))
