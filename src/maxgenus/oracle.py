@@ -11,23 +11,25 @@ the greedy's bounds:
 * :func:`xuong_max_genus` minimizes, over all spanning trees, the number
   of cotree components with an odd edge count; the maximum genus is
   ``(beta - min_odd) / 2``.
-* :func:`exact_max_genus_rotations` enumerates rotation systems (first
-  dart per vertex pinned) and maximizes the genus, tracing each
-  rotation's faces itself, apart from :mod:`.embedding`.
+* :func:`exact_max_genus_rotations` maximizes the genus over rotation
+  systems (first dart per vertex pinned) by branch and bound: the faces
+  that a partial rotation already closes bound every completion's
+  genus.  It traces faces itself, apart from :mod:`.embedding`.
 
 All three are exponential; each takes an explicit limit and raises
-:class:`LimitExceededError` beyond it rather than running away.  Each
-search stops once its best value reaches :func:`nebesky_bound` at the
-bridges, an upper bound on the maximum genus that is tight on most small
-graphs; each keeps the first optimum it meets, so the bound only ends a
-search sooner and leaves the witnesses as they are.
+:class:`LimitExceededError` beyond it rather than running away (the
+rotation oracle's limit counts every rotation system, pruned or not).
+Each search stops once its best value reaches :func:`nebesky_bound` at
+the bridges, an upper bound on the maximum genus that is tight on most
+small graphs; each keeps the first optimum it meets, so the bound only
+ends a search sooner and leaves the witnesses as they are.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .graph import (
@@ -364,7 +366,7 @@ def xuong_max_genus(
 
 
 # ---------------------------------------------------------------------------
-# Route 3: rotation-system enumeration
+# Route 3: branch and bound over rotation systems
 # ---------------------------------------------------------------------------
 
 def rotation_count(g: MultiGraph) -> int:
@@ -380,13 +382,19 @@ def rotation_count(g: MultiGraph) -> int:
 def exact_max_genus_rotations(
     g: MultiGraph, *, limit: int = DEFAULT_ROTATION_LIMIT
 ) -> int:
-    """Maximum genus over all rotation systems of g.
+    """Maximum genus over all rotation systems of g, by branch and bound.
 
     Cyclic orders are counted once by pinning the first dart at every
     vertex.  Raises :class:`LimitExceededError` when the rotation count
-    exceeds ``limit``.  Each rotation is written into one flat list of
-    face successors, ``phi[d] = sigma_next[d ^ 1]``, whose orbits are
-    counted under a stamp reused across rotations.
+    exceeds ``limit``, before any search.  Vertices of degree <= 2 have
+    one rotation, written once; the others are assigned one at a time,
+    highest degree first, each through the permutations of its darts
+    after the first, on an explicit stack.  Assigned darts write their
+    face successors, ``phi[d] = sigma_next[d ^ 1]``, into one flat list.
+    An orbit of ``phi`` that closes is a face of every completion, and
+    an unassigned vertex's darts lie on at least one more, so with c
+    closed faces no completion has genus above ``(2 - n + m - c - 1) //
+    2``; a subtree is entered only while that beats the best genus found.
     """
     _require_connected(g)
     total = rotation_count(g)
@@ -395,46 +403,66 @@ def exact_max_genus_rotations(
             f"{total} rotation systems exceed limit {limit}"
         )
     n, m = g.n_vertices, g.n_edges
-    phi = [0] * (2 * g._next_id)
-    mark = [0] * len(phi)
-    every = [d for darts in g._inc for d in darts]
-    # per vertex of degree > 2: the twins of its sorted darts and, per
-    # permutation of all but the first dart, the successor of each dart
-    twins: list[tuple[int, ...]] = []
-    choices: list[list[tuple[int, ...]]] = []
-    for darts in g._inc:
-        darts = sorted(darts)
+    top = 2 - n + m
+    phi = [-1] * (2 * g._next_id)  # -1: the successor is not yet set
+    todo = [False] * len(phi)
+
+    def closed(twins) -> int:
+        """Orbits that the entries at ``twins``, just set, closed."""
+        for t in twins:
+            todo[t] = True
+        faces = 0
+        for t in twins:
+            if todo[t]:  # not met on an orbit walked before
+                d = phi[t]
+                while d != t and d >= 0:
+                    todo[d] = False
+                    d = phi[d]
+                faces += d == t
+        return faces
+
+    levels = []  # (first dart, the others, their twins) per vertex
+    fixed = []
+    for v in sorted(range(n), key=lambda v: -len(g._inc[v])):
+        darts = sorted(g._inc[v])
         if len(darts) <= 2:  # one rotation: written once
             for i, d in enumerate(darts):
                 phi[d ^ 1] = darts[i - 1]  # the other dart, or d itself
-            continue
-        twins.append(tuple(d ^ 1 for d in darts))
-        choices.append([])
-        for p in permutations(darts[1:]):
-            nxt = dict(zip((darts[0],) + p, p + (darts[0],)))
-            choices[-1].append(tuple(nxt[d] for d in darts))
-    best = stamp = 0
+                fixed.append(d ^ 1)
+        else:
+            levels.append((darts[0], darts[1:], [d ^ 1 for d in darts]))
+    best = 0
     cap = nebesky_bound(g, cut_scan(g)[0])
-    last = [None] * len(twins)  # rewrite only the vertices that changed
-    for combo in product(*choices):
-        if best == cap:
+    c = closed(fixed)
+    orders: list = []  # per open level: the faces closed above, its orders
+    while best < cap:
+        # enter the node of the levels on ``orders``, with c closed faces
+        depth = len(orders)
+        if (top - c - (depth < len(levels))) // 2 > best:
+            if depth == len(levels):
+                chi = n - m + c
+                if chi > 2 or chi % 2:
+                    raise CertificationError(
+                        f"Euler characteristic {chi} is odd or > 2")
+                best = (2 - chi) // 2
+            else:
+                orders.append((c, permutations(levels[depth][1])))
+        # the next order of the innermost open level, closing each level
+        # that has none left
+        while orders:
+            p = next(orders[-1][1], None)
+            if p is not None:
+                break
+            orders.pop()
+            for t in levels[len(orders)][2]:
+                phi[t] = -1
+        else:
             break
-        for j, succ in enumerate(combo):
-            if succ is not last[j]:
-                last[j] = succ
-                for t, s in zip(twins[j], succ):
-                    phi[t] = s
-        stamp += 1
-        faces = 0
-        for d in every:
-            if mark[d] != stamp:
-                faces += 1
-                while mark[d] != stamp:
-                    mark[d] = stamp
-                    d = phi[d]
-        chi = n - m + (faces or 1)  # a lone vertex has one face
-        if chi > 2 or chi % 2:
-            raise CertificationError(
-                f"Euler characteristic {chi} is odd or > 2")
-        best = max(best, (2 - chi) // 2)
+        head, _, twins = levels[len(orders) - 1]
+        prev = head
+        for d in p:
+            phi[prev ^ 1] = d
+            prev = d
+        phi[prev ^ 1] = head
+        c = orders[-1][0] + closed(twins)
     return best

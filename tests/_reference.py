@@ -273,7 +273,9 @@ def exact_max_genus_rotations(g: MultiGraph) -> int:
     ``_face_count``, the count ``genus_of`` makes, with no rotation limit
     and no rotation check: every combination is built from g's own
     darts.  Like :func:`exact_max_genus_pairs`, it stops early only at
-    floor(beta/2), not at the package oracles' shared ``nebesky_bound``."""
+    floor(beta/2), not at the package oracles' shared ``nebesky_bound``.
+    It is unpruned on purpose: it traces every rotation, so a face bound
+    in the package oracle that cuts off an optimal subtree shows here."""
     per_vertex: list[list[tuple[int, ...]]] = []
     for v in g.vertices():
         darts = sorted(g.darts_at(v))

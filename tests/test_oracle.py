@@ -1,5 +1,5 @@
 import hashlib
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +25,7 @@ from maxgenus import (
     verify_pair_set,
     xuong_max_genus,
 )
-from maxgenus import graph
+from maxgenus import graph, oracle
 from maxgenus.oracle import rotation_count
 
 import _reference
@@ -244,6 +244,65 @@ class TestRotations:
         for g in graphs:
             assert (exact_max_genus_rotations(g)
                     == _reference.exact_max_genus_rotations(g))
+
+    def test_pruning_decides_where_the_bridge_bound_is_loose(
+            self, full_corpus, corpus_gamma):
+        # the search cannot stop at the bound on these graphs, so the
+        # closed faces alone cut it short; the reference traces every
+        # rotation
+        loose = [g for g, gamma in zip(full_corpus, corpus_gamma)
+                 if bridge_bound(g) > gamma]
+        assert len(loose) == 5
+        for g in loose:
+            assert (exact_max_genus_rotations(g)
+                    == _reference.exact_max_genus_rotations(g))
+
+    def test_loose_graph_of_the_exact_workload(self):
+        # n = 7, m = 12, drawn by the benchmark's exact workload
+        g = parse_edge_list("0 1\n0 2\n0 3\n0 4\n4 5\n2 6\n"
+                            "3 4\n0 3\n5 6\n2 2\n5 5\n0 1\n")
+        assert rotation_count(g) == 17_280 and bridge_bound(g) == 3
+        assert exact_max_genus_rotations(g) == 2
+        assert _reference.exact_max_genus_rotations(g) == 2
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self, monkeypatch):
+        # one search level per vertex: 1200, past the default limit of
+        # 1000 frames.  The first rotation already reaches the cap, so
+        # each level is opened once; a search that leaves that path
+        # fails here instead of running on through 6^1198 rotations.
+        opened = []
+
+        def orders(darts):
+            opened.append(darts)
+            assert len(opened) <= 1200, "the search left the first path"
+            return permutations(darts)
+
+        monkeypatch.setattr(oracle, "permutations", orders)
+        g = dipole_chain(600)
+        assert exact_max_genus_rotations(g, limit=rotation_count(g)) == 600
+        assert len(opened) == 1200
+
+    def test_limit_is_checked_before_any_search(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("searched past the limit")
+
+        monkeypatch.setattr(oracle, "permutations", searched)
+        monkeypatch.setattr(oracle, "nebesky_bound", searched)
+        g = dipole_chain(600)
+        with pytest.raises(LimitExceededError):
+            exact_max_genus_rotations(g, limit=rotation_count(g) - 1)
+
+
+def dipole_chain(k):
+    """k dipoles of three parallel edges, each joined to the next by a
+    bridge: cycle rank 2 per dipole, so gamma_M = k = the bridge bound."""
+    g = MultiGraph(2 * k)
+    for i in range(k):
+        for _ in range(3):
+            g.add_edge(2 * i, 2 * i + 1)
+        if i:
+            g.add_edge(2 * i - 1, 2 * i)
+    return g
 
 
 def two_k4s_and_a_bridge():
