@@ -5,8 +5,9 @@ as ``scripts/bench_example.conf``; ``sizes`` are generator size
 parameters (random: n, with m = round(edge_factor * n)).
 
 Every (size, seed, policy) combination becomes one cell; the cells run
-in turn, in one process, and times the pipeline, ``build_embedding``
-(embed) and ``genus_of`` (verify).  Rows are means over the seeds;
+in turn, in one process, each :data:`REPEATS` times, and time the
+pipeline, ``build_embedding`` (embed) and ``genus_of`` (verify) as the
+minimum over the repeats.  Rows are means over the seeds;
 slopes are least-squares log-log fits against the edge count.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .embedding import build_embedding, genus_of
 from .generators import FAMILIES, GeneratorSpec
@@ -39,7 +40,6 @@ class PipelineOutcome:
     report: RunReport
     pairs: PairSet
     bounds: GenusBounds
-    residual: MultiGraph
 
 
 def run_pipeline(
@@ -73,9 +73,8 @@ def run_pipeline(
         raise CertificationError(
             f"{be.queries} connectivity probes for {st.tests} tested pairs "
             f"of {st.candidate_pairs} candidates")
-    stats = dict(asdict(st))
-    stats.update({f"backend_{k}": v for k, v in asdict(be).items()})
-    stats["preprocess_ops"] = pre_ops
+    stats = {**vars(st), **{f"backend_{k}": v for k, v in vars(be).items()},
+             "preprocess_ops": pre_ops}
 
     beta = g.n_edges - g.n_vertices + 1
     bounds = GenusBounds.from_pairs(len(merged.pairs), beta)
@@ -84,12 +83,12 @@ def run_pipeline(
         config=RunConfig("dfs", policy, seed, preprocess),
         lower=bounds.lower,
         upper=bounds.upper,
-        pairs=[[p.e, p.f, p.witness] for p in merged.pairs],
+        pairs=[[e, f, w] for e, f, w in merged.pairs],
         preprocess_pairs=len(pre_pairs.pairs),
         elapsed_s=elapsed,
         stats=stats,
     )
-    return PipelineOutcome(report, merged, bounds, res.residual)
+    return PipelineOutcome(report, merged, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -174,29 +173,50 @@ def _spec_for(cfg: BenchConfig, size: int, seed: int) -> GeneratorSpec:
     return replace(base, n=size)
 
 
+# runs per cell; a cell's times are the minimum over its runs, since one
+# run swings with machine noise far more than a fitted slope can absorb
+REPEATS = 3
+
+
+def _run_cell(g: MultiGraph, label: str, policy: str, seed: int,
+              preprocess: bool) -> RunReport:
+    out = run_pipeline(g, label=label, policy=policy, seed=seed,
+                       preprocess=preprocess)
+    t0 = time.perf_counter()
+    emb = build_embedding(g, out.pairs)
+    t1 = time.perf_counter()
+    genus = genus_of(g, emb.rotation)
+    t2 = time.perf_counter()
+    if genus != emb.genus:
+        raise CertificationError(f"{label}: traced genus "
+                                 f"{genus} != {emb.genus}")
+    return replace(out.report, embedding_genus=genus,
+                   phase_s={"embed": t1 - t0, "verify": t2 - t1})
+
+
 def run_bench(cfg: BenchConfig) -> list[RunReport]:
-    """Run every cell of the grid in turn, sizes outermost, then seeds,
-    then policies; a traced genus off the embedding's is a
-    :class:`CertificationError`."""
+    """Run every cell of the grid :data:`REPEATS` times in turn, sizes
+    outermost, then seeds, then policies, and report each cell's minimum
+    times; a traced genus off the embedding's, or a repeat with other
+    pairs or another genus, is a :class:`CertificationError`."""
     reports = []
     for size in cfg.sizes:
         for seed in cfg.seeds:
             g = _spec_for(cfg, size, seed).build()
             label = f"{cfg.family}-{size}-s{seed}"
             for policy in cfg.policies:
-                out = run_pipeline(g, label=label, policy=policy, seed=seed,
-                                   preprocess=cfg.preprocess)
-                t0 = time.perf_counter()
-                emb = build_embedding(g, out.pairs)
-                t1 = time.perf_counter()
-                genus = genus_of(g, emb.rotation)
-                t2 = time.perf_counter()
-                if genus != emb.genus:
-                    raise CertificationError(f"{label}: traced genus "
-                                             f"{genus} != {emb.genus}")
+                runs = [_run_cell(g, label, policy, seed, cfg.preprocess)
+                        for _ in range(REPEATS)]
+                first = runs[0]
+                if any(r.pairs != first.pairs
+                       or r.embedding_genus != first.embedding_genus
+                       for r in runs):
+                    raise CertificationError(f"{label}: a repeat gave other "
+                                             "pairs or another genus")
                 reports.append(replace(
-                    out.report, embedding_genus=genus,
-                    phase_s={"embed": t1 - t0, "verify": t2 - t1}))
+                    first, elapsed_s=min(r.elapsed_s for r in runs),
+                    phase_s={k: min(r.phase_s[k] for r in runs)
+                             for k in first.phase_s}))
     return reports
 
 

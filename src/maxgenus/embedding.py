@@ -622,9 +622,8 @@ def build_embedding(
     st = EmbeddingState.tree_embedding(g, tree)
     # validated above, so each pair goes straight to the insertion body
     edges, insert = g._edges, st._insert_pair
-    for p in pairs:
-        e, f = p.e, p.f
-        insert(e, f, p.witness, *edges[e], *edges[f])
+    for e, f, w in pairs:
+        insert(e, f, w, *edges[e], *edges[f])
         if check:
             st._audit_edges((e, f))
     fd = st.first_dart

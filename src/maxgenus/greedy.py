@@ -55,6 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .connectivity import BACKENDS, BackendStats, pair_removal_keeps_connected
 from .graph import (
@@ -71,29 +72,20 @@ POLICIES = ("edge-id", "random", "loops-first", "central-vertex-first",
 DEFAULT_POLICY = "tree-first"
 
 
-@dataclass(frozen=True)
-class AdjacentPair:
-    """Two distinct edges sharing the witness vertex."""
+class AdjacentPair(NamedTuple):
+    """Two distinct edges e < f sharing the witness vertex.  Producers
+    build it in that order; the family checks, not the constructor,
+    reject a pair naming one edge twice."""
 
     e: int
     f: int
     witness: int
 
-    def __post_init__(self):
-        if self.e == self.f:
-            raise GraphError("adjacent pair needs two distinct edges")
-        if self.e > self.f:
-            lo, hi = self.f, self.e
-            object.__setattr__(self, "e", lo)
-            object.__setattr__(self, "f", hi)
-
-    def edges(self) -> tuple[int, int]:
-        return (self.e, self.f)
-
 
 @dataclass
 class PairSet:
-    """Ordered list of edge-disjoint adjacent pairs."""
+    """Ordered list of adjacent pairs, meant edge-disjoint; nothing is
+    checked until :func:`verify_pair_set` or ``build_embedding``."""
 
     pairs: list[AdjacentPair] = field(default_factory=list)
 
@@ -104,7 +96,7 @@ class PairSet:
         return iter(self.pairs)
 
     def edge_ids(self) -> list[int]:
-        return [eid for p in self.pairs for eid in (p.e, p.f)]
+        return [eid for e, f, _ in self.pairs for eid in (e, f)]
 
 
 @dataclass(frozen=True)
@@ -169,16 +161,15 @@ def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]
     check to be inserted pair by pair."""
     edges = g._edges
     seen: set[int] = set()
-    for p in pairs:
-        for eid in (p.e, p.f):
+    for e, f, w in pairs:
+        for eid in (e, f):
             if eid not in edges:
                 return seen, f"missing-edge:{eid}"
             if eid in seen:
                 return seen, f"duplicate-edge:{eid}"
             seen.add(eid)
-        w = p.witness
-        if not (w in edges[p.e] and w in edges[p.f]):
-            return seen, f"not-adjacent:{p.e},{p.f}@{w}"
+        if not (w in edges[e] and w in edges[f]):
+            return seen, f"not-adjacent:{e},{f}@{w}"
     return seen, None
 
 
@@ -267,7 +258,8 @@ def _pair_cotree_edges(residual: MultiGraph, pairs: PairSet) -> None:
             (mine if len(mine) % 2 else held[parent]).append(e)
         for e, f in zip(mine[0::2], mine[1::2]):
             taken += (e, f)
-            pairs.pairs.append(AdjacentPair(e, f, v))
+            pairs.pairs.append(AdjacentPair(e, f, v) if e < f
+                               else AdjacentPair(f, e, v))
     residual._unlink(taken)
 
 
@@ -316,7 +308,6 @@ def greedy_max_genus(
 
     beta = residual.n_edges - residual.n_vertices + 1
     edges, inc = residual._edges, residual._inc
-    rng = random.Random(seed)
     be, bridges, core, order = None, set(), set(), []
     if beta >= 2:  # else the pass makes no probe
         # the pass probes only the core: the residual minus its bridges
@@ -330,6 +321,7 @@ def greedy_max_genus(
         core = {v for v, d in enumerate(deg)
                 if d > 2 or d == 2 and v not in inc[v].values()}
         if pass_policy == "random":
+            rng = random.Random(seed)
             order = list(residual.vertices())
             rng.shuffle(order)
         else:

@@ -156,7 +156,7 @@ def reference_rotation_text(g: MultiGraph, pairs) -> str:
     """The rotation text ``build_embedding(g, pairs)`` should emit: tree,
     then the pairs by :class:`ReferenceEmbedding`, then each leftover
     edge at the first darts of its ends."""
-    pair_edges = {eid for p in pairs for eid in p.edges()}
+    pair_edges = {eid for p in pairs for eid in (p.e, p.f)}
     tree = bfs_tree(g, pair_edges)
     ref = ReferenceEmbedding(g, tree)
     for p in pairs:

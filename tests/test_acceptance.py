@@ -84,6 +84,13 @@ def greedy_runs(full_corpus):
     return runs, time.perf_counter() - t0
 
 
+def _assert_ordered_at_witness(g, pairs):
+    """Every producer builds a pair with e < f, its witness an end of
+    both edges; the pair type itself checks nothing."""
+    for e, f, w in pairs:
+        assert e < f and w in g.endpoints(e) and w in g.endpoints(f)
+
+
 @_record(1, "tight-star family: policy gap and exact values")
 def test_criterion_1():
     t0 = time.perf_counter()
@@ -122,6 +129,7 @@ def test_criterion_2(full_corpus, corpus_gamma, exhaustive_corpus,
             assert res.bounds.lower == k
             assert res.bounds.upper == min(2 * k, cycle_rank(g) // 2)
             assert gamma <= res.bounds.upper
+            _assert_ordered_at_witness(g, res.pairs)
     assert build_elapsed + (time.perf_counter() - t0) < 300.0
 
 
@@ -132,6 +140,8 @@ def test_criterion_3(full_corpus, corpus_gamma):
         k, cert = exact_max_genus_pairs(g, max_edges=12)
         assert k == gamma
         assert verify_pair_set(g, cert).ok
+        _assert_ordered_at_witness(g, cert)
+        _assert_ordered_at_witness(g, reduce_multiedges(g).pairs)
         if rotation_count(g) <= CORPUS_ROTATION_LIMIT:
             assert exact_max_genus_rotations(
                 g, limit=CORPUS_ROTATION_LIMIT) == gamma

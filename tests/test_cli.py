@@ -284,6 +284,26 @@ class TestBench:
         assert cli.main(["bench", str(cfg)]) == 5
         assert "traced genus -1" in capsys.readouterr().err
 
+    def test_repeat_with_other_pairs_exits_5(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the cell's second run takes another policy's pairs
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("family = tight-star\nsizes = 2\n"
+                       "policies = loops-first\n")
+        runs = []
+        real = bench.run_pipeline
+
+        def drifting(g, **kwargs):
+            runs.append(kwargs["policy"])
+            if len(runs) == 2:
+                kwargs["policy"] = "central-vertex-first"
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(bench, "run_pipeline", drifting)
+        assert cli.main(["bench", str(cfg)]) == 5
+        assert "other pairs" in capsys.readouterr().err
+        assert len(runs) == bench.REPEATS
+
     def test_committed_scripts_run(self):
         confs = sorted(SCRIPTS.glob("*.conf"))
         assert len(confs) >= 3  # bench_example and the two slopes grids

@@ -515,7 +515,7 @@ class TestBuildEmbedding:
 
     def test_rejects_bad_certificate(self):
         g = k4()
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="duplicate-edge"):
             build_embedding(g, [AdjacentPair(0, 0, 0)])
 
     def test_genus_meets_euler(self):

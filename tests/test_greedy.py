@@ -48,16 +48,6 @@ def has_removable_pair(g):
     return False
 
 
-class TestAdjacentPair:
-    def test_normalizes_order(self):
-        p = AdjacentPair(7, 3, 0)
-        assert (p.e, p.f) == (3, 7)
-
-    def test_rejects_equal_edges(self):
-        with pytest.raises(GraphError):
-            AdjacentPair(3, 3, 0)
-
-
 class TestCandidatePairs:
     def test_star_center(self):
         g = MultiGraph(4)
@@ -87,10 +77,11 @@ class TestVerify:
 
     def test_duplicate_edge(self):
         g = gen_bouquet(3)
-        res = verify_pair_set(
-            g, PairSet([AdjacentPair(0, 1, 0), AdjacentPair(1, 2, 0)])
-        )
-        assert not res and res.reason.startswith("duplicate-edge")
+        # one edge in two pairs, and one edge named twice in one pair
+        for family in ([AdjacentPair(0, 1, 0), AdjacentPair(1, 2, 0)],
+                       [AdjacentPair(1, 1, 0)]):
+            res = verify_pair_set(g, PairSet(family))
+            assert not res and res.reason == "duplicate-edge:1"
 
     def test_not_adjacent(self):
         g = MultiGraph(4)
