@@ -112,9 +112,7 @@ class DfsBackend:
         if eid in g._edges:
             raise GraphError(f"edge {eid} already present")
         # appended, out of dart order: nothing here reads the order
-        g._edges[eid] = (u, v)
-        g._inc[u][2 * eid] = v
-        g._inc[v][2 * eid + 1] = u
+        g._link(eid, u, v)
         self.stats.inserts += 1
         # the new edge may join the two sides of a memoised cut
         self.bridges.clear()

@@ -53,12 +53,11 @@ from .graph import (
     GraphError,
     MultiGraph,
     ParseError,
-    bfs_tree,
     format_dart,
     is_connected,
     parse_dart,
 )
-from .greedy import AdjacentPair, PairSet, _pair_edge_set
+from .greedy import AdjacentPair, PairSet, _pair_family_tree
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +155,14 @@ def _face_count(
     return count
 
 
-def _euler_genus(n: int, m: int, f: int) -> int:
-    chi = n - m + f
+def surface_genus(g: MultiGraph, n_faces: int) -> int:
+    """Genus of g embedded with ``n_faces`` traced faces (no edge: one).
+    Raises :class:`CertificationError` if the Euler characteristic is odd
+    or above 2."""
+    chi = g.n_vertices - g.n_edges + (n_faces or 1)
     if chi > 2 or chi % 2:
         raise CertificationError(f"Euler characteristic {chi} is odd or > 2")
     return (2 - chi) // 2
-
-
-def surface_genus(g: MultiGraph, n_faces: int) -> int:
-    """Genus of g embedded with ``n_faces`` traced faces (no edge: one)."""
-    return _euler_genus(g.n_vertices, g.n_edges, n_faces or 1)
 
 
 def trace_faces(
@@ -462,27 +459,14 @@ class EmbeddingState:
         ``after``.  Only the first loop of a dartless state starts on a
         bare vertex.
         """
-        sn, sp, vo, fd = (self.sigma_next, self.sigma_prev, self.vertex_of,
-                          self.first_dart)
+        sn, fd, splice = self.sigma_next, self.first_dart, self._splice
         d0 = 2 * e
         x = fd[eu]
         if x < 0:
             self._splice_edge(e, eu, ev, -1, -1)
         else:
-            # splice d0 before x at eu, then d0 + 1 before y at ev
-            vo[d0] = eu
-            p = sp[x]
-            sn[p] = d0
-            sp[d0] = p
-            sn[d0] = x
-            sp[x] = d0
-            y = fd[ev]
-            vo[d0 + 1] = ev
-            p = sp[y]
-            sn[p] = d0 + 1
-            sp[d0 + 1] = p
-            sn[d0 + 1] = y
-            sp[y] = d0 + 1
+            splice(d0, eu, x)
+            splice(d0 + 1, ev, fd[ev])
             self.m_emb += 1
         if eu == w:
             d_w, a = d0, ev
@@ -499,20 +483,8 @@ class EmbeddingState:
                 after, fd[a], ref_b)
             ref_w = after if on_d_w_face else d_w
         cu, cv = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
-        # splice 2f before cu at fu, then 2f + 1 before cv at fv
-        d = 2 * f
-        vo[d] = fu
-        p = sp[cu]
-        sn[p] = d
-        sp[d] = p
-        sn[d] = cu
-        sp[cu] = d
-        vo[d + 1] = fv
-        p = sp[cv]
-        sn[p] = d + 1
-        sp[d + 1] = p
-        sn[d + 1] = cv
-        sp[cv] = d + 1
+        splice(2 * f, fu, cu)
+        splice(2 * f + 1, fv, cv)
         self.m_emb += 1
 
     # -- auditing ----------------------------------------------------------
@@ -610,14 +582,8 @@ def build_embedding(
     """
     if not isinstance(pairs, PairSet):
         pairs = PairSet(list(pairs))
-    pair_edges, reason = _pair_edge_set(g, pairs)
-    tree = None
-    if reason is None:
-        try:
-            tree = bfs_tree(g, pair_edges)
-        except DisconnectedError:
-            reason = "disconnected"
-    if tree is None:
+    pair_edges, tree, reason = _pair_family_tree(g, pairs)
+    if reason is not None:
         raise GraphError(f"pair family fails verification: {reason}")
     st = EmbeddingState.tree_embedding(g, tree)
     # validated above, so each pair goes straight to the insertion body
@@ -636,7 +602,7 @@ def build_embedding(
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
     n_faces = st.n_faces
-    genus = _euler_genus(g.n_vertices, g.n_edges, n_faces)
+    genus = surface_genus(g, n_faces)
     k = len(pairs.pairs)
     if genus < k:
         raise CertificationError(

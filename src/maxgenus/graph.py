@@ -2,8 +2,8 @@
 
 Vertices are dense integers ``0..n-1``.  Edges carry immutable integer ids
 assigned at insertion and never reused, so external references (pair
-certificates, rotation systems) stay meaningful across delete/restore
-cycles.  Loops and parallel edges are allowed everywhere.
+certificates, rotation systems) stay meaningful in every copy and
+subgraph.  Loops and parallel edges are allowed everywhere.
 
 Each edge ``e`` owns two darts (edge ends) encoded as the integers ``2*e``
 and ``2*e + 1``; the twin of a dart ``d`` is ``d ^ 1``.  A loop contributes
@@ -71,12 +71,14 @@ class MultiGraph:
     """Mutable multigraph over vertices ``0..n-1``.
 
     Incidence is stored per vertex as a map from each dart to the far end
-    of its edge, in ascending dart order: ``add_edge`` appends a larger
-    id, deletion keeps the order, and ``restore_edges`` re-sorts a map it
-    wrote out of order.  ``delete_edges`` returns the removed ``(eid, u,
-    v)`` records and ``restore_edges`` puts them back under their old
-    ids, in any order; the graph keeps no undo history.  Single-writer:
-    no concurrent mutation.
+    of its edge.  A graph grows only by ``add_edge``, which appends a
+    fresh, larger id, or by a bulk build in ascending id order
+    (:func:`parse_edge_list`, :meth:`copy`), and shrinks only by
+    ``_unlink`` or ``copy(without=)``, so every map is in ascending dart
+    order by construction.  The one writer out of that order is
+    ``DfsBackend.insert_edge``, which puts a probed edge back into the
+    backend's private copy through ``_link``.  Single-writer: no
+    concurrent mutation.
     """
 
     __slots__ = ("_n", "_edges", "_inc", "_next_id", "labels")
@@ -99,10 +101,15 @@ class MultiGraph:
         self._check_vertex(v)
         eid = self._next_id
         self._next_id += 1
+        self._link(eid, u, v)
+        return eid
+
+    def _link(self, eid: int, u: int, v: int) -> None:
+        """Insert edge ``eid`` = (u, v) with no checks, appending its darts
+        to the maps of u and v."""
         self._edges[eid] = (u, v)
         self._inc[u][2 * eid] = v
         self._inc[v][2 * eid + 1] = u
-        return eid
 
     def copy(self, without: AbstractSet[int] = frozenset()) -> "MultiGraph":
         """A copy minus the edges in ``without``, built from the edges it
@@ -155,38 +162,7 @@ class MultiGraph:
         self._check_vertex(v)
         return len(self._inc[v])
 
-    def darts_at(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(self._inc[v])
-
-    def incident_edges(self, v: int) -> list[int]:
-        """Distinct incident edge ids, ascending; a loop appears once."""
-        self._check_vertex(v)
-        return sorted({d >> 1 for d in self._inc[v]})
-
-    def loops_at(self, v: int) -> list[int]:
-        return [e for e in self.incident_edges(v) if self.is_loop(e)]
-
-    # -- deletion / restoration --------------------------------------------
-
-    def delete_edge(self, eid: int) -> None:
-        self.endpoints(eid)  # raises for an unknown id
-        self._unlink((eid,))
-
-    def delete_edges(
-        self, eids: Iterable[int]
-    ) -> list[tuple[int, int, int]]:
-        """Delete ``eids`` in order; returns their ``(eid, u, v)`` records
-        for :meth:`restore_edges`."""
-        eids = list(eids)
-        if len(set(eids)) != len(eids):
-            raise GraphError("duplicate edge id in deletion batch")
-        for eid in eids:
-            if eid not in self._edges:
-                raise GraphError(f"unknown edge id {eid}")
-        records = [(eid, *self._edges[eid]) for eid in eids]
-        self._unlink(eids)
-        return records
+    # -- shrinking ----------------------------------------------------------
 
     def _unlink(self, eids: Iterable[int]) -> None:
         """Delete the present, distinct edges ``eids`` with no checks."""
@@ -195,24 +171,6 @@ class MultiGraph:
             u, v = edges.pop(eid)
             del inc[u][2 * eid]
             del inc[v][2 * eid + 1]
-
-    def restore_edges(self, records: Iterable[tuple[int, int, int]]) -> None:
-        """Re-insert edges from :meth:`delete_edges` records, in any order;
-        a map that gets a dart below its last key is re-sorted at the end."""
-        edges, inc = self._edges, self._inc
-        late = set()
-        try:
-            for eid, u, v in records:
-                if eid in edges:
-                    raise GraphError(f"cannot restore edge {eid}: it is present")
-                edges[eid] = (u, v)
-                for x, d, w in ((u, 2 * eid, v), (v, 2 * eid + 1, u)):
-                    if inc[x] and d < next(reversed(inc[x])):
-                        late.add(x)
-                    inc[x][d] = w
-        finally:
-            for x in late:
-                inc[x] = dict(sorted(inc[x].items()))
 
     # -- equality -----------------------------------------------------------
 

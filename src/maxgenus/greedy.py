@@ -173,6 +173,22 @@ def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]
     return seen, None
 
 
+def _pair_family_tree(
+    g: MultiGraph, pairs: PairSet
+) -> tuple[set[int], set[int] | None, str | None]:
+    """The edge ids of ``pairs``, then either a BFS spanning tree of g
+    that avoids them and None, or None and the reason of the first check
+    the family fails: :func:`_pair_edge_set`'s, or ``disconnected`` when
+    the edges left do not span g."""
+    pair_edges, reason = _pair_edge_set(g, pairs)
+    if reason is None:
+        try:
+            return pair_edges, bfs_tree(g, pair_edges), None
+        except DisconnectedError:
+            reason = "disconnected"
+    return pair_edges, None, reason
+
+
 def verify_pair_set(g: MultiGraph, pairs: PairSet) -> VerifyResult:
     """From-scratch check that ``pairs`` certifies genus >= len(pairs).
 
@@ -182,14 +198,8 @@ def verify_pair_set(g: MultiGraph, pairs: PairSet) -> VerifyResult:
     pass through supergraphs of that final graph, so prefix connectivity
     follows for free.
     """
-    seen, reason = _pair_edge_set(g, pairs)
-    if reason is not None:
-        return VerifyResult(False, reason)
-    try:
-        bfs_tree(g, excluded=seen)
-    except DisconnectedError:
-        return VerifyResult(False, "disconnected")
-    return VerifyResult(True)
+    reason = _pair_family_tree(g, pairs)[2]
+    return VerifyResult(reason is None, reason)
 
 
 def _pair_order_key(policy: str, g: MultiGraph):

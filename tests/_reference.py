@@ -1,10 +1,12 @@
-"""From-scratch references: connectivity for checking ``DfsBackend``,
-pair insertion for checking ``EmbeddingState``'s corner list, the
-corner list's merge step on one flat list for checking its blocks, and
-plain forms of the pair check, the edge-list parser, the pair oracle
-(recursive), the rotation oracle (traced by ``genus_of``'s face count)
-and the rotation check (by sorting each vertex's darts) for checking the
-faster ones."""
+"""From-scratch references: connectivity over a set of present edge ids
+for checking ``DfsBackend`` (:class:`MirrorGraph`, which never deletes
+from or restores into a ``MultiGraph``), pair insertion for checking
+``EmbeddingState``'s corner list, the corner list's merge step on one
+flat list for checking its blocks, and plain forms of the pair check,
+the edge-list parser, the pair oracle (recursive, over a
+:class:`MirrorGraph`), the rotation oracle (traced by ``genus_of``'s face
+count) and the rotation check (by sorting each vertex's darts) for
+checking the faster ones."""
 
 from __future__ import annotations
 
@@ -18,46 +20,66 @@ from maxgenus import (
     ParseError,
     GraphError,
     RotationSystem,
-    is_connected,
 )
-from maxgenus.embedding import _euler_genus, _face_count
+from maxgenus.embedding import _face_count, surface_genus
 from maxgenus.graph import bfs_tree
 from maxgenus.greedy import candidate_pairs
 
 
 class MirrorGraph:
-    """A ``MultiGraph`` that receives the backend's deletes and inserts and
-    answers its queries by plain traversal.  A re-inserted edge comes
-    back under its own id, from the record its deletion returned.  The
-    traversal goes through ``incident_edges`` and ``endpoints``, not the
-    dart map the package's traversals walk, so the two share no code.
-    """
+    """The present edges of a graph under the backend's deletes and
+    inserts, answering its queries by plain traversal.  It keeps a set of
+    present edge ids and, per vertex, the ids of the edges at it by the
+    original endpoints; a delete or insert only updates the set.  No
+    package graph code runs after construction, so the traversal shares
+    none with the package's."""
 
     def __init__(self, g: MultiGraph):
-        self.g = g.copy()
-        self._removed: dict[int, list[tuple[int, int, int]]] = {}
+        self.n = g.n_vertices
+        self.ends = {eid: g.endpoints(eid) for eid in g.edge_ids()}
+        self.present = set(self.ends)
+        self.at: list[list[int]] = [[] for _ in range(self.n)]
+        for eid, (u, v) in self.ends.items():  # ascending ids
+            self.at[u].append(eid)
+            if v != u:
+                self.at[v].append(eid)
 
     def delete_edge(self, eid: int) -> None:
-        self._removed[eid] = self.g.delete_edges((eid,))
+        self.present.remove(eid)
 
     def insert_edge(self, eid: int) -> None:
-        self.g.restore_edges(self._removed.pop(eid))
+        if eid in self.present or eid not in self.ends:
+            raise KeyError(eid)
+        self.present.add(eid)
 
-    def connected(self, u: int, v: int) -> bool:
+    def has_edge(self, eid: int) -> bool:
+        return eid in self.present
+
+    def edge_ids(self) -> list[int]:
+        return sorted(self.present)
+
+    def edges_at(self, v: int) -> list[int]:
+        """The present edges at v, ascending; a loop appears once."""
+        return [eid for eid in self.at[v] if eid in self.present]
+
+    def _reach(self, u: int) -> set[int]:
         seen = {u}
         queue = deque([u])
         while queue:
             x = queue.popleft()
-            for eid in self.g.incident_edges(x):
-                a, b = self.g.endpoints(eid)
+            for eid in self.edges_at(x):
+                a, b = self.ends[eid]
                 w = b if a == x else a
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        return v in seen
+        return seen
+
+    def connected(self, u: int, v: int) -> bool:
+        return v in self._reach(u)
 
     def connected_all(self) -> bool:
-        return is_connected(self.g)
+        return len(self._reach(0)) == self.n
 
 
 class ReferenceEmbedding:
@@ -231,7 +253,7 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
 
     n = g.n_vertices
     cap = (g.n_edges - n + 1) // 2
-    work = g.copy()
+    work = MirrorGraph(g)
     best_k = 0
     best: list[AdjacentPair] = []
     chosen: list[AdjacentPair] = []
@@ -245,20 +267,22 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
             best = list(chosen)
             if best_k == cap:
                 return True
-        beta = work.n_edges - n + 1
+        beta = len(work.present) - n + 1
         if k + beta // 2 <= best_k:
             return False
         for i in range(start, len(cands)):
             p = cands[i]
             if not (work.has_edge(p.e) and work.has_edge(p.f)):
                 continue
-            removed = work.delete_edges((p.e, p.f))
+            work.delete_edge(p.e)
+            work.delete_edge(p.f)
             done = False
-            if is_connected(work):
+            if work.connected_all():
                 chosen.append(p)
                 done = search(i + 1)
                 chosen.pop()
-            work.restore_edges(removed)
+            work.insert_edge(p.e)
+            work.insert_edge(p.f)
             if done:
                 return True
         return False
@@ -278,7 +302,7 @@ def exact_max_genus_rotations(g: MultiGraph) -> int:
     in the package oracle that cuts off an optimal subtree shows here."""
     per_vertex: list[list[tuple[int, ...]]] = []
     for v in g.vertices():
-        darts = sorted(g.darts_at(v))
+        darts = sorted(g._inc[v])
         if len(darts) <= 1:
             per_vertex.append([tuple(darts)])
         else:
@@ -286,12 +310,10 @@ def exact_max_genus_rotations(g: MultiGraph) -> int:
             per_vertex.append([(head,) + p for p in permutations(rest)])
     best = 0
     cap = (g.n_edges - g.n_vertices + 1) // 2
-    n, m = g.n_vertices, g.n_edges
     for combo in product(*per_vertex):
         sigma_next = {d: nxt for cyc in combo
                       for d, nxt in zip(cyc, cyc[1:] + cyc[:1])}
-        f = _face_count(sigma_next, sigma_next) if m else 1
-        genus = _euler_genus(n, m, f)
+        genus = surface_genus(g, _face_count(sigma_next, sigma_next))
         if genus > best:
             best = genus
             if best == cap:
@@ -306,6 +328,6 @@ def validate_rotation(g: MultiGraph, rot: RotationSystem) -> None:
     if set(rot.order) != set(g.vertices()):
         raise GraphError("rotation vertex set does not match graph")
     for v, cyc in rot.order.items():
-        if sorted(cyc) != sorted(g.darts_at(v)):
+        if sorted(cyc) != sorted(g._inc[v]):
             raise GraphError(f"rotation at vertex {v} is not a "
                              "permutation of its darts")

@@ -524,7 +524,7 @@ EDGE_TEXTS = _with_junk(
     | st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
               max_size=8))
 K4 = parse_edge_list(K4_TEXT)
-K4_ROTATIONS = st.tuples(*(st.permutations(sorted(K4.darts_at(v)))
+K4_ROTATIONS = st.tuples(*(st.permutations(sorted(K4._inc[v]))
                            for v in K4.vertices())).map(
     lambda cycs: _text(f"{v}: {' '.join(map(format_dart, cyc))}"
                        for v, cyc in enumerate(cycs)))

@@ -42,9 +42,7 @@ def cycle(n):
 def without_edge(g, eid):
     """A copy of g without edge ``eid``: its edge ids have a gap, so
     ``_next_id`` exceeds the edge count."""
-    h = g.copy()
-    h.delete_edge(eid)
-    return h
+    return g.copy(without={eid})
 
 
 def heavy_multigraphs():

@@ -23,6 +23,37 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_graph_maps_are_written_only_in_graph_module():
+    # a MultiGraph's maps keep ascending dart order because only graph.py
+    # writes them; any other module must go through its methods
+    def is_map_subscript(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+            if isinstance(node, ast.Attribute) and node.attr in ("_edges",
+                                                                 "_inc"):
+                return True
+        return False
+
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno}"
+                      for target in targets for t in ast.walk(target)
+                      if is_map_subscript(t)]
+    assert found == []
+
+
 def test_private_module_names_are_used():
     # a module-level _helper or a _method of a class that nothing outside
     # its own body references is dead code: its last caller was deleted
