@@ -2,7 +2,8 @@
 
 A benchmark config is a ``key = value`` text file (``#`` comments) such
 as ``scripts/bench_example.conf``; ``sizes`` are generator size
-parameters (random: n, with m = round(edge_factor * n)).
+parameters (random: n, with m = round(edge_factor * n); an
+``edge_factor`` below 1 is refused).
 
 Every (size, seed, policy) combination becomes one cell; the cells run
 in turn, in one process, each :data:`REPEATS` times, and time the
@@ -113,8 +114,8 @@ class BenchConfig:
             raise GraphError("sizes must be non-empty")
         for policy in self.policies:
             check_policy(policy)
-        if not math.isfinite(self.edge_factor):
-            raise GraphError(f"edge_factor must be finite, "
+        if not 1 <= self.edge_factor < math.inf:
+            raise GraphError(f"edge_factor must be finite and at least 1, "
                              f"got {self.edge_factor}")
         # GeneratorSpec rejects probabilities outside [0, 1] or summing above 1
         GeneratorSpec(self.family, loop_prob=self.loop_prob,
@@ -167,7 +168,7 @@ def _spec_for(cfg: BenchConfig, size: int, seed: int) -> GeneratorSpec:
                          loop_prob=cfg.loop_prob,
                          parallel_prob=cfg.parallel_prob)
     if cfg.family == "random":
-        return replace(base, n=size, m=max(size, round(cfg.edge_factor * size)))
+        return replace(base, n=size, m=round(cfg.edge_factor * size))
     if cfg.family in ("bouquet", "dipole"):
         return replace(base, k=size)
     return replace(base, n=size)

@@ -34,20 +34,19 @@ Loop edges never enter the dynamic structure: they cannot affect
 connectivity, so they are tracked only for existence.  ``connected_all``
 on the dynamic backend is an incrementally maintained component counter.
 
-Every backend carries a cut memo: ``bridges``, edges proved to be bridges
-of its present graph, and ``cut_key``, which maps both edges of a proved
-cut pair {t, b} to b.  :func:`pair_removal_keeps_connected` answers a
+Each backend answers :func:`pair_removal_keeps_connected` itself
+(``probe``).  Only :class:`DfsBackend` keeps a cut memo: ``bridges``,
+edges proved to be bridges of its present graph, and ``cut_key``, which
+maps both edges of a proved cut pair {t, b} to b.  Its probe answers a
 pair from the memo when it can (see there for the rule and why it is
-exact).  A failed ``DfsBackend`` search adds the bridge its dry side
-shows, if any.  Once failed searches since the last scan have expanded
-``SCAN_FACTOR`` times n + m vertices, the probe has ``DfsBackend`` run
+exact), and a failed search adds the bridge its dry side shows, if any.  Once failed searches since the last scan have expanded
+``SCAN_FACTOR`` times n + m vertices, the probe runs
 :func:`~maxgenus.graph.cut_scan` (``scan_cuts``): one iterative DFS,
 O(n + m), that records every bridge and every tree edge covered by
 exactly one non-tree edge.  Deleting edges never turns a cut into a
 non-cut, so only an insertion can make the memo stale; ``insert_edge``
 empties it, and the probe's own rollback, which restores the graph the
-memo was proved on, keeps it.  ``DynamicBackend`` reports no dry side
-and never scans, so its memo stays empty.
+memo was proved on, keeps it.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class DfsBackend:
             raise GraphError(f"edge {eid} unknown to backend") from None
 
     def has_edge(self, eid: int) -> bool:
-        return self._g.has_edge(eid)
+        return eid in self._g._edges
 
     def delete_edge(self, eid: int) -> None:
         if eid not in self._g._edges:
@@ -126,10 +125,9 @@ class DfsBackend:
         """None if the vertices in ``ends`` lie in one component, else the
         ends that one component missing some end holds.
 
-        The probe asks this after deleting edges from one component, with
-        ``ends`` holding every endpoint of the deleted edges; each piece of
-        that component then holds one of ``ends``, so None means it is
-        still connected.
+        After edges are deleted from one component, with ``ends`` holding
+        every endpoint of the deleted edges, each piece of that component
+        holds one of ``ends``, so None means it is still connected.
         """
         self.stats.queries += 1
         return self._dry_side(ends)
@@ -186,16 +184,36 @@ class DfsBackend:
                     side.extend(tail)
             i += 1
 
-    def scan_if_due(self) -> None:
-        """Run :meth:`scan_cuts` once failed searches since the last scan
-        have expanded ``SCAN_FACTOR * (n + present edges)`` vertices.
-
-        The probe calls this after a failed probe's rollback, so a scan
-        sees the graph the probe started from.
-        """
+    def probe(self, e: int, f: int) -> bool:
+        """Delete the present pair {e, f} and return True if its ends stay
+        joined; else return False with the graph as before, rolled back
+        by ``_link``, which keeps the memo, and maybe rescanned."""
+        stats = self.stats
+        stats.queries += 1
+        bridges = self.bridges
+        ke = self.cut_key.get(e)
+        kf = self.cut_key.get(f)
+        if (e in bridges or f in bridges or ke in bridges or kf in bridges
+                or (ke is not None and ke == kf)):
+            stats.memo_answers += 1
+            return False
         g = self._g
+        ue, uf = g._edges[e], g._edges[f]
+        g._unlink((e, f))
+        stats.deletes += 2
+        side = self._dry_side((*ue, *uf))
+        if side is None:
+            return True
+        g._link(f, *uf)
+        g._link(e, *ue)
+        stats.inserts += 2
+        crossing = [eid for eid, (a, b) in ((e, ue), (f, uf))
+                    if (a in side) != (b in side)]
+        if len(crossing) == 1:
+            bridges.add(crossing[0])
         if self._dry_work >= SCAN_FACTOR * (g.n_vertices + g.n_edges):
             self.scan_cuts()
+        return False
 
     def scan_cuts(self) -> None:
         """Replace ``bridges`` and ``cut_key`` by the records of
@@ -435,9 +453,6 @@ class DynamicBackend:
         self._present: set[int] = set()
         self._comps = self._n
         self.stats = BackendStats()
-        # the cut memo stays empty: cut_side names no side, and nothing scans
-        self.bridges: set[int] = set()
-        self.cut_key: dict[int, int] = {}
         for eid in sorted(self._endpoints):
             self.insert_edge(eid)
 
@@ -460,18 +475,26 @@ class DynamicBackend:
         self.stats.queries += 1
         return self._comps == 1
 
-    def scan_if_due(self) -> None:
-        """Nothing to scan for: this backend's cut memo stays empty."""
-
     def cut_side(self, ends) -> frozenset[int] | None:
         """None if every end lies in the first end's tree of forest 0.
-        Otherwise an empty set: no side is named, so the memo stays empty."""
+        Otherwise an empty set: no side is named."""
         self.stats.queries += 1
         first, *rest = ends
         forest = self._forests[0]
         if all(forest.connected(first, x) for x in rest):
             return None
         return frozenset()
+
+    def probe(self, e: int, f: int) -> bool:
+        """Delete the present pair {e, f} and return True if its ends stay
+        joined; else re-insert f, then e, and return False."""
+        self.delete_edge(e)
+        self.delete_edge(f)
+        if self.cut_side((*self._endpoints[e], *self._endpoints[f])) is None:
+            return True
+        self.insert_edge(f)
+        self.insert_edge(e)
+        return False
 
     def insert_edge(self, eid: int) -> None:
         u, v = self.endpoints(eid)
@@ -590,11 +613,11 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     those endpoints are still mutually joined; that is the one query the
     probe makes.
 
-    Some pairs are answered False from the backend's cut memo, counted as
-    one query (and one memo answer) with no delete or insert: a pair
-    holding an edge in ``backend.bridges``, a pair with an edge whose
-    ``backend.cut_key`` is in ``bridges``, and a pair whose two edges
-    share a ``cut_key``.  Each memo entry stands for a vertex set S whose
+    A :class:`DfsBackend` answers some pairs False from its cut memo,
+    counted as one query (and one memo answer) with no delete or insert:
+    a pair holding an edge in ``bridges``, a pair with an edge whose
+    ``cut_key`` is in ``bridges``, and a pair whose two edges share a
+    ``cut_key``.  Each memo entry stands for a vertex set S whose
     boundary in the graph it was found on is the bridge alone, or the cut
     pair {t, b} (``cut_key[t] == cut_key[b] == b``).  Deleting edges
     shrinks every such boundary to its present part, and over GF(2)
@@ -607,12 +630,12 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     component S of the graph minus {e, f}, and e and f are the only edges
     that can leave S.  If exactly one of them has exactly one end in S,
     that edge alone joins S to the rest, so it is a bridge.  After a
-    failed probe the backend may also rescan its cuts (``scan_if_due``).
+    failed probe the backend may also rescan its cuts.
 
     On success the backend is left with both edges deleted; on failure they
     are re-inserted in reverse order and the backend's graph is as before
     the probe.  The two edges must be distinct, present, and share an
-    endpoint.
+    endpoint; each backend's ``probe`` does the rest.
     """
     if e == f:
         raise GraphError("pair must consist of two distinct edges")
@@ -620,35 +643,6 @@ def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
     uf = backend.endpoints(f)
     if not set(ue) & set(uf):
         raise GraphError(f"edges {e} and {f} do not share an endpoint")
-    bridges = backend.bridges
-    cut_key = backend.cut_key
-    ke = cut_key.get(e)
-    kf = cut_key.get(f)
-    if (e in bridges or f in bridges or ke in bridges or kf in bridges
-            or (ke is not None and ke == kf)):
-        if not (backend.has_edge(e) and backend.has_edge(f)):
-            raise GraphError(f"edge {e} or {f} is not present")
-        backend.stats.queries += 1
-        backend.stats.memo_answers += 1
-        return False
-    backend.delete_edge(e)
-    try:
-        backend.delete_edge(f)
-    except GraphError:
-        backend.insert_edge(e)
-        raise
-    side = backend.cut_side((*ue, *uf))
-    if side is None:
-        return True
-    # insert_edge empties the memo; this rollback restores the graph the
-    # memo was proved on, so detach it meanwhile
-    backend.bridges, backend.cut_key = set(), {}
-    backend.insert_edge(f)
-    backend.insert_edge(e)
-    backend.bridges, backend.cut_key = bridges, cut_key
-    crossing = [eid for eid, (a, b) in ((e, ue), (f, uf))
-                if (a in side) != (b in side)]
-    if len(crossing) == 1:
-        bridges.add(crossing[0])
-    backend.scan_if_due()
-    return False
+    if not (backend.has_edge(e) and backend.has_edge(f)):
+        raise GraphError(f"edge {e} or {f} is not present")
+    return backend.probe(e, f)

@@ -75,10 +75,10 @@ class MultiGraph:
     fresh, larger id, or by a bulk build in ascending id order
     (:func:`parse_edge_list`, :meth:`copy`), and shrinks only by
     ``_unlink`` or ``copy(without=)``, so every map is in ascending dart
-    order by construction.  The one writer out of that order is
-    ``DfsBackend.insert_edge``, which puts a probed edge back into the
-    backend's private copy through ``_link``.  Single-writer: no
-    concurrent mutation.
+    order by construction.  The writers out of that order put an edge
+    back into a private work copy through ``_link``:
+    ``DfsBackend.insert_edge`` and its probe's rollback, and the exact
+    oracles' searches.  Single-writer: no concurrent mutation.
     """
 
     __slots__ = ("_n", "_edges", "_inc", "_next_id", "labels")

@@ -126,7 +126,9 @@ def exact_max_genus_pairs(
     :func:`nebesky_bound`: the search stops as soon as it has chosen that
     many pairs, and otherwise visits every family it can reach.  It runs
     on an explicit stack, one entry per chosen pair, so its depth is not
-    bounded by the interpreter's recursion limit.
+    bounded by the interpreter's recursion limit.  The pairs chosen and
+    the one tested are unlinked from a copy of g, and linked back, e
+    before f, as the search leaves them.
     """
     _require_connected(g)
     if g.n_edges > max_edges:
@@ -144,26 +146,12 @@ def exact_max_genus_pairs(
             cands.append((deg, e, f, v))
     cands.sort()
 
-    n = g.n_vertices
     cap = nebesky_bound(g, cut_scan(g)[0])
-    # the work graph, edited in place: incidence maps and present edges
-    inc = [dict(d) for d in g._inc]
-    present = set(g._edges)
+    work = g.copy()
+    edges, inc, link = work._edges, work._inc, work._link
     ends = g._edges
-    mark = [0] * n
+    mark = [0] * g.n_vertices
     stamp = 0
-
-    def cut(c: tuple[int, int, int, int]) -> None:
-        for e in c[1:3]:
-            u, w = ends[e]
-            present.remove(e)
-            del inc[u][2 * e], inc[w][2 * e + 1]
-
-    def restore(c: tuple[int, int, int, int]) -> None:
-        for e in c[1:3]:
-            u, w = ends[e]
-            present.add(e)
-            inc[u][2 * e], inc[w][2 * e + 1] = w, u
 
     def reaches(v: int, a: int, b: int) -> bool:
         nonlocal stamp
@@ -199,18 +187,21 @@ def exact_max_genus_pairs(
             for i in range(starts[-1], len(cands)):
                 c = cands[i]
                 _, e, f, v = c
-                if not (e in present and f in present):
+                if not (e in edges and f in edges):
                     continue
-                cut(c)
+                work._unlink((e, f))
                 a = ends[e][ends[e][0] == v]  # the far ends from v
                 b = ends[f][ends[f][0] == v]
                 if a == b == v or reaches(v, a, b):
                     break
-                restore(c)
+                link(e, *ends[e])
+                link(f, *ends[f])
             else:
                 starts.pop()
                 if chosen:
-                    restore(chosen.pop())
+                    _, e, f, _ = chosen.pop()
+                    link(e, *ends[e])
+                    link(f, *ends[f])
                 continue
             starts[-1] = start = i + 1
             chosen.append(c)
@@ -269,28 +260,19 @@ def odd_components(g: MultiGraph, tree_edges: frozenset[int] | set[int]) -> int:
 def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
     """Yield every spanning tree (as a frozenset of edge ids) exactly once.
 
-    Deletion/contraction on the lowest-id undecided edge; the deletion
-    branch is taken only when the edge is not a bridge of the contracted
-    remainder, so every leaf of the search is a distinct tree.  The search
-    runs on an explicit stack, so its depth (one level per decided edge)
-    is not bounded by the interpreter's recursion limit.
+    Deletion/contraction on the lowest-id undecided edge, contraction
+    first, so the trees come in lexicographic order of sorted edge ids.
+    The deletion branch unlinks the edge from a copy of g, which keeps
+    every contracted edge, and is taken only when the copy stays
+    connected, so every leaf of the search is a distinct tree.  The
+    search runs on an explicit stack, so its depth (one level per decided
+    edge) is not bounded by the interpreter's recursion limit.
     """
     _require_connected(g)
     n = g.n_vertices
     edges = [e for e in g.edge_ids() if not g.is_loop(e)]
+    work = g.copy()  # g minus the deleted edges
     count = 0
-
-    def connects(uf_parent: list[int], skip: set[int], extra_skip: int) -> bool:
-        uf = _UnionFind(n)
-        uf.parent = list(uf_parent)
-        comps = len({uf.find(v) for v in range(n)})
-        for eid in edges:
-            if eid in skip or eid == extra_skip:
-                continue
-            u, v = g.endpoints(eid)
-            if uf.union(u, v):
-                comps -= 1
-        return comps == 1
 
     # Stack entries are (step, union-find of the contracted edges, edge,
     # index of the first undecided edge).  VISIT branches on a node.  Once
@@ -298,19 +280,20 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
     # back out of the tree and tries the delete branch; RESTORE ends that.
     VISIT, DELETE, RESTORE = 0, 1, 2
     chosen: list[int] = []
-    removed: set[int] = set()
     stack = [(VISIT, _UnionFind(n), -1, 0)]
     while stack:
         step, uf, eid, i = stack.pop()
         if step == RESTORE:
-            removed.remove(eid)
+            work._link(eid, *g.endpoints(eid))
             continue
         if step == DELETE:
             chosen.pop()
-            if connects(uf.parent, removed, eid):
-                removed.add(eid)
+            work._unlink((eid,))
+            if is_connected(work):
                 stack.append((RESTORE, uf, eid, i))
                 stack.append((VISIT, uf, -1, i + 1))
+            else:
+                work._link(eid, *g.endpoints(eid))
             continue
         # every contracted edge joined two components
         if len(chosen) == n - 1:
@@ -324,7 +307,7 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
         while True:
             eid = edges[i]
             u, v = g.endpoints(eid)
-            if eid not in removed and uf.find(u) != uf.find(v):
+            if work.has_edge(eid) and uf.find(u) != uf.find(v):
                 break
             i += 1
         # contract branch first: eid in the tree

@@ -273,6 +273,15 @@ class TestBench:
         proc = run_cli("bench", str(cfg), check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("value", ["-1", "0", "0.5"])
+    def test_edge_factor_below_one_exits_2(self, tmp_path, capsys, value):
+        # refused, not clamped: a random cell has m = round(edge_factor * n)
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text(f"sizes = 8\nedge_factor = {value}\n")
+        assert cli.main(["bench", str(cfg)]) == 2
+        assert "edge_factor must be finite and at least 1" in \
+            capsys.readouterr().err
+
     def test_repeated_key_rejected(self):
         with pytest.raises(GraphError, match="line 3: sizes repeated"):
             BenchConfig.parse("sizes = 8\n# again\nsizes = 16\n")

@@ -270,6 +270,33 @@ class TestProbeContract:
         assert pair_removal_keeps_connected(be, 2, 3)
         assert be.connected_all()
 
+    @pytest.mark.parametrize("scanned", [False, True],
+                             ids=["learned", "scanned"])
+    def test_failed_probe_keeps_the_memo(self, scanned):
+        # K4 on 0..3 with edge 0-1 subdivided by vertex 4 (the scan's DFS
+        # runs 0-4-1 from its root, so edges 0 and 1 form no recorded cut
+        # pair), and the triangle 5-6-7 hung from 2 by the bridge 7 = (2, 5)
+        g = multigraph(8, [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                           (2, 3), (2, 5), (5, 6), (6, 7), (7, 5)])
+        be = DfsBackend(g)
+        if scanned:
+            be.scan_cuts()
+            assert be.cut_key == {8: 10, 9: 10, 10: 10}
+        else:
+            assert not pair_removal_keeps_connected(be, 6, 7)
+            assert be.cut_key == {}
+        assert be.bridges == {7}
+        before = BackendStats(**vars(be.stats))
+        # isolates vertex 4: a search, rolled back, that shows no bridge
+        assert not pair_removal_keeps_connected(be, 0, 1)
+        assert be.stats.memo_answers == before.memo_answers
+        assert be.stats.deletes == before.deletes + 2
+        assert be.bridges == {7}
+        assert be.cut_key == ({8: 10, 9: 10, 10: 10} if scanned else {})
+        assert not pair_removal_keeps_connected(be, 4, 7)
+        assert be.stats.memo_answers == before.memo_answers + 1
+        assert be.stats.deletes == before.deletes + 2
+
 
 class TestCutScan:
     """``DfsBackend.scan_cuts`` and the probe's answers from its records."""

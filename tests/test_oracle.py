@@ -108,6 +108,17 @@ class TestSpanningTrees:
         for t in trees:
             odd_components(g, t)  # raises if not a spanning tree
 
+    def test_lexicographic_order(self, exhaustive_corpus):
+        # exactly the spanning (n - 1)-subsets of non-loop edges, in
+        # lexicographic order of their sorted ids: Xuong's witness tree
+        # is the first optimum in this order
+        for g in exhaustive_corpus:
+            ids = [e for e in g.edge_ids() if not g.is_loop(e)]
+            expected = [
+                frozenset(c) for c in combinations(ids, g.n_vertices - 1)
+                if is_connected(g.copy(without=set(g.edge_ids()) - set(c)))]
+            assert list(spanning_trees(g)) == expected
+
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             list(spanning_trees(gen_complete(5), limit=10))
