@@ -8,16 +8,8 @@ bound can be certified by an explicit rotation-system embedding, and
 small instances can be solved exactly by three independent oracles.
 """
 
-from .bench import (
-    BenchConfig,
-    BenchSummary,
-    PipelineOutcome,
-    fit_loglog_slope,
-    format_summary,
-    run_bench,
-    run_pipeline,
-    summarize,
-)
+from importlib import import_module
+
 from .connectivity import (
     BACKENDS,
     BackendStats,
@@ -33,20 +25,11 @@ from .embedding import (
     genus_of,
     trace_faces,
 )
-from .generators import (
-    FAMILIES,
-    GeneratorSpec,
-    gen_bouquet,
-    gen_circulant,
-    gen_complete,
-    gen_dipole,
-    gen_random_connected_multigraph,
-    gen_tight_star,
-)
 from .graph import (
     CertificationError,
     DisconnectedError,
     GraphError,
+    LimitExceededError,
     MultiGraph,
     ParseError,
     cycle_rank,
@@ -67,16 +50,7 @@ from .greedy import (
     greedy_max_genus,
     verify_pair_set,
 )
-from .oracle import (
-    LimitExceededError,
-    XuongCertificate,
-    exact_max_genus_pairs,
-    exact_max_genus_rotations,
-    nebesky_bound,
-    odd_components,
-    spanning_trees,
-    xuong_max_genus,
-)
+from .pipeline import PipelineOutcome, run_pipeline
 from .preprocess import PreprocessResult, merge_pairs, reduce_multiedges
 from .report import (
     SCHEMA_VERSION,
@@ -84,6 +58,30 @@ from .report import (
     RunConfig,
     RunReport,
 )
+
+# Exports of the modules the certify path never runs, imported on first
+# access (PEP 562) so that ``import maxgenus`` does not compile them.
+_LAZY = {
+    "bench": ("BenchConfig", "BenchSummary", "fit_loglog_slope",
+              "format_summary", "run_bench", "summarize"),
+    "generators": ("FAMILIES", "GeneratorSpec", "gen_bouquet",
+                   "gen_circulant", "gen_complete", "gen_dipole",
+                   "gen_random_connected_multigraph", "gen_tight_star"),
+    "oracle": ("XuongCertificate", "exact_max_genus_pairs",
+               "exact_max_genus_rotations", "nebesky_bound",
+               "odd_components", "spanning_trees", "xuong_max_genus"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            value = getattr(import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    # ``from maxgenus import oracle`` then imports the submodule
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

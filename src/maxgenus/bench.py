@@ -1,4 +1,5 @@
-"""Benchmark harness: generate, run the pipeline, fit scaling slopes.
+"""Benchmark harness: generate, run the certify pipeline of
+:mod:`.pipeline`, fit scaling slopes.
 
 A benchmark config is a ``key = value`` text file (``#`` comments) such
 as ``scripts/bench_example.conf``; ``sizes`` are generator size
@@ -21,75 +22,9 @@ from dataclasses import dataclass, replace
 from .embedding import build_embedding, genus_of
 from .generators import FAMILIES, GeneratorSpec
 from .graph import CertificationError, GraphError, MultiGraph
-from .greedy import (
-    DEFAULT_POLICY,
-    GenusBounds,
-    PairSet,
-    check_policy,
-    greedy_max_genus,
-)
-from .preprocess import merge_pairs, reduce_multiedges
-from .report import InstanceInfo, RunConfig, RunReport
-
-
-# ---------------------------------------------------------------------------
-# Pipeline shared with the CLI
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PipelineOutcome:
-    report: RunReport
-    pairs: PairSet
-    bounds: GenusBounds
-
-
-def run_pipeline(
-    g: MultiGraph,
-    *,
-    label: str = "input",
-    policy: str = DEFAULT_POLICY,
-    seed: int = 0,
-    preprocess: bool = True,
-) -> PipelineOutcome:
-    """Preprocess, run the greedy, merge certificates, build a report.
-
-    Bounds are stated for the input graph: the merged family is maximal
-    on it, so ``gamma_max <= min(2k, floor(beta / 2))`` with k the merged
-    family size.
-    """
-    t0 = time.perf_counter()
-    pre_ops = 0
-    if preprocess:
-        pre = reduce_multiedges(g)
-        work, pre_pairs, pre_ops = pre.reduced, pre.pairs, pre.ops
-    else:
-        work, pre_pairs = g, PairSet()
-    res = greedy_max_genus(work, policy=policy, seed=seed)
-    merged = merge_pairs(pre_pairs, res.pairs)
-    elapsed = time.perf_counter() - t0
-
-    st = res.stats
-    be = res.backend_stats
-    if be.queries != st.tests or st.tests > st.candidate_pairs:
-        raise CertificationError(
-            f"{be.queries} connectivity probes for {st.tests} tested pairs "
-            f"of {st.candidate_pairs} candidates")
-    stats = {**vars(st), **{f"backend_{k}": v for k, v in vars(be).items()},
-             "preprocess_ops": pre_ops}
-
-    beta = g.n_edges - g.n_vertices + 1
-    bounds = GenusBounds.from_pairs(len(merged.pairs), beta)
-    report = RunReport(
-        instance=InstanceInfo(label, g.n_vertices, g.n_edges, beta),
-        config=RunConfig("dfs", policy, seed, preprocess),
-        lower=bounds.lower,
-        upper=bounds.upper,
-        pairs=[[e, f, w] for e, f, w in merged.pairs],
-        preprocess_pairs=len(pre_pairs.pairs),
-        elapsed_s=elapsed,
-        stats=stats,
-    )
-    return PipelineOutcome(report, merged, bounds)
+from .greedy import DEFAULT_POLICY, check_policy
+from .pipeline import run_pipeline
+from .report import RunReport
 
 
 # ---------------------------------------------------------------------------

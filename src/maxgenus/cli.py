@@ -3,6 +3,9 @@
 Subcommands: ``greedy`` (2-approximation with certificate), ``exact``
 (brute-force oracles), ``embed`` (build or verify a rotation-system
 embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
+``greedy`` and ``embed`` run :func:`~maxgenus.pipeline.run_pipeline`;
+``exact`` imports the oracles and ``bench`` the harness only when they
+run, so the other subcommands start without them.
 
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
 disconnected graph or invalid option value (also argparse usage errors,
@@ -21,13 +24,13 @@ import sys
 from dataclasses import asdict, replace
 
 from . import __version__
-from .bench import BenchConfig, format_summary, run_bench, run_pipeline, summarize
 from .embedding import RotationSystem, build_embedding, surface_genus, trace_faces
 from .generators import FAMILIES, GeneratorSpec
 from .graph import (
     CertificationError,
     DisconnectedError,
     GraphError,
+    LimitExceededError,
     MultiGraph,
     ParseError,
     cut_scan,
@@ -36,16 +39,7 @@ from .graph import (
     parse_edge_list,
 )
 from .greedy import DEFAULT_POLICY, POLICIES
-from .oracle import (
-    DEFAULT_PAIRS_EDGE_LIMIT,
-    DEFAULT_ROTATION_LIMIT,
-    DEFAULT_TREE_LIMIT,
-    LimitExceededError,
-    exact_max_genus_pairs,
-    exact_max_genus_rotations,
-    nebesky_bound,
-    xuong_max_genus,
-)
+from .pipeline import run_pipeline
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -53,6 +47,13 @@ EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_LIMIT = 4
 EXIT_CERT = 5
+
+# the oracles' own default limits (``oracle.DEFAULT_*``), written out so
+# that building the parser does not import the oracle module; a test pins
+# them to the oracle's values
+PAIRS_EDGE_LIMIT = 16
+TREE_LIMIT = 100_000
+ROTATION_LIMIT = 1_000_000
 
 
 def _read_text(path: str | None) -> str:
@@ -122,6 +123,8 @@ def cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from . import oracle
+
     g = _read_graph(args.graph)
     methods = (("pairs", "xuong", "rotations")
                if args.method == "all" else (args.method,))
@@ -130,13 +133,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
     for name in methods:
         try:
             if name == "pairs":
-                k, _ = exact_max_genus_pairs(g, max_edges=args.max_edges)
-                values[name] = k
+                values[name] = oracle.exact_max_genus_pairs(
+                    g, max_edges=args.max_edges)[0]
             elif name == "xuong":
-                genus, cert = xuong_max_genus(g, limit=args.tree_limit)
-                values[name] = genus
+                values[name] = oracle.xuong_max_genus(
+                    g, limit=args.tree_limit)[0]
             else:
-                values[name] = exact_max_genus_rotations(
+                values[name] = oracle.exact_max_genus_rotations(
                     g, limit=args.rotation_limit)
         except LimitExceededError as exc:
             if args.method != "all":
@@ -148,7 +151,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         else:
             print(f"method={name} skipped: {skipped[name]}")
     bridges = cut_scan(g)[0]
-    print(f"upper bound = {nebesky_bound(g, bridges)} "
+    print(f"upper bound = {oracle.nebesky_bound(g, bridges)} "
           f"(bridges: {len(bridges)})")
     if not values:
         raise LimitExceededError("all exact methods exceeded their limits")
@@ -195,6 +198,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import BenchConfig, format_summary, run_bench, summarize
+
     cfg = BenchConfig.parse(_read_text(args.config))
     reports = run_bench(cfg)
     if args.json:
@@ -231,12 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--method", choices=("pairs", "xuong", "rotations", "all"),
                    default="all")
-    p.add_argument("--max-edges", type=_limit, default=DEFAULT_PAIRS_EDGE_LIMIT,
+    p.add_argument("--max-edges", type=_limit, default=PAIRS_EDGE_LIMIT,
                    help="edge limit for the pair search")
-    p.add_argument("--tree-limit", type=_limit, default=DEFAULT_TREE_LIMIT,
+    p.add_argument("--tree-limit", type=_limit, default=TREE_LIMIT,
                    help="spanning-tree enumeration limit")
-    p.add_argument("--rotation-limit", type=_limit,
-                   default=DEFAULT_ROTATION_LIMIT,
+    p.add_argument("--rotation-limit", type=_limit, default=ROTATION_LIMIT,
                    help="rotation-system enumeration limit")
     p.set_defaults(func=cmd_exact)
 

@@ -37,9 +37,11 @@ on the dynamic backend is an incrementally maintained component counter.
 Each backend answers :func:`pair_removal_keeps_connected` itself
 (``probe``).  Only :class:`DfsBackend` keeps a cut memo: ``bridges``,
 edges proved to be bridges of its present graph, and ``cut_key``, which
-maps both edges of a proved cut pair {t, b} to b.  Its probe answers a
-pair from the memo when it can (see there for the rule and why it is
-exact), and a failed search adds the bridge its dry side shows, if any.  Once failed searches since the last scan have expanded
+maps both edges of a proved cut pair {t, b} to b; the greedy seeds
+``cut_key`` with the cut pairs of the scan that found its core.  Its
+probe answers a pair from the memo when it can (see there for the rule
+and why it is exact), and a failed search adds the bridge its dry side
+shows, if any.  Once failed searches since the last scan have expanded
 ``SCAN_FACTOR`` times n + m vertices, the probe runs
 :func:`~maxgenus.graph.cut_scan` (``scan_cuts``): one iterative DFS,
 O(n + m), that records every bridge and every tree edge covered by

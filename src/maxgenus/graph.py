@@ -46,6 +46,10 @@ class CertificationError(GraphError):
     """Independent computations that must agree on a result did not."""
 
 
+class LimitExceededError(GraphError):
+    """Instance exceeds the configured search limit of an exact oracle."""
+
+
 # ---------------------------------------------------------------------------
 # Darts
 # ---------------------------------------------------------------------------

@@ -43,11 +43,14 @@ backend is therefore built from the core's edges alone, in one pass, and
 only when the pass starts with beta >= 2, since otherwise it makes no
 probe.  A probe then searches only the core component that holds the
 pair (2-edge-connected when the pass starts), and every cut the backend
-memoises is a cut of R as well.  Bridges that later deletions create are
-not dropped; their probes fail as before.  The pass visits only core
-vertices, where two core edges meet; any other vertex keeps its degree,
-and a ``random`` pass draws there the shuffle its candidates would take,
-so the random stream is kept.
+memoises is a cut of R as well.  The same argument runs the other way
+for the cut pairs the scan records: neither edge of one is a bridge, so
+each is a cut of the core, and they seed a ``dfs`` backend's cut memo
+(the ``dynamic`` backend keeps none).  Bridges that later deletions
+create are not dropped; their probes fail as before.  The pass visits
+only core vertices, where two core edges meet; any other vertex keeps
+its degree, and a ``random`` pass draws there the shuffle its candidates
+would take, so the random stream is kept.
 """
 
 from __future__ import annotations
@@ -321,8 +324,10 @@ def greedy_max_genus(
     be, bridges, core, order = None, set(), set(), []
     if beta >= 2:  # else the pass makes no probe
         # the pass probes only the core: the residual minus its bridges
-        bridges = cut_scan(residual)[0]
+        bridges, cut_key = cut_scan(residual)
         be = BACKENDS[backend](residual, bridges)
+        if backend == "dfs":  # the scan's cut pairs hold no bridge
+            be.cut_key = cut_key
         # two core edges meet at v: core degree > 2, or 2 but not one loop
         deg = [len(m) for m in inc]
         for b in bridges:

@@ -36,6 +36,7 @@ from .graph import (
     CertificationError,
     DisconnectedError,
     GraphError,
+    LimitExceededError,
     MultiGraph,
     cut_scan,
     is_connected,
@@ -45,10 +46,6 @@ from .greedy import AdjacentPair, PairSet
 DEFAULT_PAIRS_EDGE_LIMIT = 16
 DEFAULT_TREE_LIMIT = 100_000
 DEFAULT_ROTATION_LIMIT = 1_000_000
-
-
-class LimitExceededError(GraphError):
-    """Instance exceeds the configured search limit of an exact oracle."""
 
 
 def _require_connected(g: MultiGraph) -> None:

@@ -156,7 +156,7 @@ class TestExact:
     def test_oracle_disagreement(self, tmp_path, monkeypatch, capsys):
         graph_file = tmp_path / "k4.edges"
         graph_file.write_text(K4_TEXT)
-        monkeypatch.setattr(cli, "exact_max_genus_rotations",
+        monkeypatch.setattr(oracle, "exact_max_genus_rotations",
                             lambda g, limit: 0)
         assert cli.main(["exact", str(graph_file)]) == 5
         err = capsys.readouterr().err

@@ -29,7 +29,7 @@ from maxgenus import (
     odd_components,
     verify_pair_set,
 )
-from maxgenus import bench, cli, greedy
+from maxgenus import bench, cli, greedy, pipeline
 from maxgenus.graph import bfs_tree, cut_scan
 from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
@@ -194,16 +194,16 @@ class TestGreedy:
         assert r.backend_stats.queries == r.stats.tests
 
     def test_pipeline_probe_count_mismatch_is_typed(self, monkeypatch):
-        real = bench.greedy_max_genus
+        real = pipeline.greedy_max_genus
 
         def skewed(*args, **kwargs):
             res = real(*args, **kwargs)
             res.backend_stats.queries += 1
             return res
 
-        monkeypatch.setattr(bench, "greedy_max_genus", skewed)
+        monkeypatch.setattr(pipeline, "greedy_max_genus", skewed)
         with pytest.raises(CertificationError):
-            bench.run_pipeline(gen_complete(4))
+            pipeline.run_pipeline(gen_complete(4))
 
     def test_rejects_disconnected(self):
         g = MultiGraph(3)
@@ -485,6 +485,16 @@ class TestCycleCore:
                 assert r.stats.core_bridges == len(cut)
                 skipped += len(cut)
         assert skipped > 0
+
+    def test_bridge_scan_seeds_the_cut_memo(self):
+        # the scan that finds the core's bridges also records cut pairs of
+        # the core; they answer probes with no failed search and no rescan
+        g = gen_random_connected_multigraph(64, 128, seed=7)
+        r = greedy_max_genus(g)
+        assert r.backend_stats.scans == 0
+        assert r.backend_stats.memo_answers > 0
+        assert r.pairs.pairs == \
+            greedy_max_genus(g, backend="dynamic").pairs.pairs
 
     def test_phase_two_probes_only_the_core(self, monkeypatch):
         # 16172 phase-2 tests when every candidate was probed

@@ -80,17 +80,61 @@ def test_private_module_names_are_used():
     assert unused == []
 
 
-def test_cli_import_starts_no_process_machinery():
-    # the CLI runs everything in its own process; importing it must not
-    # pull in a process pool, which would slow every start-up
-    script = (
-        "import sys\n"
-        "import maxgenus.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules\n"
-        "    if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n"
-    )
+def _fresh_output(script: str) -> list[str]:
+    """The words ``script`` prints, run in a fresh interpreter that imports
+    this package copy."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def _modules_after(statement: str) -> list[str]:
+    """The ``maxgenus`` submodules loaded after ``statement`` runs in a
+    fresh interpreter."""
+    return _fresh_output(
+        "import sys\n"
+        f"{statement}\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "    if m.startswith('maxgenus.'))))\n")
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the CLI runs everything in its own process; importing it must not
+    # pull in a process pool, which would slow every start-up
+    assert _fresh_output(
+        "import sys\n"
+        "import maxgenus.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "    if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n"
+    ) == []
+
+
+def test_package_import_loads_only_the_certify_path():
+    # the exact oracles, the generators and the bench harness load on
+    # first use, so a start-up compiles only what certifying runs
+    assert _modules_after("import maxgenus") == [
+        f"maxgenus.{name}" for name in ("connectivity", "embedding", "graph",
+                                        "greedy", "pipeline", "preprocess",
+                                        "report")]
+
+
+def test_cli_import_loads_no_oracle_and_no_bench():
+    loaded = _modules_after("import maxgenus.cli")
+    assert "maxgenus.oracle" not in loaded
+    assert "maxgenus.bench" not in loaded
+
+
+def test_every_export_resolves():
+    # ``import *`` reads every name of ``__all__``, the lazy ones included;
+    # an unknown name is an AttributeError, so a submodule import falls back
+    # to loading the submodule
+    assert _fresh_output(
+        "from maxgenus import *\n"
+        "import maxgenus\n"
+        "from maxgenus import bench, oracle\n"
+        "print(' '.join(n for n in maxgenus.__all__ if n not in globals()))\n"
+        "print(hasattr(maxgenus, 'no_such_name'), bench.__name__,\n"
+        "      LimitExceededError is oracle.LimitExceededError)\n"
+    ) == ["False", "maxgenus.bench", "True"]
