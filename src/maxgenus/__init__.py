@@ -64,9 +64,10 @@ from .report import (
 _LAZY = {
     "bench": ("BenchConfig", "BenchSummary", "fit_loglog_slope",
               "format_summary", "run_bench", "summarize"),
-    "generators": ("FAMILIES", "GeneratorSpec", "gen_bouquet",
-                   "gen_circulant", "gen_complete", "gen_dipole",
-                   "gen_random_connected_multigraph", "gen_tight_star"),
+    "generators": ("FAMILIES", "gen_bouquet", "gen_circulant",
+                   "gen_complete", "gen_dipole",
+                   "gen_random_connected_multigraph", "gen_tight_star",
+                   "generate"),
     "oracle": ("XuongCertificate", "exact_max_genus_pairs",
                "exact_max_genus_rotations", "nebesky_bound",
                "odd_components", "spanning_trees", "xuong_max_genus"),
@@ -99,7 +100,6 @@ __all__ = [
     "EmbeddingResult",
     "EmbeddingState",
     "FAMILIES",
-    "GeneratorSpec",
     "GenusBounds",
     "GraphError",
     "GreedyResult",
@@ -131,6 +131,7 @@ __all__ = [
     "gen_dipole",
     "gen_random_connected_multigraph",
     "gen_tight_star",
+    "generate",
     "genus_of",
     "greedy_max_genus",
     "is_cactus",

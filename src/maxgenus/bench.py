@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .embedding import build_embedding, genus_of
-from .generators import FAMILIES, GeneratorSpec
+from .generators import FAMILIES, check_probabilities, generate
 from .graph import CertificationError, GraphError, MultiGraph
 from .greedy import DEFAULT_POLICY, check_policy
 from .pipeline import run_pipeline
@@ -52,9 +52,7 @@ class BenchConfig:
         if not 1 <= self.edge_factor < math.inf:
             raise GraphError(f"edge_factor must be finite and at least 1, "
                              f"got {self.edge_factor}")
-        # GeneratorSpec rejects probabilities outside [0, 1] or summing above 1
-        GeneratorSpec(self.family, loop_prob=self.loop_prob,
-                      parallel_prob=self.parallel_prob)
+        check_probabilities(self.loop_prob, self.parallel_prob)
 
     @classmethod
     def parse(cls, text: str) -> "BenchConfig":
@@ -98,17 +96,6 @@ class BenchConfig:
         return cls(**out)
 
 
-def _spec_for(cfg: BenchConfig, size: int, seed: int) -> GeneratorSpec:
-    base = GeneratorSpec(family=cfg.family, seed=seed,
-                         loop_prob=cfg.loop_prob,
-                         parallel_prob=cfg.parallel_prob)
-    if cfg.family == "random":
-        return replace(base, n=size, m=round(cfg.edge_factor * size))
-    if cfg.family in ("bouquet", "dipole"):
-        return replace(base, k=size)
-    return replace(base, n=size)
-
-
 # runs per cell; a cell's times are the minimum over its runs, since one
 # run swings with machine noise far more than a fitted slope can absorb
 REPEATS = 3
@@ -136,9 +123,12 @@ def run_bench(cfg: BenchConfig) -> list[RunReport]:
     times; a traced genus off the embedding's, or a repeat with other
     pairs or another genus, is a :class:`CertificationError`."""
     reports = []
+    size_name = FAMILIES[cfg.family][1]
     for size in cfg.sizes:
+        m = round(cfg.edge_factor * size) if cfg.family == "random" else None
         for seed in cfg.seeds:
-            g = _spec_for(cfg, size, seed).build()
+            g = generate(cfg.family, m=m, seed=seed, loop_prob=cfg.loop_prob,
+                         parallel_prob=cfg.parallel_prob, **{size_name: size})
             label = f"{cfg.family}-{size}-s{seed}"
             for policy in cfg.policies:
                 runs = [_run_cell(g, label, policy, seed, cfg.preprocess)

@@ -4,8 +4,8 @@ Subcommands: ``greedy`` (2-approximation with certificate), ``exact``
 (brute-force oracles), ``embed`` (build or verify a rotation-system
 embedding), ``gen`` (graph generators), ``bench`` (scaling harness).
 ``greedy`` and ``embed`` run :func:`~maxgenus.pipeline.run_pipeline`;
-``exact`` imports the oracles and ``bench`` the harness only when they
-run, so the other subcommands start without them.
+``exact`` imports the oracles, ``gen`` the generators and ``bench`` the
+harness only when they run, so the other subcommands start without them.
 
 Exit codes: 0 success, 1 unreadable input or output, 2 invalid or
 disconnected graph or invalid option value (also argparse usage errors,
@@ -25,8 +25,10 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .embedding import RotationSystem, build_embedding, surface_genus, trace_faces
-from .generators import FAMILIES, GeneratorSpec
 from .graph import (
+    DEFAULT_PAIRS_EDGE_LIMIT,
+    DEFAULT_ROTATION_LIMIT,
+    DEFAULT_TREE_LIMIT,
     CertificationError,
     DisconnectedError,
     GraphError,
@@ -47,13 +49,6 @@ EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_LIMIT = 4
 EXIT_CERT = 5
-
-# the oracles' own default limits (``oracle.DEFAULT_*``), written out so
-# that building the parser does not import the oracle module; a test pins
-# them to the oracle's values
-PAIRS_EDGE_LIMIT = 16
-TREE_LIMIT = 100_000
-ROTATION_LIMIT = 1_000_000
 
 
 def _read_text(path: str | None) -> str:
@@ -184,11 +179,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(
-        family=args.family, n=args.n, m=args.m, k=args.k, seed=args.seed,
-        loop_prob=args.loop_prob, parallel_prob=args.parallel_prob,
-    )
-    text = format_edge_list(spec.build())
+    from .generators import generate
+
+    text = format_edge_list(generate(
+        args.family, n=args.n, m=args.m, k=args.k, seed=args.seed,
+        loop_prob=args.loop_prob, parallel_prob=args.parallel_prob))
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -236,11 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(p)
     p.add_argument("--method", choices=("pairs", "xuong", "rotations", "all"),
                    default="all")
-    p.add_argument("--max-edges", type=_limit, default=PAIRS_EDGE_LIMIT,
+    p.add_argument("--max-edges", type=_limit,
+                   default=DEFAULT_PAIRS_EDGE_LIMIT,
                    help="edge limit for the pair search")
-    p.add_argument("--tree-limit", type=_limit, default=TREE_LIMIT,
+    p.add_argument("--tree-limit", type=_limit, default=DEFAULT_TREE_LIMIT,
                    help="spanning-tree enumeration limit")
-    p.add_argument("--rotation-limit", type=_limit, default=ROTATION_LIMIT,
+    p.add_argument("--rotation-limit", type=_limit,
+                   default=DEFAULT_ROTATION_LIMIT,
                    help="rotation-system enumeration limit")
     p.set_defaults(func=cmd_exact)
 
@@ -256,12 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("gen", help="generate an edge list")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("-n", type=int, default=None,
-                   help="size for tight-star/random/complete")
-    p.add_argument("-m", type=int, default=None, help="edges for random")
-    p.add_argument("-k", type=int, default=None,
-                   help="size for bouquet/dipole")
+    p.add_argument("--family", required=True,
+                   help="generator family, checked when gen runs")
+    p.add_argument("-n", type=int, default=None, help="size parameter n")
+    p.add_argument("-m", type=int, default=None, help="edge count m")
+    p.add_argument("-k", type=int, default=None, help="size parameter k")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loop-prob", type=float, default=0.15)
     p.add_argument("--parallel-prob", type=float, default=0.15)

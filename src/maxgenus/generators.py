@@ -1,14 +1,14 @@
 """Deterministic graph families for tests and benchmarks.
 
 Every generator is a pure function of its parameters (plus seed), including
-edge-id assignment, so a :class:`GeneratorSpec` fully determines the
-resulting graph.
+edge-id assignment, so a family name and the parameters :func:`generate`
+takes fully determine the resulting graph.  :data:`FAMILIES` is the one
+table of the families and the size parameter each takes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graph import GraphError, MultiGraph
 
@@ -34,6 +34,18 @@ def gen_tight_star(n: int) -> MultiGraph:
     return g
 
 
+def check_probabilities(loop_prob: float, parallel_prob: float) -> None:
+    """Raise :class:`GraphError` unless both probabilities lie in [0, 1]
+    and sum to at most 1."""
+    for name, p in (("loop_prob", loop_prob),
+                    ("parallel_prob", parallel_prob)):
+        if not 0 <= p <= 1:
+            raise GraphError(f"{name} must lie in [0, 1], got {p}")
+    if loop_prob + parallel_prob > 1:
+        raise GraphError(f"loop_prob + parallel_prob must be at most 1, "
+                         f"got {loop_prob} + {parallel_prob}")
+
+
 def gen_random_connected_multigraph(
     n: int,
     m: int,
@@ -50,8 +62,10 @@ def gen_random_connected_multigraph(
     ``loop_prob`` a loop at a random vertex, with ``parallel_prob`` a
     duplicate of a uniformly chosen existing edge, otherwise a uniform
     non-loop pair.  ``simple=True`` disables loops/parallels and resamples
-    collisions instead.  Errors if ``m < n - 1`` (cannot connect).
+    collisions instead.  Errors if ``m < n - 1`` (cannot connect) or on
+    probabilities that :func:`check_probabilities` rejects.
     """
+    check_probabilities(loop_prob, parallel_prob)
     if n < 1:
         raise GraphError("need at least one vertex")
     if m < n - 1:
@@ -139,68 +153,35 @@ def gen_circulant(n: int) -> MultiGraph:
     return g
 
 
-FAMILIES = ("tight-star", "random", "bouquet", "dipole", "complete",
-            "circulant")
+# family -> (generator, the size parameter it takes); ``random`` also
+# takes m, the edge count, and the probabilities and seed
+FAMILIES = {
+    "tight-star": (gen_tight_star, "n"),
+    "random": (gen_random_connected_multigraph, "n"),
+    "bouquet": (gen_bouquet, "k"),
+    "dipole": (gen_dipole, "k"),
+    "complete": (gen_complete, "n"),
+    "circulant": (gen_circulant, "n"),
+}
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Reproducible recipe for a generated graph.
-
-    ``family`` is one of :data:`FAMILIES`; parameter meaning per family:
-    tight-star uses ``n`` (the half-leaf count), random uses ``n``/``m``
-    plus probabilities and seed, bouquet and dipole use ``k``, complete
-    and circulant use ``n``.  Identical specs build identical graphs, edge ids included.
-    """
-
-    family: str
-    n: int | None = None
-    m: int | None = None
-    k: int | None = None
-    seed: int = 0
-    loop_prob: float = 0.15
-    parallel_prob: float = 0.15
-
-    def __post_init__(self):
-        for name in ("loop_prob", "parallel_prob"):
-            p = getattr(self, name)
-            if not 0 <= p <= 1:
-                raise GraphError(f"{name} must lie in [0, 1], got {p}")
-        if self.loop_prob + self.parallel_prob > 1:
-            raise GraphError(
-                f"loop_prob + parallel_prob must be at most 1, got "
-                f"{self.loop_prob} + {self.parallel_prob}")
-
-    def build(self) -> MultiGraph:
-        if self.family == "tight-star":
-            self._need("n")
-            return gen_tight_star(self.n)
-        if self.family == "random":
-            self._need("n")
-            self._need("m")
-            return gen_random_connected_multigraph(
-                self.n,
-                self.m,
-                loop_prob=self.loop_prob,
-                parallel_prob=self.parallel_prob,
-                seed=self.seed,
-            )
-        if self.family == "bouquet":
-            self._need("k")
-            return gen_bouquet(self.k)
-        if self.family == "dipole":
-            self._need("k")
-            return gen_dipole(self.k)
-        if self.family == "complete":
-            self._need("n")
-            return gen_complete(self.n)
-        if self.family == "circulant":
-            self._need("n")
-            return gen_circulant(self.n)
+def generate(family: str, *, n: int | None = None, m: int | None = None,
+             k: int | None = None, seed: int = 0, loop_prob: float = 0.15,
+             parallel_prob: float = 0.15) -> MultiGraph:
+    """The graph of ``family`` (a key of :data:`FAMILIES`) at the size
+    given by its size parameter; the probabilities are checked for every
+    family, as :func:`check_probabilities` does."""
+    check_probabilities(loop_prob, parallel_prob)
+    if family not in FAMILIES:
         raise GraphError(
-            f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}"
-        )
-
-    def _need(self, name: str) -> None:
-        if getattr(self, name) is None:
-            raise GraphError(f"family {self.family!r} requires parameter {name}")
+            f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    make, size_name = FAMILIES[family]
+    size = n if size_name == "n" else k
+    if size is None:
+        raise GraphError(f"family {family!r} requires parameter {size_name}")
+    if family != "random":
+        return make(size)
+    if m is None:
+        raise GraphError(f"family {family!r} requires parameter m")
+    return make(size, m, loop_prob=loop_prob, parallel_prob=parallel_prob,
+                seed=seed)

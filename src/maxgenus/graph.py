@@ -50,6 +50,12 @@ class LimitExceededError(GraphError):
     """Instance exceeds the configured search limit of an exact oracle."""
 
 
+# the exact oracles' default limits: pair-search edges, trees, rotations
+DEFAULT_PAIRS_EDGE_LIMIT = 16
+DEFAULT_TREE_LIMIT = 100_000
+DEFAULT_ROTATION_LIMIT = 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # Darts
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .graph import (
+    DEFAULT_PAIRS_EDGE_LIMIT,
+    DEFAULT_ROTATION_LIMIT,
+    DEFAULT_TREE_LIMIT,
     CertificationError,
     DisconnectedError,
     GraphError,
@@ -42,10 +45,6 @@ from .graph import (
     is_connected,
 )
 from .greedy import AdjacentPair, PairSet
-
-DEFAULT_PAIRS_EDGE_LIMIT = 16
-DEFAULT_TREE_LIMIT = 100_000
-DEFAULT_ROTATION_LIMIT = 1_000_000
 
 
 def _require_connected(g: MultiGraph) -> None:

@@ -563,6 +563,18 @@ CONFIG_TEXTS = st.tuples(
              max_size=1),
 ).map(lambda t: _text([f"{k} = {v}" for k, v in t[0].items()] + t[1]))
 
+FAMILY_NAMES = st.sampled_from(["random", "tight-star", "bouquet", "dipole",
+                                "complete", "circulant", "petersen", ""])
+GEN_ARGVS = st.tuples(
+    FAMILY_NAMES.map(lambda f: ["--family", f]),
+    *(st.sampled_from([[], [flag, "3"], [flag, "8"], [flag, "0"],
+                       [flag, "-2"]]) for flag in ("-n", "-m", "-k")),
+    st.sampled_from([[], ["--seed", "4"]]),
+    *(st.sampled_from([[], [flag, "0"], [flag, "0.5"], [flag, "1"],
+                       [flag, "1.5"], [flag, "-1"], [flag, "nan"]])
+      for flag in ("--loop-prob", "--parallel-prob")),
+).map(lambda parts: [arg for part in parts for arg in part])
+
 
 def main_in_process(argv, files):
     """Exit code and stderr of ``cli.main(argv)``, each ``{}`` in argv
@@ -610,6 +622,13 @@ class TestFuzz:
                                     [graph, rotation])
         event(f"exit {code}")
         assert code in range(6)
+        assert "Traceback" not in err
+
+    @given(GEN_ARGVS)
+    def test_gen_options(self, argv):
+        code, err = main_in_process(["gen", *argv, "-o", "{}"], [""])
+        event(f"exit {code}")
+        assert code in (0, 2)
         assert "Traceback" not in err
 
     @settings(max_examples=30)

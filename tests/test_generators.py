@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from maxgenus import (
     FAMILIES,
-    GeneratorSpec,
     GraphError,
     cycle_rank,
     gen_bouquet,
@@ -12,6 +11,7 @@ from maxgenus import (
     gen_dipole,
     gen_tight_star,
     gen_random_connected_multigraph,
+    generate,
     is_connected,
 )
 
@@ -76,6 +76,15 @@ class TestRandom:
         with pytest.raises(GraphError):
             gen_random_connected_multigraph(4, 7, seed=0, simple=True)
 
+    @pytest.mark.parametrize("probs, match", [
+        ({"loop_prob": 2.0}, "loop_prob must lie"),
+        ({"parallel_prob": float("nan")}, "parallel_prob must lie"),
+    ], ids=["loop-above", "parallel-nan"])
+    def test_probabilities_checked(self, probs, match):
+        # the check lives in the function that uses the probabilities
+        with pytest.raises(GraphError, match=match):
+            gen_random_connected_multigraph(4, 8, **probs)
+
     @given(st.integers(2, 12), st.integers(0, 15), st.integers(0, 100))
     def test_property_always_connected(self, n, extra, seed):
         g = gen_random_connected_multigraph(n, n - 1 + extra, seed=seed)
@@ -121,24 +130,29 @@ class TestNamedFamilies:
 
 
 class TestGeneratorSpec:
+    """:func:`generate` and :data:`FAMILIES`, its table of each family's
+    generator and size parameter."""
+
     def test_dispatch(self):
-        assert GeneratorSpec("tight-star", n=2).build() == gen_tight_star(2)
-        assert GeneratorSpec("bouquet", k=3).build() == gen_bouquet(3)
-        assert GeneratorSpec("dipole", k=3).build() == gen_dipole(3)
-        assert GeneratorSpec("complete", n=4).build() == gen_complete(4)
-        assert GeneratorSpec("circulant", n=6).build() == gen_circulant(6)
-        r = GeneratorSpec("random", n=6, m=10, seed=2).build()
+        assert generate("tight-star", n=2) == gen_tight_star(2)
+        assert generate("bouquet", k=3) == gen_bouquet(3)
+        assert generate("dipole", k=3) == gen_dipole(3)
+        assert generate("complete", n=4) == gen_complete(4)
+        assert generate("circulant", n=6) == gen_circulant(6)
+        r = generate("random", n=6, m=10, seed=2)
         assert r == gen_random_connected_multigraph(6, 10, seed=2)
 
     def test_missing_parameter(self):
-        with pytest.raises(GraphError):
-            GeneratorSpec("random", n=6).build()
-        with pytest.raises(GraphError):
-            GeneratorSpec("bouquet").build()
+        with pytest.raises(GraphError, match="requires parameter m"):
+            generate("random", n=6)
+        with pytest.raises(GraphError, match="requires parameter k"):
+            generate("bouquet")
+        with pytest.raises(GraphError, match="requires parameter n"):
+            generate("circulant", k=4)
 
     def test_unknown_family(self):
-        with pytest.raises(GraphError):
-            GeneratorSpec("petersen", n=10).build()
+        with pytest.raises(GraphError, match="known: tight-star, random"):
+            generate("petersen", n=10)
 
     def test_family_registry(self):
         assert set(FAMILIES) == {
@@ -156,9 +170,8 @@ class TestGeneratorSpec:
             "sum-above"])
     def test_probabilities_rejected(self, probs, match):
         with pytest.raises(GraphError, match=match):
-            GeneratorSpec("random", n=4, m=4, **probs)
+            generate("random", n=4, m=4, **probs)
 
     def test_probability_bounds_accepted(self):
-        g = GeneratorSpec("random", n=4, m=8, loop_prob=1.0,
-                          parallel_prob=0.0).build()
+        g = generate("random", n=4, m=8, loop_prob=1.0, parallel_prob=0.0)
         assert sum(map(g.is_loop, g.edge_ids())) == 5

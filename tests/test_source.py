@@ -124,6 +124,7 @@ def test_cli_import_loads_no_oracle_and_no_bench():
     loaded = _modules_after("import maxgenus.cli")
     assert "maxgenus.oracle" not in loaded
     assert "maxgenus.bench" not in loaded
+    assert "maxgenus.generators" not in loaded
 
 
 def test_every_export_resolves():
