@@ -53,6 +53,12 @@ class BenchConfig:
             raise GraphError(f"edge_factor must be finite and at least 1, "
                              f"got {self.edge_factor}")
         check_probabilities(self.loop_prob, self.parallel_prob)
+        for size in self.sizes:
+            try:
+                round(self.edge_factor * size)
+            except OverflowError:
+                raise GraphError(f"size {size} is too large for an edge "
+                                 f"count") from None
 
     @classmethod
     def parse(cls, text: str) -> "BenchConfig":

@@ -27,8 +27,8 @@ workload; it stays only for the certify benchmark's traced comparison run.
   searches for a replacement level by level, promoting scanned edges one
   level up; each edge can rise at most ``ceil(log2 n)`` times, which is the
   amortization argument behind the O(log^2 n) update bound.  The total
-  number of promotions is counted and tests assert the
-  ``inserts * ceil(log2 n)`` budget.
+  number of promotions is counted in its ``promotions`` and tests assert
+  the ``inserts * ceil(log2 n)`` budget.
 
 Loop edges never enter the dynamic structure: they cannot affect
 connectivity, so they are tracked only for existence.  ``connected_all``
@@ -65,7 +65,6 @@ class BackendStats:
     queries: int = 0
     deletes: int = 0
     inserts: int = 0
-    promotions: int = 0
     memo_answers: int = 0  # probes answered from the cut memo
     scans: int = 0  # cut scans run (DfsBackend.scan_cuts)
 
@@ -455,6 +454,7 @@ class DynamicBackend:
         self._present: set[int] = set()
         self._comps = self._n
         self.stats = BackendStats()
+        self.promotions = 0
         for eid in sorted(self._endpoints):
             self.insert_edge(eid)
 
@@ -582,7 +582,7 @@ class DynamicBackend:
         a, b = self._endpoints[eid]
         self._level[eid] = i + 1
         self._forests[i + 1].link(eid, a, b)
-        self.stats.promotions += 1
+        self.promotions += 1
 
     def _promote_nontree_edge(self, eid: int, i: int) -> None:
         if i + 1 > self._max_level:
@@ -594,7 +594,7 @@ class DynamicBackend:
         self._level[eid] = i + 1
         self._nontree[i + 1].setdefault(a, set()).add(eid)
         self._nontree[i + 1].setdefault(b, set()).add(eid)
-        self.stats.promotions += 1
+        self.promotions += 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ The pass (phase 2, or the only pass of the other policies) probes only
 the core: the residual R it starts on minus the bridges B of R, found by
 one :func:`~maxgenus.graph.cut_scan`.  A bridge lies on no cycle, and
 deleting edges creates none, so a pair holding a bridge of R can never
-be removed; the pass drops such candidates untested, after ordering
-them, so no policy's order or random stream changes.  For a pair {e, f}
+be removed; the pass builds its candidates from core edges only.
+Dropping an edge before pairing keeps the relative order of the pairs
+left, so the deterministic orders are those of R.  For a pair {e, f}
 of core edges the answer is the same on the core as on R: R minus a set
 F is connected iff F holds no nonempty cut of R, and the cuts are the
 edge sets orthogonal over GF(2) to every cycle.  Every cycle of R avoids
@@ -48,9 +49,9 @@ for the cut pairs the scan records: neither edge of one is a bridge, so
 each is a cut of the core, and they seed a ``dfs`` backend's cut memo
 (the ``dynamic`` backend keeps none).  Bridges that later deletions
 create are not dropped; their probes fail as before.  The pass visits
-only core vertices, where two core edges meet; any other vertex keeps
-its degree, and a ``random`` pass draws there the shuffle its candidates
-would take, so the random stream is kept.
+only core vertices, where two core edges meet, in the policy's order; a
+``random`` pass shuffles the sorted core vertices, then each vertex's
+core candidates.  A vertex costs C(core degree, 2), whatever bridges it holds.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
+from typing import Container, NamedTuple
 
 from .connectivity import BACKENDS, BackendStats, pair_removal_keeps_connected
 from .graph import (
@@ -147,14 +148,16 @@ class GreedyResult:
     backend_stats: object
 
 
-def candidate_pairs(g: MultiGraph, v: int) -> list[tuple[int, int]]:
-    """Unordered pairs of distinct edges at v, as (min id, max id) tuples.
+def candidate_pairs(g: MultiGraph, v: int,
+                    skip: Container[int]) -> list[tuple[int, int]]:
+    """Pairs of distinct edges at v outside ``skip``, as (min id, max id).
 
     Dart pairs collapse to edge pairs: a loop meets every other incident
     edge once and every other loop once, and never pairs with itself.
     """
     # the map is in dart order, so the edges come in ascending id order
-    return list(combinations(dict.fromkeys(d >> 1 for d in g._inc[v]), 2))
+    edges = dict.fromkeys(d >> 1 for d in g._inc[v])
+    return list(combinations([e for e in edges if e not in skip], 2))
 
 
 def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]:
@@ -321,7 +324,7 @@ def greedy_max_genus(
 
     beta = residual.n_edges - residual.n_vertices + 1
     edges, inc = residual._edges, residual._inc
-    be, bridges, core, order = None, set(), set(), []
+    be, bridges, order = None, set(), []
     if beta >= 2:  # else the pass makes no probe
         # the pass probes only the core: the residual minus its bridges
         bridges, cut_key = cut_scan(residual)
@@ -335,32 +338,21 @@ def greedy_max_genus(
                 deg[x] -= 1
         core = {v for v, d in enumerate(deg)
                 if d > 2 or d == 2 and v not in inc[v].values()}
+        order = sorted(core, key=_vertex_key(pass_policy, residual))
         if pass_policy == "random":
             rng = random.Random(seed)
-            order = list(residual.vertices())
             rng.shuffle(order)
-        else:
-            order = sorted(core, key=_vertex_key(pass_policy, residual))
     stats.core_bridges = len(bridges)
     pkey = _pair_order_key(pass_policy, residual)
 
     for v in order:
         if beta < 2:
             break
-        if v not in core:
-            # every candidate here holds a bridge; a random pass still
-            # draws the shuffle they would take, keeping its stream
-            k = len({d >> 1 for d in inc[v]})
-            rng.shuffle([None] * (k * (k - 1) // 2))
-            continue
-        cands = candidate_pairs(residual, v)
+        cands = candidate_pairs(residual, v, bridges)
         if pass_policy == "random":
             rng.shuffle(cands)
         elif pkey is not None:
             cands.sort(key=pkey)
-        if bridges:  # after the shuffle, so the RNG stream is kept
-            cands = [(e, f) for e, f in cands
-                     if e not in bridges and f not in bridges]
         deg_v = len(inc[v])
         stats.candidate_budget += deg_v * (deg_v - 1) // 2
         stats.candidate_pairs += len(cands)

@@ -245,7 +245,7 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
     seen_pairs: set[tuple[int, int]] = set()
     cands: list[AdjacentPair] = []
     for v in g.vertices():
-        for e, f in candidate_pairs(g, v):
+        for e, f in candidate_pairs(g, v, ()):
             if (e, f) not in seen_pairs:
                 seen_pairs.add((e, f))
                 cands.append(AdjacentPair(e, f, v))

@@ -23,6 +23,7 @@ from maxgenus import (
     verify_pair_set,
 )
 from maxgenus import BenchConfig, RotationSystem, bench, cli, oracle
+from maxgenus.generators import FAMILIES
 from maxgenus.graph import format_dart
 
 CLI = [sys.executable, "-m", "maxgenus.cli"]
@@ -281,6 +282,21 @@ class TestBench:
         assert cli.main(["bench", str(cfg)]) == 2
         assert "edge_factor must be finite and at least 1" in \
             capsys.readouterr().err
+
+    def test_size_with_no_edge_count_exits_2(self, tmp_path, capsys):
+        # m = round(edge_factor * n) overflowed the float conversion
+        size = "1" + "0" * 400
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text(f"family = random\nsizes = {size}\n")
+        assert cli.main(["bench", str(cfg)]) == 2
+        assert f"size {size} is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_size_with_no_edge_count_is_refused(self, family):
+        # checked in the config only: such a size must never reach a
+        # generator, which would allocate until memory runs out
+        with pytest.raises(GraphError, match=r"size 10+ is too large"):
+            BenchConfig(family=family, sizes=(10 ** 400,))
 
     def test_repeated_key_rejected(self):
         with pytest.raises(GraphError, match="line 3: sizes repeated"):

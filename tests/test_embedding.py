@@ -614,7 +614,7 @@ class TestCornerListMatchesFullTraces:
 PINNED_ROTATIONS = {
     "random-512-1024": {
         "edge-id": ("57aeae4bf80b6c170b6b847ac2201c8af8305a708b19170e55bc1f376d76769e", 232),
-        "random": ("f83e74e6b410918d0e15fcb5a3b78c8b0934f5334d081031950b22512ec21057", 236),
+        "random": ("7e1f2647247fbe571953ecfafe2278ef8ea076fcbb7aeaf7c4e03e366f4d8b51", 237),
         "loops-first": ("3d31e86fe31ea91b8f3531ea04cecfe61a419a433eeac3869dd2614a0500a594", 248),
         "central-vertex-first": ("e15d5367269c86b17e5fdd8c4c32d5eab0f672e2c0c4d022de78b8dae40cff1a", 230),
         "tree-first": ("83ec38315b87aea262a4c2d5bd932a0174d90bab24a315ef9a239a8569589b9e", 249),

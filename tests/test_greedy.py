@@ -41,7 +41,7 @@ from _reference import MirrorGraph
 def has_removable_pair(g):
     """Brute-force maximality check."""
     for v in g.vertices():
-        for e, f in candidate_pairs(g, v):
+        for e, f in candidate_pairs(g, v, ()):
             if is_connected(g.copy(without={e, f})):
                 return True
     return False
@@ -52,15 +52,22 @@ class TestCandidatePairs:
         g = MultiGraph(4)
         for leaf in (1, 2, 3):
             g.add_edge(0, leaf)
-        assert candidate_pairs(g, 0) == [(0, 1), (0, 2), (1, 2)]
-        assert candidate_pairs(g, 1) == []
+        assert candidate_pairs(g, 0, ()) == [(0, 1), (0, 2), (1, 2)]
+        assert candidate_pairs(g, 1, ()) == []
 
     def test_loop_collapses_to_one_edge(self):
         g = MultiGraph(2)
         g.add_edge(0, 1)
         g.add_edge(0, 0)
         # the loop pairs with the edge once, never with itself
-        assert candidate_pairs(g, 0) == [(0, 1)]
+        assert candidate_pairs(g, 0, ()) == [(0, 1)]
+
+    def test_skip_drops_edges_before_pairing(self):
+        g = MultiGraph(5)
+        for leaf in (1, 2, 3, 4):
+            g.add_edge(0, leaf)
+        assert candidate_pairs(g, 0, {1}) == [(0, 2), (0, 3), (2, 3)]
+        assert candidate_pairs(g, 0, {0, 1, 3}) == []
 
 
 class TestVerify:
@@ -387,11 +394,15 @@ def test_pass_stops_below_cycle_rank_two():
 
 
 def reference_pairs(g, policy, seed=0):
-    """The single pass with no bridge filter and no backend: every
-    candidate pair is probed by deleting it from a ``MirrorGraph`` and
-    traversing the whole graph.  The orders are read from the residual
-    the pass starts on, the candidates at v from the mirror's present
-    edges when the pass reaches v."""
+    """The single pass with no backend: each candidate pair is probed by
+    deleting it from a ``MirrorGraph`` and traversing the whole graph.
+    The orders are read from the residual the pass starts on, the
+    candidates at v from the mirror's present edges when the pass
+    reaches v.  A deterministic pass visits every vertex and probes
+    every candidate, bridges included.  A ``random`` pass draws its
+    stream as the greedy does: it shuffles the core vertices in
+    ascending order, then at each the pairs of edges that are not
+    bridges (by brute force) of the residual."""
     residual = g.copy()
     found = PairSet()
     pass_policy = policy
@@ -399,18 +410,22 @@ def reference_pairs(g, policy, seed=0):
         greedy._pair_cotree_edges(residual, found)
         pass_policy = "edge-id"
     mirror = MirrorGraph(residual)
-    rng = random.Random(seed)
-    order = list(residual.vertices())
+    bridges = set()
+    order = sorted(residual.vertices(),
+                   key=greedy._vertex_key(pass_policy, residual))
     if pass_policy == "random":
+        bridges = brute_bridges(residual)
+        order = [v for v in order
+                 if len(set(mirror.edges_at(v)) - bridges) >= 2]
+        rng = random.Random(seed)
         rng.shuffle(order)
-    else:
-        order.sort(key=greedy._vertex_key(pass_policy, residual))
     pkey = greedy._pair_order_key(pass_policy, residual)
     beta = cycle_rank(residual)
     for v in order:
         if beta < 2:
             break
-        cands = list(combinations(mirror.edges_at(v), 2))
+        cands = list(combinations(
+            [e for e in mirror.edges_at(v) if e not in bridges], 2))
         if pass_policy == "random":
             rng.shuffle(cands)
         else:
@@ -455,6 +470,24 @@ PENDANT_GRAPHS = [
 ]
 
 
+def hub_graph(n):
+    """Vertex 0 with n pendant leaves and three triangles through it: six
+    core edges at a hub of degree n + 6."""
+    g = MultiGraph(n + 7)
+    for a in (1, 3, 5):
+        g.add_edge(0, a)
+        g.add_edge(0, a + 1)
+        g.add_edge(a, a + 1)
+    for leaf in range(7, n + 7):
+        g.add_edge(0, leaf)
+    return g
+
+
+# C(6, 2) pairs at the hub, plus the one pair at each triangle vertex a
+# random pass may visit before the hub
+HUB_CANDIDATES = 15 + 6
+
+
 class TestCycleCore:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_pairs_match_a_reference_that_probes_everything(self, policy):
@@ -486,6 +519,46 @@ class TestCycleCore:
                 skipped += len(cut)
         assert skipped > 0
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_candidate_holds_a_bridge_of_the_residual(self, policy,
+                                                         monkeypatch):
+        built = []
+        monkeypatch.setattr(greedy, "candidate_pairs", lambda *args: (
+            built.append(candidate_pairs(*args)) or built[-1]))
+        paired = 0
+        for seed, g in enumerate(PENDANT_GRAPHS):
+            built.clear()
+            cut = brute_bridges(phase_two_residual(g, policy))
+            greedy_max_genus(g, policy=policy, seed=seed)
+            assert not any(e in cut or f in cut
+                           for cands in built for e, f in cands)
+            paired += sum(map(len, built))
+        assert paired > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n", [1, 2000])
+    def test_hub_pays_only_its_core_edges(self, policy, n, monkeypatch):
+        # pairing all n + 6 edges at the hub would build C(n + 6, 2)
+        sizes = []
+        monkeypatch.setattr(greedy, "candidate_pairs", lambda *args: (
+            sizes.append(len(cands := candidate_pairs(*args))) or cands))
+        for seed in range(4):
+            sizes.clear()
+            r = greedy_max_genus(hub_graph(n), policy=policy, seed=seed)
+            assert len(r.pairs) == 1
+            assert sum(sizes) == r.stats.candidate_pairs <= HUB_CANDIDATES
+
+    def test_random_pass_shuffles_only_the_core(self, monkeypatch):
+        # the seven core vertices, then each one's core candidates; every
+        # pass reaches the hub, the only vertex with a removable pair
+        shuffled = []
+        real = random.Random.shuffle
+        monkeypatch.setattr(random.Random, "shuffle", lambda rng, x: (
+            shuffled.append(len(x)) or real(rng, x)))
+        r = greedy_max_genus(hub_graph(2000), policy="random", seed=1)
+        assert r.pairs.pairs[0].witness == 0
+        assert sum(shuffled) <= 7 + r.stats.candidate_pairs
+
     def test_bridge_scan_seeds_the_cut_memo(self):
         # the scan that finds the core's bridges also records cut pairs of
         # the core; they answer probes with no failed search and no rescan
@@ -500,8 +573,8 @@ class TestCycleCore:
         # 16172 phase-2 tests when every candidate was probed
         g = gen_random_connected_multigraph(8192, 16384, seed=1)
         built = []
-        monkeypatch.setattr(greedy, "candidate_pairs",
-                            lambda h, v: built.append(v) or candidate_pairs(h, v))
+        monkeypatch.setattr(greedy, "candidate_pairs", lambda h, v, skip: (
+            built.append(v) or candidate_pairs(h, v, skip)))
         backends = []
         monkeypatch.setitem(greedy.BACKENDS, "dfs", lambda h, without: (
             backends.append(DfsBackend(h, without)) or backends[-1]))
