@@ -15,7 +15,6 @@ from .connectivity import (
     BackendStats,
     DfsBackend,
     DynamicBackend,
-    pair_removal_keeps_connected,
 )
 from .embedding import (
     EmbeddingResult,
@@ -139,7 +138,6 @@ __all__ = [
     "merge_pairs",
     "nebesky_bound",
     "odd_components",
-    "pair_removal_keeps_connected",
     "parse_edge_list",
     "reduce_multiedges",
     "run_bench",

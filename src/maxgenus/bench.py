@@ -4,7 +4,8 @@
 A benchmark config is a ``key = value`` text file (``#`` comments) such
 as ``scripts/bench_example.conf``; ``sizes`` are generator size
 parameters (random: n, with m = round(edge_factor * n); an
-``edge_factor`` below 1 is refused).
+``edge_factor`` below 1 is refused, and so is a size whose graph
+:func:`~maxgenus.generators.check_size` refuses, before the first cell).
 
 Every (size, seed, policy) combination becomes one cell; the cells run
 in turn, in one process, each :data:`REPEATS` times, and time the
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .embedding import build_embedding, genus_of
-from .generators import FAMILIES, check_probabilities, generate
+from .generators import FAMILIES, check_probabilities, check_size, generate
 from .graph import CertificationError, GraphError, MultiGraph
 from .greedy import DEFAULT_POLICY, check_policy
 from .pipeline import run_pipeline
@@ -55,10 +56,11 @@ class BenchConfig:
         check_probabilities(self.loop_prob, self.parallel_prob)
         for size in self.sizes:
             try:
-                round(self.edge_factor * size)
+                m = round(self.edge_factor * size)
             except OverflowError:
                 raise GraphError(f"size {size} is too large for an edge "
                                  f"count") from None
+            check_size(self.family, size, m)
 
     @classmethod
     def parse(cls, text: str) -> "BenchConfig":

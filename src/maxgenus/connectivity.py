@@ -1,25 +1,25 @@
-"""Connectivity backends for the tentative-removal loop.
+"""Connectivity backends for the greedy's pair-removal probe.
 
-Both backends answer the same questions about an attached graph while
-edges are deleted and re-inserted: ``connected(u, v)``, ``connected_all()``
-and ``cut_side(ends)``, the question behind the greedy's pair-removal
-probe.  They give identical answers; only the cost model differs.  The
-greedy defaults to :class:`DfsBackend`, and the pipeline and the CLI use
-nothing else.  :class:`DynamicBackend` is slower on every benchmark
-workload; it stays only for the certify benchmark's traced comparison run.
+Each backend answers one question about its own copy of a graph,
+``probe(e, f)``: does deleting the adjacent pair {e, f} keep the ends of
+e and f joined?  A true answer leaves the pair deleted; a false one
+restores it.  Both backends give identical answers; only the cost model
+differs.  The greedy defaults to :class:`DfsBackend`, and the pipeline
+and the CLI use nothing else.  :class:`DynamicBackend` is slower on
+every benchmark workload; it stays only for the certify benchmark's
+traced comparison run.
 
-* :class:`DfsBackend` searches a ``MultiGraph`` copy on every query,
-  O(1) per update; loops stay in it, and a search passes over them, as a
-  loop's far end is a vertex already reached.  An insertion appends its
-  darts, so the copy's maps leave dart order after a rollback; neither
-  the search nor the cut scan needs that order for its answer.
-  ``connected_all`` is one full traversal, O(m).  ``connected`` and
-  ``cut_side`` search from every endpoint in lockstep, one vertex
-  expansion per side in turn (Even and Shiloach, J. ACM 28(1), 1981): a
-  side that runs dry proves the answer false at a cost of O(smaller side),
-  and sides that meet merge, so a true answer costs the search until the
-  last meeting.  Visited vertices live in a dict, so no query pays O(n)
-  up front.
+* :class:`DfsBackend` searches a ``MultiGraph`` copy on every probe,
+  O(1) per deletion; loops stay in it, and a search passes over them, as
+  a loop's far end is a vertex already reached.  The search starts from
+  every endpoint of the pair in lockstep, one vertex expansion per side
+  in turn (Even and Shiloach, J. ACM 28(1), 1981): a side that runs dry
+  proves the answer false at a cost of O(smaller side), and sides that
+  meet merge, so a true answer costs the search until the last meeting.
+  Visited vertices live in a dict, so no probe pays O(n) up front.  A
+  failed probe's rollback appends the pair's darts, so the copy's maps
+  leave dart order; neither the search nor the cut scan needs that order
+  for its answer.
 * :class:`DynamicBackend` keeps a hierarchy of Euler-tour spanning
   forests, one per level ``0..ceil(log2 n)``.  The forest at level i spans
   the components induced by edges of level >= i, and a level-i tree
@@ -28,27 +28,17 @@ workload; it stays only for the certify benchmark's traced comparison run.
   level up; each edge can rise at most ``ceil(log2 n)`` times, which is the
   amortization argument behind the O(log^2 n) update bound.  The total
   number of promotions is counted in its ``promotions`` and tests assert
-  the ``inserts * ceil(log2 n)`` budget.
+  the ``inserts * ceil(log2 n)`` budget.  Loop edges never enter its
+  forests: they cannot affect connectivity, so they are tracked only for
+  existence.
 
-Loop edges never enter the dynamic structure: they cannot affect
-connectivity, so they are tracked only for existence.  ``connected_all``
-on the dynamic backend is an incrementally maintained component counter.
-
-Each backend answers :func:`pair_removal_keeps_connected` itself
-(``probe``).  Only :class:`DfsBackend` keeps a cut memo: ``bridges``,
-edges proved to be bridges of its present graph, and ``cut_key``, which
-maps both edges of a proved cut pair {t, b} to b; the greedy seeds
-``cut_key`` with the cut pairs of the scan that found its core.  Its
-probe answers a pair from the memo when it can (see there for the rule
-and why it is exact), and a failed search adds the bridge its dry side
-shows, if any.  Once failed searches since the last scan have expanded
-``SCAN_FACTOR`` times n + m vertices, the probe runs
-:func:`~maxgenus.graph.cut_scan` (``scan_cuts``): one iterative DFS,
-O(n + m), that records every bridge and every tree edge covered by
-exactly one non-tree edge.  Deleting edges never turns a cut into a
-non-cut, so only an insertion can make the memo stale; ``insert_edge``
-empties it, and the probe's own rollback, which restores the graph the
-memo was proved on, keeps it.
+Only :class:`DfsBackend` keeps a cut memo, ``bridges`` and ``cut_key``;
+its probe says what they hold and why its answers from them are exact.
+A failed search adds the bridge its dry side shows, if any.  Once failed
+searches since the last scan have expanded ``SCAN_FACTOR`` times n + m
+vertices, the probe runs :func:`~maxgenus.graph.cut_scan`
+(``scan_cuts``): one iterative DFS, O(n + m), that records every bridge
+and every tree edge covered by exactly one non-tree edge.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from math import ceil, log2
 
-from .graph import GraphError, MultiGraph, cut_scan, is_connected
+from .graph import GraphError, MultiGraph, cut_scan
 
 
 @dataclass
@@ -74,64 +64,33 @@ class BackendStats:
 SCAN_FACTOR = 8
 
 
+def _pair_ends(ends, present, e: int, f: int):
+    """The ends of e and f in ``ends``; raises :class:`GraphError` unless
+    e and f are distinct edges in ``present`` that share an endpoint."""
+    if e == f:
+        raise GraphError("pair must consist of two distinct edges")
+    if e not in present or f not in present:
+        raise GraphError(f"edge {e} or {f} is not present")
+    ue, uf = ends[e], ends[f]
+    if ue[0] not in uf and ue[1] not in uf:
+        raise GraphError(f"edges {e} and {f} do not share an endpoint")
+    return ue, uf
+
+
 # ---------------------------------------------------------------------------
 # DFS backend
 # ---------------------------------------------------------------------------
 
 class DfsBackend:
-    """Traversal-per-query backend over its own copy of the graph minus
+    """Traversal-per-probe backend over its own copy of the graph minus
     the edges in ``without``."""
 
     def __init__(self, g: MultiGraph, without: AbstractSet[int] = frozenset()):
         self._g = g.copy(without)
-        self._endpoints = dict(self._g._edges)
         self.stats = BackendStats(inserts=self._g.n_edges)
         self.bridges: set[int] = set()
         self.cut_key: dict[int, int] = {}
         self._dry_work = 0  # vertices failed searches expanded since a scan
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        try:
-            return self._endpoints[eid]
-        except KeyError:
-            raise GraphError(f"edge {eid} unknown to backend") from None
-
-    def has_edge(self, eid: int) -> bool:
-        return eid in self._g._edges
-
-    def delete_edge(self, eid: int) -> None:
-        if eid not in self._g._edges:
-            self.endpoints(eid)  # raises for an edge the backend never had
-            raise GraphError(f"edge {eid} is not present")
-        self._g._unlink((eid,))
-        self.stats.deletes += 1
-
-    def insert_edge(self, eid: int) -> None:
-        u, v = self.endpoints(eid)
-        g = self._g
-        if eid in g._edges:
-            raise GraphError(f"edge {eid} already present")
-        # appended, out of dart order: nothing here reads the order
-        g._link(eid, u, v)
-        self.stats.inserts += 1
-        # the new edge may join the two sides of a memoised cut
-        self.bridges.clear()
-        self.cut_key.clear()
-
-    def connected(self, u: int, v: int) -> bool:
-        self.stats.queries += 1
-        return self._dry_side((u, v)) is None
-
-    def cut_side(self, ends) -> frozenset[int] | None:
-        """None if the vertices in ``ends`` lie in one component, else the
-        ends that one component missing some end holds.
-
-        After edges are deleted from one component, with ``ends`` holding
-        every endpoint of the deleted edges, each piece of that component
-        holds one of ``ends``, so None means it is still connected.
-        """
-        self.stats.queries += 1
-        return self._dry_side(ends)
 
     def _dry_side(self, ends) -> frozenset[int] | None:
         """None if the vertices in ``ends`` lie in one component, else the
@@ -186,9 +145,43 @@ class DfsBackend:
             i += 1
 
     def probe(self, e: int, f: int) -> bool:
-        """Delete the present pair {e, f} and return True if its ends stay
-        joined; else return False with the graph as before, rolled back
-        by ``_link``, which keeps the memo, and maybe rescanned."""
+        """Delete the present adjacent pair {e, f} and return True if its
+        ends stay joined; else return False with the graph as before, the
+        pair linked back by ``_link``.  Raises :class:`GraphError`, with
+        nothing counted or changed, unless e and f are distinct present
+        edges that share an endpoint.
+
+        The answer is about the component C of the graph that holds e and
+        f; the graph may have other components.  Every component of C
+        minus {e, f} holds an endpoint of e or f, so C stays connected iff
+        those endpoints are still mutually joined; that is the one search
+        the probe makes.
+
+        The cut memo answers some pairs False, counted as one query (and
+        one memo answer) with no delete or insert: a pair holding an edge
+        in ``bridges``, a pair with an edge whose ``cut_key`` is in
+        ``bridges``, and a pair whose two edges share a ``cut_key``.
+        ``bridges`` holds edges proved to be bridges, and ``cut_key`` maps
+        both edges of a proved cut pair {t, b} to b; the greedy seeds it
+        with the cut pairs of the scan that found its core.  Each entry
+        stands for a vertex set S whose boundary in the graph it was found
+        on is the bridge alone, or the cut pair.  Deleting edges shrinks
+        every such boundary to its present part, and over GF(2)
+        boundaries add: records {e, b} and {f, b} give a set whose
+        boundary is {e, f}, and record {e, b} with bridge b gives one
+        whose boundary is {e}.  A nonempty boundary inside C means C minus
+        it is disconnected, so the memo stays exact while edges are
+        deleted; the only insertion, the rollback, restores the graph it
+        was proved on.
+
+        A failed search adds a bridge: the side that ran dry is a whole
+        component S of the graph minus {e, f}, and e and f are the only
+        edges that can leave S.  If exactly one of them has exactly one
+        end in S, that edge alone joins S to the rest, so it is a bridge.
+        After a failed probe the backend may also rescan its cuts.
+        """
+        g = self._g
+        ue, uf = _pair_ends(g._edges, g._edges, e, f)
         stats = self.stats
         stats.queries += 1
         bridges = self.bridges
@@ -198,8 +191,6 @@ class DfsBackend:
                 or (ke is not None and ke == kf)):
             stats.memo_answers += 1
             return False
-        g = self._g
-        ue, uf = g._edges[e], g._edges[f]
         g._unlink((e, f))
         stats.deletes += 2
         side = self._dry_side((*ue, *uf))
@@ -222,10 +213,6 @@ class DfsBackend:
         self.stats.scans += 1
         self._dry_work = 0
         self.bridges, self.cut_key = cut_scan(self._g)
-
-    def connected_all(self) -> bool:
-        self.stats.queries += 1
-        return is_connected(self._g)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +426,10 @@ class DynamicBackend:
     """Fully dynamic connectivity with O(log^2 n) amortized updates."""
 
     def __init__(self, g: MultiGraph, without: AbstractSet[int] = frozenset()):
-        self._n = g.n_vertices
+        n = g.n_vertices
         self._endpoints = {e: uv for e, uv in g._edges.items()
                            if e not in without}
-        self._max_level = ceil(log2(self._n)) if self._n >= 2 else 0
+        self._max_level = ceil(log2(n)) if n >= 2 else 0
         self._forests = [_EulerForest() for _ in range(self._max_level + 1)]
         # per level: vertex -> set of non-tree edge ids of exactly that level
         self._nontree: list[dict[int, set[int]]] = [
@@ -452,56 +439,30 @@ class DynamicBackend:
         self._tree: set[int] = set()
         self._loops: set[int] = set()
         self._present: set[int] = set()
-        self._comps = self._n
         self.stats = BackendStats()
         self.promotions = 0
         for eid in sorted(self._endpoints):
             self.insert_edge(eid)
 
-    # -- interface ----------------------------------------------------------
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        try:
-            return self._endpoints[eid]
-        except KeyError:
-            raise GraphError(f"edge {eid} unknown to backend") from None
-
-    def has_edge(self, eid: int) -> bool:
-        return eid in self._present
-
-    def connected(self, u: int, v: int) -> bool:
-        self.stats.queries += 1
-        return self._forests[0].connected(u, v)
-
-    def connected_all(self) -> bool:
-        self.stats.queries += 1
-        return self._comps == 1
-
-    def cut_side(self, ends) -> frozenset[int] | None:
-        """None if every end lies in the first end's tree of forest 0.
-        Otherwise an empty set: no side is named."""
-        self.stats.queries += 1
-        first, *rest = ends
-        forest = self._forests[0]
-        if all(forest.connected(first, x) for x in rest):
-            return None
-        return frozenset()
-
     def probe(self, e: int, f: int) -> bool:
-        """Delete the present pair {e, f} and return True if its ends stay
-        joined; else re-insert f, then e, and return False."""
+        """Delete the present adjacent pair {e, f} and return True if its
+        ends stay joined in forest 0; else re-insert f, then e, and return
+        False.  Raises :class:`GraphError` as :meth:`DfsBackend.probe`
+        does."""
+        ue, uf = _pair_ends(self._endpoints, self._present, e, f)
         self.delete_edge(e)
         self.delete_edge(f)
-        if self.cut_side((*self._endpoints[e], *self._endpoints[f])) is None:
+        self.stats.queries += 1
+        first, *rest = (*ue, *uf)
+        forest = self._forests[0]
+        if all(forest.connected(first, x) for x in rest):
             return True
         self.insert_edge(f)
         self.insert_edge(e)
         return False
 
     def insert_edge(self, eid: int) -> None:
-        u, v = self.endpoints(eid)
-        if eid in self._present:
-            raise GraphError(f"edge {eid} already present")
+        u, v = self._endpoints[eid]
         self._present.add(eid)
         self.stats.inserts += 1
         if u == v:
@@ -514,12 +475,9 @@ class DynamicBackend:
         else:
             self._tree.add(eid)
             self._forests[0].link(eid, u, v)
-            self._comps -= 1
 
     def delete_edge(self, eid: int) -> None:
-        u, v = self.endpoints(eid)
-        if eid not in self._present:
-            raise GraphError(f"edge {eid} is not present")
+        u, v = self._endpoints[eid]
         self._present.remove(eid)
         self.stats.deletes += 1
         if eid in self._loops:
@@ -532,10 +490,7 @@ class DynamicBackend:
         self._tree.remove(eid)
         for i in range(lvl, -1, -1):
             self._forests[i].cut(eid)
-        self._comps += 1
         self._replace(u, v, lvl)
-
-    # -- internals ----------------------------------------------------------
 
     def _drop_nontree(self, eid: int, lvl: int, u: int, v: int) -> None:
         for x in (u, v):
@@ -573,7 +528,6 @@ class DynamicBackend:
                         self._tree.add(e2)
                         for j in range(i + 1):
                             self._forests[j].link(e2, a, b)
-                        self._comps -= 1
                         return
 
     def _promote_tree_edge(self, eid: int, i: int) -> None:
@@ -598,53 +552,8 @@ class DynamicBackend:
 
 
 # ---------------------------------------------------------------------------
-# Backend table and the shared removal probe
+# Backend table
 # ---------------------------------------------------------------------------
 
 # perfbench/certify.py times the greedy on "dynamic" while it is listed here.
 BACKENDS = {"dfs": DfsBackend, "dynamic": DynamicBackend}
-
-
-def pair_removal_keeps_connected(backend, e: int, f: int) -> bool:
-    """Probe whether deleting the adjacent pair {e, f} keeps the graph
-    connected.
-
-    The answer is about the component C of the backend's graph that holds
-    e and f; the graph may have other components.  Every component of C
-    minus {e, f} holds an endpoint of e or f, so C stays connected iff
-    those endpoints are still mutually joined; that is the one query the
-    probe makes.
-
-    A :class:`DfsBackend` answers some pairs False from its cut memo,
-    counted as one query (and one memo answer) with no delete or insert:
-    a pair holding an edge in ``bridges``, a pair with an edge whose
-    ``cut_key`` is in ``bridges``, and a pair whose two edges share a
-    ``cut_key``.  Each memo entry stands for a vertex set S whose
-    boundary in the graph it was found on is the bridge alone, or the cut
-    pair {t, b} (``cut_key[t] == cut_key[b] == b``).  Deleting edges
-    shrinks every such boundary to its present part, and over GF(2)
-    boundaries add: records {e, b} and {f, b} give a set whose boundary
-    is {e, f}, and record {e, b} with bridge b gives one whose boundary
-    is {e}.  A nonempty boundary inside C means C minus it is
-    disconnected, so the memo stays exact while edges are deleted.
-
-    A failed search adds a bridge: the side that ran dry is a whole
-    component S of the graph minus {e, f}, and e and f are the only edges
-    that can leave S.  If exactly one of them has exactly one end in S,
-    that edge alone joins S to the rest, so it is a bridge.  After a
-    failed probe the backend may also rescan its cuts.
-
-    On success the backend is left with both edges deleted; on failure they
-    are re-inserted in reverse order and the backend's graph is as before
-    the probe.  The two edges must be distinct, present, and share an
-    endpoint; each backend's ``probe`` does the rest.
-    """
-    if e == f:
-        raise GraphError("pair must consist of two distinct edges")
-    ue = backend.endpoints(e)
-    uf = backend.endpoints(f)
-    if not set(ue) & set(uf):
-        raise GraphError(f"edges {e} and {f} do not share an endpoint")
-    if not (backend.has_edge(e) and backend.has_edge(f)):
-        raise GraphError(f"edge {e} or {f} is not present")
-    return backend.probe(e, f)

@@ -3,7 +3,9 @@
 Every generator is a pure function of its parameters (plus seed), including
 edge-id assignment, so a family name and the parameters :func:`generate`
 takes fully determine the resulting graph.  :data:`FAMILIES` is the one
-table of the families and the size parameter each takes.
+table of the families, the size parameter each takes and the vertex and
+edge counts that size gives, which :func:`generate` checks against
+:data:`MAX_SIZE` before it builds anything.
 """
 
 from __future__ import annotations
@@ -153,16 +155,33 @@ def gen_circulant(n: int) -> MultiGraph:
     return g
 
 
-# family -> (generator, the size parameter it takes); ``random`` also
-# takes m, the edge count, and the probabilities and seed
+# family -> (generator, the size parameter it takes, its vertex and edge
+# counts from that size s and m); ``random`` also takes m, the edge count,
+# and the probabilities and seed
 FAMILIES = {
-    "tight-star": (gen_tight_star, "n"),
-    "random": (gen_random_connected_multigraph, "n"),
-    "bouquet": (gen_bouquet, "k"),
-    "dipole": (gen_dipole, "k"),
-    "complete": (gen_complete, "n"),
-    "circulant": (gen_circulant, "n"),
+    "tight-star": (gen_tight_star, "n", lambda s, m: (2 * s + 1, 6 * s)),
+    "random": (gen_random_connected_multigraph, "n", lambda s, m: (s, m)),
+    "bouquet": (gen_bouquet, "k", lambda s, m: (1, s)),
+    "dipole": (gen_dipole, "k", lambda s, m: (2, s)),
+    "complete": (gen_complete, "n", lambda s, m: (s, s * (s - 1) // 2)),
+    "circulant": (gen_circulant, "n", lambda s, m: (s, 2 * s)),
 }
+
+# The most vertices, and the most edges, :func:`generate` builds: at about
+# 0.9 KB per edge through the certify path, 2^22 edges take a few GB.
+MAX_SIZE = 2 ** 22
+
+
+def check_size(family: str, size: int, m: int | None) -> None:
+    """Raise :class:`GraphError` if ``family`` at ``size`` (and ``m``)
+    has more than :data:`MAX_SIZE` vertices or edges, computed from the
+    parameters: nothing is built."""
+    _, size_name, counts = FAMILIES[family]
+    for count, what in zip(counts(max(size, 0), m), ("vertices", "edges")):
+        if count > MAX_SIZE:
+            raise GraphError(
+                f"family {family!r} at {size_name}={size} has {count} "
+                f"{what}, above the cap of 2^22 = {MAX_SIZE}")
 
 
 def generate(family: str, *, n: int | None = None, m: int | None = None,
@@ -170,18 +189,20 @@ def generate(family: str, *, n: int | None = None, m: int | None = None,
              parallel_prob: float = 0.15) -> MultiGraph:
     """The graph of ``family`` (a key of :data:`FAMILIES`) at the size
     given by its size parameter; the probabilities are checked for every
-    family, as :func:`check_probabilities` does."""
+    family, as :func:`check_probabilities` does, and the size as
+    :func:`check_size` does, before anything is built."""
     check_probabilities(loop_prob, parallel_prob)
     if family not in FAMILIES:
         raise GraphError(
             f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    make, size_name = FAMILIES[family]
+    make, size_name, _ = FAMILIES[family]
     size = n if size_name == "n" else k
     if size is None:
         raise GraphError(f"family {family!r} requires parameter {size_name}")
+    if family == "random" and m is None:
+        raise GraphError(f"family {family!r} requires parameter m")
+    check_size(family, size, m)
     if family != "random":
         return make(size)
-    if m is None:
-        raise GraphError(f"family {family!r} requires parameter m")
     return make(size, m, loop_prob=loop_prob, parallel_prob=parallel_prob,
                 seed=seed)

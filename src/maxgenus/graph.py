@@ -86,9 +86,9 @@ class MultiGraph:
     (:func:`parse_edge_list`, :meth:`copy`), and shrinks only by
     ``_unlink`` or ``copy(without=)``, so every map is in ascending dart
     order by construction.  The writers out of that order put an edge
-    back into a private work copy through ``_link``:
-    ``DfsBackend.insert_edge`` and its probe's rollback, and the exact
-    oracles' searches.  Single-writer: no concurrent mutation.
+    back into a private work copy through ``_link``: ``DfsBackend``'s
+    probe rollback and the exact oracles' searches.  Single-writer: no
+    concurrent mutation.
     """
 
     __slots__ = ("_n", "_edges", "_inc", "_next_id", "labels")

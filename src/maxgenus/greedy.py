@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Container, NamedTuple
 
-from .connectivity import BACKENDS, BackendStats, pair_removal_keeps_connected
+from .connectivity import BACKENDS, BackendStats
 from .graph import (
     DisconnectedError,
     GraphError,
@@ -362,7 +362,7 @@ def greedy_max_genus(
             if not (e in edges and f in edges):
                 continue  # a member was removed by an earlier pair at v
             stats.tests += 1
-            if pair_removal_keeps_connected(be, e, f):
+            if be.probe(e, f):
                 residual._unlink((e, f))
                 pairs.pairs.append(AdjacentPair(e, f, v))
                 stats.removed += 1

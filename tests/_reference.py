@@ -1,6 +1,6 @@
 """From-scratch references: connectivity over a set of present edge ids
-for checking ``DfsBackend`` (:class:`MirrorGraph`, which never deletes
-from or restores into a ``MultiGraph``), pair insertion for checking
+for checking the backends' probes (:class:`MirrorGraph`, which never
+deletes from or restores into a ``MultiGraph``), pair insertion for checking
 ``EmbeddingState``'s corner list, the corner list's merge step on one
 flat list for checking its blocks, and plain forms of the pair check,
 the edge-list parser, the pair oracle (recursive, over a
@@ -27,12 +27,12 @@ from maxgenus.greedy import candidate_pairs
 
 
 class MirrorGraph:
-    """The present edges of a graph under the backend's deletes and
-    inserts, answering its queries by plain traversal.  It keeps a set of
-    present edge ids and, per vertex, the ids of the edges at it by the
-    original endpoints; a delete or insert only updates the set.  No
-    package graph code runs after construction, so the traversal shares
-    none with the package's."""
+    """The present edges of a graph under pair probes, and under the
+    deletes and inserts of the reference searches, answering by plain
+    traversal.  It keeps a set of present edge ids and, per vertex, the
+    ids of the edges at it by the original endpoints; a delete or insert
+    only updates the set.  No package graph code runs after construction,
+    so the traversal shares none with the package's."""
 
     def __init__(self, g: MultiGraph):
         self.n = g.n_vertices
@@ -80,6 +80,17 @@ class MirrorGraph:
 
     def connected_all(self) -> bool:
         return len(self._reach(0)) == self.n
+
+    def probe(self, e: int, f: int) -> bool:
+        """The backends' probe: delete e and f and return True if their
+        ends stay joined; else restore both and return False."""
+        self.delete_edge(e)
+        self.delete_edge(f)
+        first, *rest = (*self.ends[e], *self.ends[f])
+        if self._reach(first).issuperset(rest):
+            return True
+        self.present |= {e, f}
+        return False
 
 
 class ReferenceEmbedding:

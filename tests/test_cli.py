@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -252,6 +253,18 @@ class TestGen:
         assert proc.stdout == ""
 
 
+    def test_oversized_graph_exits_2_before_building(self, capsys):
+        # 10^20 vertices: refused from the counts, in well under a second
+        t0 = time.perf_counter()
+        assert cli.main(["gen", "--family", "complete",
+                         "-n", "1" + "0" * 20]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n=1" + "0" * 20 + " has" in err
+
+
 class TestBench:
     def test_mini_run(self, tmp_path):
         cfg = tmp_path / "bench.conf"
@@ -290,6 +303,19 @@ class TestBench:
         cfg.write_text(f"family = random\nsizes = {size}\n")
         assert cli.main(["bench", str(cfg)]) == 2
         assert f"size {size} is too large" in capsys.readouterr().err
+
+    def test_size_above_the_cap_exits_2_before_the_first_cell(
+            self, tmp_path, capsys):
+        # C(2897, 2) edges is just above the cap; the first size is fine
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("family = complete\nsizes = 8, 2897\n")
+        t0 = time.perf_counter()
+        assert cli.main(["bench", str(cfg)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: family 'complete' at n=2897 has 4194856 "
+                       "edges, above the cap of 2^22 = 4194304\n")
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_size_with_no_edge_count_is_refused(self, family):

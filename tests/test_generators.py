@@ -14,6 +14,7 @@ from maxgenus import (
     generate,
     is_connected,
 )
+from maxgenus.generators import MAX_SIZE, check_size
 
 
 class TestTightFamily:
@@ -175,3 +176,26 @@ class TestGeneratorSpec:
     def test_probability_bounds_accepted(self):
         g = generate("random", n=4, m=8, loop_prob=1.0, parallel_prob=0.0)
         assert sum(map(g.is_loop, g.edge_ids())) == 5
+
+    # per family: the largest size whose graph fits under MAX_SIZE; the
+    # counts are computed, so no test builds a graph near the cap
+    @pytest.mark.parametrize("family, largest, m", [
+        ("tight-star", MAX_SIZE // 6, None),  # 6n edges
+        ("random", MAX_SIZE, MAX_SIZE),
+        ("bouquet", MAX_SIZE, None),
+        ("dipole", MAX_SIZE, None),
+        ("complete", 2896, None),  # C(2897, 2) > 2^22 >= C(2896, 2)
+        ("circulant", MAX_SIZE // 2, None),
+    ])
+    def test_size_cap(self, family, largest, m):
+        check_size(family, largest, m)
+        with pytest.raises(GraphError, match=r"above the cap of 2\^22"):
+            check_size(family, largest + 1, m)
+        size_name = FAMILIES[family][1]
+        with pytest.raises(GraphError, match=f"{size_name}={largest + 1} "):
+            generate(family, m=m, **{size_name: largest + 1})
+
+    def test_edge_count_cap(self):
+        with pytest.raises(GraphError, match=f"has {MAX_SIZE + 1} edges"):
+            generate("random", n=8, m=MAX_SIZE + 1)
+

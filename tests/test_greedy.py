@@ -304,13 +304,13 @@ class TestTreeFirst:
 
     def test_only_phase_two_probes(self, monkeypatch):
         calls = []
-        real = greedy.pair_removal_keeps_connected
+        real = DfsBackend.probe
 
         def counted(be, e, f):
             calls.append((e, f))
             return real(be, e, f)
 
-        monkeypatch.setattr(greedy, "pair_removal_keeps_connected", counted)
+        monkeypatch.setattr(DfsBackend, "probe", counted)
         g = gen_random_connected_multigraph(64, 160, seed=3)
         r = greedy_max_genus(g)
         assert r.stats.tree_pairs > 0 and r.stats.tests > 0
@@ -499,13 +499,13 @@ class TestCycleCore:
     def test_no_probe_holds_a_bridge_of_the_residual(self, policy,
                                                      monkeypatch):
         probed = []
-        real = greedy.pair_removal_keeps_connected
+        real = DfsBackend.probe
 
         def recorded(be, e, f):
             probed.append((e, f))
             return real(be, e, f)
 
-        monkeypatch.setattr(greedy, "pair_removal_keeps_connected", recorded)
+        monkeypatch.setattr(DfsBackend, "probe", recorded)
         skipped = 0
         for seed, g in enumerate(PENDANT_GRAPHS):
             probed.clear()
@@ -575,9 +575,10 @@ class TestCycleCore:
         built = []
         monkeypatch.setattr(greedy, "candidate_pairs", lambda h, v, skip: (
             built.append(v) or candidate_pairs(h, v, skip)))
-        backends = []
+        held = []  # the edge ids each backend is built on
         monkeypatch.setitem(greedy.BACKENDS, "dfs", lambda h, without: (
-            backends.append(DfsBackend(h, without)) or backends[-1]))
+            held.append(set(h.edge_ids()) - without)
+            or DfsBackend(h, without)))
         r = greedy_max_genus(g)
         assert r.stats.core_bridges > 0
         assert r.stats.tests <= 2500
@@ -589,7 +590,7 @@ class TestCycleCore:
                 if len({d >> 1 for d in residual._inc[v]} - bridges) >= 2}
         assert built and set(built) <= core
         # the backend never held a bridge: it knows only the core's edges
-        (be,) = backends
-        assert set(be._endpoints) == set(residual.edge_ids()) - bridges
+        (core_edges,) = held
+        assert core_edges == set(residual.edge_ids()) - bridges
         assert r.backend_stats.inserts - r.backend_stats.deletes \
-            == len(be._endpoints) - 2 * (r.stats.removed - r.stats.tree_pairs)
+            == len(core_edges) - 2 * (r.stats.removed - r.stats.tree_pairs)
