@@ -173,7 +173,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     )
     emb = build_embedding(g, out.pairs, check=args.check)
     sys.stdout.write(emb.rotation.to_text())
-    print(f"certified pairs={emb.pairs_used} genus={emb.genus} "
+    print(f"certified pairs={len(out.pairs)} genus={emb.genus} "
           f"faces={emb.n_faces}", file=sys.stderr)
     return EXIT_OK
 

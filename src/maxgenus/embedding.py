@@ -204,9 +204,12 @@ class EmbeddingState:
     :meth:`_insert_pair` and :meth:`_splice_edge` then insert with no
     check, the caller having verified its input.
 
-    Darts index flat lists of ``n_darts`` entries: ``sigma_next[d]`` and
-    ``sigma_prev[d]`` give the vertex rotations and ``vertex_of[d]`` the
-    vertex of dart d, each -1 for a dart not embedded.  ``first_dart[v]``
+    ``EmbeddingState(g)`` keeps g's endpoint map as ``ends``, read, not
+    copied, so g must not change while the state is in use: dart 2·e
+    lies at ``ends[e][0]`` and 2·e + 1 at ``ends[e][1]``, so the vertex
+    of dart d is ``ends[d >> 1][d & 1]``.  Darts index the flat lists
+    ``sigma_next`` and ``sigma_prev`` of 2·``g._next_id`` entries, the
+    vertex rotations, -1 for a dart not embedded.  ``first_dart[v]``
     is a dart at v, -1 at a bare vertex.  Faces are counted by tracing; a
     dartless state counts one virtual face so Euler bookkeeping works
     from the start.  While the pairs go in there is one face, and
@@ -219,22 +222,20 @@ class EmbeddingState:
     """
 
     __slots__ = (
-        "n_vertices", "m_emb", "sigma_next", "sigma_prev", "vertex_of",
-        "first_dart", "corners", "where", "block_cap",
+        "m_emb", "sigma_next", "sigma_prev", "ends", "first_dart",
+        "corners", "where", "block_cap",
     )
 
-    def __init__(self, n_vertices: int, n_darts: int):
-        if n_vertices <= 0:
-            raise GraphError("embedding needs at least one vertex")
-        self.n_vertices = n_vertices
+    def __init__(self, g: MultiGraph):
+        n_darts = 2 * g._next_id
         self.m_emb = 0
         self.sigma_next = [-1] * n_darts
         self.sigma_prev = [-1] * n_darts
-        self.vertex_of = [-1] * n_darts
+        self.ends = g._edges
         self.where: list[list[int] | None] = [None] * n_darts
-        self.first_dart = [-1] * n_vertices
+        self.first_dart = [-1] * g.n_vertices
         self.corners: list[list[int]] | None = []
-        self.block_cap = max(16, 2 * isqrt(n_vertices))
+        self.block_cap = max(16, 2 * isqrt(g.n_vertices))
 
     # -- constructor -------------------------------------------------------
 
@@ -255,8 +256,8 @@ class EmbeddingState:
                 raise GraphError("loop in spanning tree")
             at[u].append(2 * eid)
             at[v].append(2 * eid + 1)
-        st = cls(n, 2 * g._next_id)
-        sn, sp, vo = st.sigma_next, st.sigma_prev, st.vertex_of
+        st = cls(g)
+        sn, sp = st.sigma_next, st.sigma_prev
         for v, darts in enumerate(at):
             if darts:
                 darts.sort()
@@ -264,7 +265,6 @@ class EmbeddingState:
                 for d in darts:
                     sn[p] = d
                     sp[d] = p
-                    vo[d] = v
                     p = d
                 st.first_dart[v] = darts[0]
         st.m_emb = n - 1
@@ -289,14 +289,15 @@ class EmbeddingState:
         """``first_dart`` of every vertex with darts, in the order one
         trace of the face through some first dart meets them; None if
         that face misses some dart.  O(m)."""
-        sn, vo, fd = self.sigma_next, self.vertex_of, self.first_dart
+        sn, fd = self.sigma_next, self.first_dart
         corners: list[int] = []
         if not self.m_emb:
             return corners
+        firsts = set(fd)
         start = d = next(x for x in fd if x >= 0)
         n_darts = 2 * self.m_emb
         for steps in range(1, n_darts + 1):
-            if fd[vo[d]] == d:
+            if d in firsts:
                 corners.append(d)
             d = sn[d ^ 1]
             if d == start:
@@ -405,13 +406,13 @@ class EmbeddingState:
 
     # -- insertion ---------------------------------------------------------
 
-    def _splice(self, d: int, v: int, ref: int) -> None:
-        """Dart d at v before ``ref``; ``ref`` -1 starts v's rotation."""
+    def _splice(self, d: int, ref: int) -> None:
+        """Dart d before ``ref``; ``ref`` -1 starts the rotation of d's
+        vertex."""
         sn, sp = self.sigma_next, self.sigma_prev
-        self.vertex_of[d] = v
         if ref < 0:
             sn[d] = sp[d] = d
-            self.first_dart[v] = d
+            self.first_dart[self.ends[d >> 1][d & 1]] = d
             return
         p = sp[ref]
         sn[p] = d
@@ -419,30 +420,25 @@ class EmbeddingState:
         sn[d] = ref
         sp[ref] = d
 
-    def _splice_edge(
-        self, eid: int, u: int, v: int, corner_u: int, corner_v: int,
-    ) -> None:
-        """Splice edge ``eid``, dart 2*eid at u and 2*eid+1 at v (its
-        stored endpoint order), in before the given corners, and drop
-        ``corners``.  A bare end (corner -1) gets a one-dart rotation; a
-        loop on a bare vertex puts its second dart next to the first."""
+    def _splice_edge(self, eid: int, corner_u: int, corner_v: int) -> None:
+        """Splice edge ``eid`` = (u, v), dart 2*eid at u and 2*eid+1 at v,
+        in before the given corners, and drop ``corners``.  A bare end
+        (corner -1) gets a one-dart rotation; a loop on a bare vertex puts
+        its second dart next to the first."""
+        u, v = self.ends[eid]
         d0 = 2 * eid
-        self._splice(d0, u, corner_u)
-        if corner_v < 0 and u == v:
-            corner_v = d0
-        self._splice(d0 + 1, v, corner_v)
+        self._splice(d0, corner_u)
+        self._splice(d0 + 1, d0 if corner_v < 0 and u == v else corner_v)
         self.m_emb += 1
         self.corners = None
 
-    def _insert_pair(
-        self, e: int, f: int, w: int, eu: int, ev: int, fu: int, fv: int,
-    ) -> None:
-        """Insert the pair of edges e = (eu, ev) and f = (fu, fv) meeting
-        at w, raising the genus by one, with no check: the caller has
-        verified the family (w is an end of both edges, neither is
-        embedded) and every end of the pair carries a dart, except for
-        the first loop of a dartless state, so the first edge splits the
-        one face.
+    def _insert_pair(self, e: int, f: int, w: int) -> None:
+        """Insert the pair of edges e = (eu, ev) and f = (fu, fv) of
+        ``ends`` meeting at w, raising the genus by one, with no check:
+        the caller has verified the family (w is an end of both edges,
+        neither is embedded) and every end of the pair carries a dart,
+        except for the first loop of a dartless state, so the first edge
+        splits the one face.
 
         The first edge goes in at ``first_dart`` of its ends, x at the
         witness w and y at its far end a, and splits the face: its witness
@@ -460,13 +456,15 @@ class EmbeddingState:
         bare vertex.
         """
         sn, fd, splice = self.sigma_next, self.first_dart, self._splice
+        eu, ev = self.ends[e]
+        fu, fv = self.ends[f]
         d0 = 2 * e
         x = fd[eu]
         if x < 0:
-            self._splice_edge(e, eu, ev, -1, -1)
+            self._splice_edge(e, -1, -1)
         else:
-            splice(d0, eu, x)
-            splice(d0 + 1, ev, fd[ev])
+            splice(d0, x)
+            splice(d0 + 1, fd[ev])
             self.m_emb += 1
         if eu == w:
             d_w, a = d0, ev
@@ -483,8 +481,8 @@ class EmbeddingState:
                 after, fd[a], ref_b)
             ref_w = after if on_d_w_face else d_w
         cu, cv = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
-        splice(2 * f, fu, cu)
-        splice(2 * f + 1, fv, cv)
+        splice(2 * f, cu)
+        splice(2 * f + 1, cv)
         self.m_emb += 1
 
     # -- auditing ----------------------------------------------------------
@@ -492,9 +490,7 @@ class EmbeddingState:
     def _audit(self) -> None:
         """Check every invariant from scratch.  Raises
         :class:`CertificationError`, also under ``python -O``."""
-        sn, vo = self.sigma_next, self.vertex_of
-        self._audit_darts([d for d in range(len(sn))
-                           if sn[d] >= 0 or vo[d] >= 0])
+        self._audit_darts(self._darts())
         n_faces = self.n_faces
         if self.corners is not None:
             traced = self._trace_corners()
@@ -508,7 +504,7 @@ class EmbeddingState:
                      "corner list blocks are empty, too long or misfiled")
         # Euler parity only makes sense once every vertex carries a dart
         if -1 not in self.first_dart:
-            chi = self.n_vertices - self.m_emb + n_faces
+            chi = len(self.first_dart) - self.m_emb + n_faces
             _require(chi % 2 == 0, f"odd Euler characteristic {chi}")
 
     def _audit_edges(self, eids) -> None:
@@ -524,13 +520,15 @@ class EmbeddingState:
         self._audit_darts(near)
 
     def _audit_darts(self, darts) -> None:
-        """Check the rotation links leaving each of ``darts``."""
-        sn, sp, vo = self.sigma_next, self.sigma_prev, self.vertex_of
+        """Check the rotation links leaving each of ``darts``: the next
+        dart links back and lies at the same vertex of the graph."""
+        sn, sp, ends = self.sigma_next, self.sigma_prev, self.ends
         for d in darts:
             nxt = sn[d]
             _require(0 <= nxt < len(sp) and sp[nxt] == d,
                      f"sigma_prev of dart {nxt}")
-            _require(vo[nxt] == vo[d],
+            _require(nxt >> 1 in ends and d >> 1 in ends
+                     and ends[nxt >> 1][nxt & 1] == ends[d >> 1][d & 1],
                      f"rotation of dart {d} leaves its vertex")
 
 
@@ -547,10 +545,7 @@ def _require(ok: bool, what: str) -> None:
 class EmbeddingResult:
     rotation: RotationSystem
     genus: int
-    n_vertices: int
-    n_edges: int
     n_faces: int
-    pairs_used: int
 
 
 def build_embedding(
@@ -587,16 +582,16 @@ def build_embedding(
         raise GraphError(f"pair family fails verification: {reason}")
     st = EmbeddingState.tree_embedding(g, tree)
     # validated above, so each pair goes straight to the insertion body
-    edges, insert = g._edges, st._insert_pair
+    insert = st._insert_pair
     for e, f, w in pairs:
-        insert(e, f, w, *edges[e], *edges[f])
+        insert(e, f, w)
         if check:
             st._audit_edges((e, f))
-    fd = st.first_dart
+    edges, fd = g._edges, st.first_dart
     for eid in g.edge_ids():
         if eid not in tree and eid not in pair_edges:
             u, v = edges[eid]
-            st._splice_edge(eid, u, v, fd[u], fd[v])
+            st._splice_edge(eid, fd[u], fd[v])
             if check:
                 st._audit_edges((eid,))
     if st.m_emb != g.n_edges:
@@ -611,11 +606,4 @@ def build_embedding(
     if check:
         st._audit()
         _require(genus_of(g, rot) == genus, "genus of the emitted rotation")
-    return EmbeddingResult(
-        rotation=rot,
-        genus=genus,
-        n_vertices=g.n_vertices,
-        n_edges=g.n_edges,
-        n_faces=n_faces,
-        pairs_used=k,
-    )
+    return EmbeddingResult(rotation=rot, genus=genus, n_faces=n_faces)

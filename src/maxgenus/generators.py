@@ -190,7 +190,9 @@ def generate(family: str, *, n: int | None = None, m: int | None = None,
     """The graph of ``family`` (a key of :data:`FAMILIES`) at the size
     given by its size parameter; the probabilities are checked for every
     family, as :func:`check_probabilities` does, and the size as
-    :func:`check_size` does, before anything is built."""
+    :func:`check_size` does, before anything is built.  A parameter the
+    family does not take (``m`` but for ``random``, the other of ``n``
+    and ``k``) is refused, not ignored."""
     check_probabilities(loop_prob, parallel_prob)
     if family not in FAMILIES:
         raise GraphError(
@@ -201,6 +203,11 @@ def generate(family: str, *, n: int | None = None, m: int | None = None,
         raise GraphError(f"family {family!r} requires parameter {size_name}")
     if family == "random" and m is None:
         raise GraphError(f"family {family!r} requires parameter m")
+    takes = (size_name, "m") if family == "random" else (size_name,)
+    for name, value in (("n", n), ("m", m), ("k", k)):
+        if value is not None and name not in takes:
+            raise GraphError(f"family {family!r} takes parameter "
+                             f"{' and '.join(takes)}, not {name}")
     check_size(family, size, m)
     if family != "random":
         return make(size)

@@ -143,8 +143,6 @@ class GreedyResult:
     bounds: GenusBounds
     residual: MultiGraph
     stats: GreedyStats
-    policy: str
-    seed: int
     backend_stats: object
 
 
@@ -369,5 +367,5 @@ def greedy_max_genus(
                 beta -= 2
 
     bounds = GenusBounds.from_pairs(len(pairs), g.n_edges - g.n_vertices + 1)
-    return GreedyResult(pairs, bounds, residual, stats, policy, seed,
+    return GreedyResult(pairs, bounds, residual, stats,
                         be.stats if be is not None else BackendStats())

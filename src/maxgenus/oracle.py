@@ -17,8 +17,9 @@ the greedy's bounds:
   genus.  It traces faces itself, apart from :mod:`.embedding`.
 
 All three are exponential; each takes an explicit limit and raises
-:class:`LimitExceededError` beyond it rather than running away (the
-rotation oracle's limit counts every rotation system, pruned or not).
+:class:`LimitExceededError` beyond it rather than running away; the
+tree and rotation oracles check it before they search (the rotation
+oracle's limit counts every rotation system, pruned or not).
 Each search stops once its best value reaches :func:`nebesky_bound` at
 the bridges, an upper bound on the maximum genus that is tight on most
 small graphs; each keeps the first optimum it meets, so the bound only
@@ -217,7 +218,6 @@ class XuongCertificate:
 
     tree_edges: frozenset[int]
     odd_components: int
-    genus: int
 
 
 def odd_components(g: MultiGraph, tree_edges: frozenset[int] | set[int]) -> int:
@@ -315,6 +315,32 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
         stack.append((VISIT, sub, -1, i + 1))
 
 
+def _tree_count_exceeds(g: MultiGraph, limit: int) -> bool:
+    """Whether two upper bounds on the spanning-tree count of connected
+    g both exceed ``limit``.
+
+    Rooted at a vertex of largest degree, a tree gives every other vertex
+    the edge to its parent, and distinct trees give distinct choices, so
+    the product of the other vertices' non-loop degrees bounds the count.
+    A tree is also n - 1 of the m' non-loop edges: C(m', n - 1) =
+    C(m', k), k = min(n - 1, m' - n + 1), is exact on a cycle, where the
+    product doubles per vertex.  Neither shrinks as its factors go in
+    (k <= m' / 2), so each stops growing once it passes ``limit``.
+    """
+    n = g.n_vertices
+    degrees = sorted([len(darts) - list(darts.values()).count(v)
+                      for v, darts in enumerate(g._inc)])
+    m = sum(degrees) // 2
+    k = min(n - 1, m - n + 1)
+    product = binom = 1
+    for i, d in enumerate(degrees[:-1]):
+        if product <= limit:
+            product *= d
+        if binom <= limit and i < k:
+            binom = binom * (m - i) // (i + 1)  # C(m', i + 1)
+    return product > limit and binom > limit
+
+
 def xuong_max_genus(
     g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT
 ) -> tuple[int, XuongCertificate]:
@@ -324,13 +350,28 @@ def xuong_max_genus(
     tree as a certificate, the first tree that reaches the minimum in
     enumeration order.  The parity of the odd count always matches the
     parity of beta, so the genus is integral.
+
+    Past :func:`_tree_count_exceeds` there is no search: the first tree
+    in enumeration order, Kruskal's by ascending edge id, answers if it
+    reaches the bridge bound (where the search stops) and ``limit`` >= 1;
+    else :class:`LimitExceededError`.  So every graph on which the search
+    would list more than ``limit`` trees is refused.
     """
     _require_connected(g)
     beta = g.n_edges - g.n_vertices + 1
     least_odd = beta - 2 * nebesky_bound(g, cut_scan(g)[0])
+    if _tree_count_exceeds(g, limit):
+        uf = _UnionFind(g.n_vertices)
+        first = frozenset(e for e in g.edge_ids() if uf.union(*g._edges[e]))
+        if limit < 1 or odd_components(g, first) != least_odd:
+            raise LimitExceededError(
+                f"spanning-tree count bound exceeds limit {limit}")
+        trees = [first]
+    else:
+        trees = spanning_trees(g, limit=limit)
     best_odd = None
     best_tree = None
-    for tree in spanning_trees(g, limit=limit):
+    for tree in trees:
         odd = odd_components(g, tree)
         if best_odd is None or odd < best_odd:
             best_odd = odd
@@ -340,8 +381,7 @@ def xuong_max_genus(
     if best_odd is None or (beta - best_odd) % 2:
         raise CertificationError(
             f"tree search gave odd count {best_odd} for beta={beta}")
-    genus = (beta - best_odd) // 2
-    return genus, XuongCertificate(best_tree, best_odd, genus)
+    return (beta - best_odd) // 2, XuongCertificate(best_tree, best_odd)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +419,7 @@ def exact_max_genus_rotations(
     total = rotation_count(g)
     if total > limit:
         raise LimitExceededError(
-            f"{total} rotation systems exceed limit {limit}"
-        )
+            f"rotation-system count exceeds limit {limit}")
     n, m = g.n_vertices, g.n_edges
     top = 2 - n + m
     phi = [-1] * (2 * g._next_id)  # -1: the successor is not yet set

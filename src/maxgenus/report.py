@@ -18,7 +18,7 @@ class InstanceInfo:
 
 @dataclass(frozen=True)
 class RunConfig:
-    backend: str  # always "dfs"; kept so schema-1 reports round-trip
+    backend: str  # always "dfs"; kept so the schema-1 layout stays
     policy: str
     seed: int
     preprocess: bool
@@ -49,23 +49,3 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported report schema {raw.get('schema_version')!r}"
-            )
-        return cls(
-            instance=InstanceInfo(**raw["instance"]),
-            config=RunConfig(**raw["config"]),
-            lower=raw["lower"],
-            upper=raw["upper"],
-            pairs=[list(p) for p in raw["pairs"]],
-            preprocess_pairs=raw["preprocess_pairs"],
-            elapsed_s=raw["elapsed_s"],
-            stats=dict(raw["stats"]),
-            embedding_genus=raw.get("embedding_genus"),
-            phase_s=dict(raw.get("phase_s", {})),
-        )

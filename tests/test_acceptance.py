@@ -238,7 +238,7 @@ def embedding_values(corpus):
         for g, res in zip(full, results):
             emb = build_embedding(g, res.pairs, check=True)
             rows.append([len(res.pairs), emb.genus,
-                         emb.n_vertices - emb.n_edges + emb.n_faces])
+                         g.n_vertices - g.n_edges + emb.n_faces])
         out[_sweep_name(*sweep)] = rows
     return out
 

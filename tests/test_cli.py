@@ -18,7 +18,6 @@ from maxgenus import (
     POLICIES,
     AdjacentPair,
     GraphError,
-    RunReport,
     gen_tight_star,
     parse_edge_list,
     verify_pair_set,
@@ -59,20 +58,21 @@ class TestGreedy:
     def test_json_report_round_trip(self):
         proc = run_cli("greedy", "--json", "--policy", "loops-first",
                        stdin=K4_TEXT)
-        rep = RunReport.from_json(proc.stdout)
-        assert rep.schema_version == 1
-        assert rep.lower == 1
-        assert rep.upper == 1  # beta = 3 caps the sandwich at floor(3/2)
-        assert rep.config.policy == "loops-first"
+        rep = json.loads(proc.stdout)
+        assert rep["schema_version"] == 1
+        assert rep["lower"] == 1
+        assert rep["upper"] == 1  # beta = 3 caps the sandwich at floor(3/2)
+        assert rep["config"]["policy"] == "loops-first"
         g = parse_edge_list(K4_TEXT)
-        pairs = [AdjacentPair(e, f, w) for e, f, w in rep.pairs]
+        pairs = [AdjacentPair(e, f, w) for e, f, w in rep["pairs"]]
         assert verify_pair_set(g, pairs).ok
 
     def test_embed_flag_adds_genus(self):
         proc = run_cli("greedy", "--embed", "--check", "--json",
                        stdin=K4_TEXT)
-        rep = RunReport.from_json(proc.stdout)
-        assert rep.embedding_genus == 1
+        rep = json.loads(proc.stdout)
+        assert rep["schema_version"] == 1
+        assert rep["embedding_genus"] == 1
 
     def test_check_implies_embed(self):
         proc = run_cli("greedy", "--check", stdin=K4_TEXT)
@@ -80,13 +80,13 @@ class TestGreedy:
 
     def test_raw_skips_preprocessing(self):
         text = "a b\na b\na b\na b\n"
-        cooked = RunReport.from_json(
-            run_cli("greedy", "--json", stdin=text).stdout)
-        raw = RunReport.from_json(
+        cooked = json.loads(run_cli("greedy", "--json", stdin=text).stdout)
+        raw = json.loads(
             run_cli("greedy", "--json", "--raw", stdin=text).stdout)
-        assert cooked.preprocess_pairs == 1
-        assert raw.preprocess_pairs == 0
-        assert cooked.lower == raw.lower == 1
+        assert cooked["schema_version"] == raw["schema_version"] == 1
+        assert cooked["preprocess_pairs"] == 1
+        assert raw["preprocess_pairs"] == 0
+        assert cooked["lower"] == raw["lower"] == 1
 
 
 class TestExact:
@@ -140,6 +140,20 @@ class TestExact:
         assert f"argument {flag}: not an integer >= 0: '-1'" \
             in proc.stderr
         assert not proc.stdout
+
+    @pytest.mark.parametrize("method", ["xuong", "all"])
+    def test_tree_oracle_refuses_before_it_searches(self, method):
+        # listing trees up to the default limit on this graph took minutes
+        gen = run_cli("gen", "--family", "random", "-n", "512", "-m", "1024",
+                      "--seed", "1")
+        start = time.perf_counter()
+        proc = subprocess.run(CLI + ["exact", "--method", method],
+                              input=gen.stdout, capture_output=True,
+                              text=True, env=ENV, timeout=1)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 4
+        assert "spanning-tree count bound exceeds limit 100000" in (
+            proc.stdout + proc.stderr)
 
     def test_long_cycle(self):
         # the tree oracle decides one edge per search level: 3000 levels
@@ -229,6 +243,18 @@ class TestGen:
         proc = run_cli("gen", "--family", "bouquet", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("params, message", [
+        (["complete", "-n", "4", "-m", "100"],
+         "error: family 'complete' takes parameter n, not m\n"),
+        (["bouquet", "-n", "5", "-k", "3"],
+         "error: family 'bouquet' takes parameter k, not n\n"),
+    ], ids=["complete-m", "bouquet-n"])
+    def test_parameter_the_family_does_not_take(self, params, message):
+        proc = run_cli("gen", "--family", *params, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == message
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("params", [
         ["--family", "bouquet", "-k", "0"],
         ["--family", "complete", "-n", "1"],
@@ -280,6 +306,11 @@ class TestBench:
         reports = json.loads(dump.read_text())
         assert len(reports) == 2 * 2  # sizes x seeds
         assert all(r["schema_version"] == 1 for r in reports)
+
+    def test_reports_carry_phase_times(self):
+        (rep,) = bench.run_bench(BenchConfig(sizes=(8,)))
+        assert set(rep.phase_s) == {"embed", "verify"}
+        assert json.loads(rep.to_json())["phase_s"] == rep.phase_s
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "bench.conf"
@@ -527,32 +558,34 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: embedding check failed")
         assert "Traceback" not in proc.stderr
 
+    def test_engine_fault_is_a_certification_failure(self):
+        # K4's one pair goes in with its second edge's ends swapped, so a
+        # dart of that edge sits at the wrong vertex: exit 5, not 2
+        script = (
+            "import sys\n"
+            "from maxgenus import cli\n"
+            "from maxgenus.embedding import EmbeddingState\n"
+            "insert = EmbeddingState._insert_pair\n"
+            "def crossed(self, e, f, w):\n"
+            "    ends = self.ends\n"
+            "    self.ends = {**ends, f: ends[f][::-1]}\n"
+            "    insert(self, e, f, w)\n"
+            "    self.ends = ends\n"
+            "EmbeddingState._insert_pair = crossed\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "greedy", "--check"],
+            input=K4_TEXT, capture_output=True, text=True, env=ENV,
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("error: embedding check failed: "
+                                      "rotation of dart")
+        assert "Traceback" not in proc.stderr
+
     def test_version(self):
         proc = run_cli("--version")
         assert "maxgenus" in proc.stdout
-
-
-class TestReportSchema:
-    def test_future_schema_rejected(self):
-        proc = run_cli("greedy", "--json", stdin=K4_TEXT)
-        payload = json.loads(proc.stdout)
-        payload["schema_version"] = 2
-        with pytest.raises(ValueError):
-            RunReport.from_json(json.dumps(payload))
-
-    def test_phase_times_round_trip(self):
-        (rep,) = bench.run_bench(BenchConfig(sizes=(8,)))
-        assert set(rep.phase_s) == {"embed", "verify"}
-        assert RunReport.from_json(rep.to_json()) == rep
-        payload = json.loads(rep.to_json())
-        del payload["phase_s"]  # a schema-1 report written before phase_s
-        assert RunReport.from_json(json.dumps(payload)).phase_s == {}
-
-    def test_round_trip_is_identity(self):
-        proc = run_cli("greedy", "--json", "--embed", stdin=K4_TEXT)
-        rep = RunReport.from_json(proc.stdout)
-        again = RunReport.from_json(rep.to_json())
-        assert again == rep
 
 
 def _text(lines):

@@ -394,6 +394,30 @@ class TestFinalChecks:
         with pytest.raises(CertificationError, match="corner list"):
             build_embedding(g, pairs, check=True)
 
+    def test_dart_spliced_at_the_wrong_end_fails_its_insertion(
+            self, monkeypatch):
+        # the engine inserts the first pair with f's ends swapped, so each
+        # dart of f goes in before a corner at f's other end; the audit of
+        # that insertion reads the dart's vertex from the graph
+        g = gen_random_connected_multigraph(32, 64, seed=1)
+        pairs = greedy_max_genus(g).pairs
+        first_f = pairs.pairs[0].f
+        assert not g.is_loop(first_f)
+        insert = EmbeddingState._insert_pair
+        inserted = []
+
+        def crossed(self, e, f, w):
+            inserted.append(f)
+            ends = self.ends
+            if len(inserted) == 1:
+                self.ends = {**ends, f: ends[f][::-1]}
+            insert(self, e, f, w)
+            self.ends = ends
+        monkeypatch.setattr(EmbeddingState, "_insert_pair", crossed)
+        with pytest.raises(CertificationError, match="leaves its vertex"):
+            build_embedding(g, pairs, check=True)
+        assert inserted == [first_f]
+
     def test_checked_build_audits_o_m_darts(self, monkeypatch):
         audited = []
         audit_darts = EmbeddingState._audit_darts
@@ -457,7 +481,7 @@ class TestBlockedCorners:
         rng = random.Random(16)
         seen = {"single block": 0, "one-block": 0, "starts": 0}
         for n in range(1, 301):
-            state = EmbeddingState(n, 2 * n)
+            state = EmbeddingState(gen_circulant(n))  # n vertices, 4n darts
             flat = rng.sample(range(2 * n), n)
             state._set_corners(list(flat))
             self._assert_blocks(state, flat)
@@ -491,14 +515,13 @@ class TestBuildEmbedding:
         # tree + pair reach genus 1 on one face; the leftover chord splits it
         assert emb.genus == 1
         assert emb.n_faces == 2
-        assert emb.pairs_used == 1
-        assert emb.n_vertices - emb.n_edges + emb.n_faces == 2 - 2 * emb.genus
+        assert len(res.pairs) == 1
+        assert g.n_vertices - g.n_edges + emb.n_faces == 2 - 2 * emb.genus
 
     def test_empty_pair_list_planar_lower_bound(self):
         g = path_graph(4)
         emb = build_embedding(g, [], check=True)
         assert emb.genus == 0
-        assert emb.pairs_used == 0
 
     @pytest.mark.parametrize("edges", [
         [(0, 1)] * 4,
@@ -523,7 +546,7 @@ class TestBuildEmbedding:
         res = greedy_max_genus(g, policy="loops-first")
         emb = build_embedding(g, res.pairs, check=True)
         assert emb.genus >= len(res.pairs)
-        assert emb.n_vertices - emb.n_edges + emb.n_faces == 2 - 2 * emb.genus
+        assert g.n_vertices - g.n_edges + emb.n_faces == 2 - 2 * emb.genus
         rot = RotationSystem.from_text(emb.rotation.to_text())
         assert genus_of(g, rot) == emb.genus
 

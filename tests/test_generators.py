@@ -151,6 +151,19 @@ class TestGeneratorSpec:
         with pytest.raises(GraphError, match="requires parameter n"):
             generate("circulant", k=4)
 
+    @pytest.mark.parametrize("family, params, named", [
+        ("complete", {"n": 4, "m": 100}, "takes parameter n, not m"),
+        ("bouquet", {"n": 5, "k": 3}, "takes parameter k, not n"),
+        ("dipole", {"k": 3, "m": 3}, "takes parameter k, not m"),
+        ("circulant", {"n": 6, "k": 2}, "takes parameter n, not k"),
+        ("random", {"n": 6, "m": 10, "k": 2},
+         "takes parameter n and m, not k"),
+    ])
+    def test_parameter_the_family_does_not_take(self, family, params,
+                                                named):
+        with pytest.raises(GraphError, match=f"'{family}' {named}$"):
+            generate(family, **params)
+
     def test_unknown_family(self):
         with pytest.raises(GraphError, match="known: tight-star, random"):
             generate("petersen", n=10)

@@ -163,15 +163,51 @@ class TestOddComponents:
             odd_components(g, frozenset({loop}))
 
 
+def _forbid_search(monkeypatch):
+    """Make the tree oracle's search fail if it starts."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("spanning_trees ran")
+    monkeypatch.setattr(oracle, "spanning_trees", no_search)
+
+
 class TestXuong:
     def test_certificate_consistency(self):
         g = gen_tight_star(2)
         genus, cert = xuong_max_genus(g)
         assert genus == 4
-        assert cert.genus == genus
         assert odd_components(g, cert.tree_edges) == cert.odd_components
         beta = cycle_rank(g)
         assert genus == (beta - cert.odd_components) // 2
+
+    def test_limit_is_checked_before_any_search(self, monkeypatch):
+        # 512 vertices, 1024 edges: listing trees up to the default limit
+        # took minutes; the count bound refuses with no tree listed
+        _forbid_search(monkeypatch)
+        g = gen_random_connected_multigraph(512, 1024, seed=1)
+        with pytest.raises(LimitExceededError, match="limit 100000$"):
+            xuong_max_genus(g)
+
+    def test_bound_refuses_every_count_above_the_limit(self, monkeypatch):
+        # at a limit one below the tree count no search runs: the graph is
+        # refused, or answered by its first tree exactly as the search
+        # answers it, so a graph that the count refuses is refused
+        graphs = random_corpus(200)
+        counts = [sum(1 for _ in spanning_trees(g)) for g in graphs]
+        expected = [xuong_max_genus(g) for g in graphs]
+        # K8: 262144 trees, and the first of them reaches the bridge bound
+        k8 = gen_complete(8)
+        k8_search = xuong_max_genus(k8, limit=10**6)
+        _forbid_search(monkeypatch)
+        answered = 0
+        for g, count, want in zip(graphs, counts, expected):
+            try:
+                got = xuong_max_genus(g, limit=count - 1)
+            except LimitExceededError:
+                continue
+            assert got == want
+            answered += 1
+        assert 0 < answered < len(graphs)
+        assert xuong_max_genus(k8) == k8_search
 
     def test_parity(self):
         for seed in range(25):

@@ -139,3 +139,15 @@ def test_every_export_resolves():
         "print(hasattr(maxgenus, 'no_such_name'), bench.__name__,\n"
         "      LimitExceededError is oracle.LimitExceededError)\n"
     ) == ["False", "maxgenus.bench", "True"]
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject promises Python >= 3.10; a newer syntax anywhere in the
+    # repository's Python files would break there first
+    root = SRC.parents[1]
+    paths = sorted(p for top in ("src", "tests", "perfbench", "scripts")
+                   for p in (root / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
