@@ -7,10 +7,12 @@ the greedy's bounds:
   adjacent pairs whose removal keeps the graph connected; the optimum
   family size equals the maximum genus.  A candidate pair at witness v
   is tested by one search from v that stops once it meets the pair's
-  other ends.
+  other ends.  A node is closed when its pairs plus the bridge bound of
+  the graph left there cannot beat the best family found.
 * :func:`xuong_max_genus` minimizes, over all spanning trees, the number
   of cotree components with an odd edge count; the maximum genus is
-  ``(beta - min_odd) / 2``.
+  ``(beta - min_odd) / 2``.  It tries Kruskal's tree by ascending id
+  first and enumerates only when that tree falls short of the bound.
 * :func:`exact_max_genus_rotations` maximizes the genus over rotation
   systems (first dart per vertex pinned) by branch and bound: the faces
   that a partial rotation already closes bound every completion's
@@ -22,8 +24,9 @@ tree and rotation oracles check it before they search (the rotation
 oracle's limit counts every rotation system, pruned or not).
 Each search stops once its best value reaches :func:`nebesky_bound` at
 the bridges, an upper bound on the maximum genus that is tight on most
-small graphs; each keeps the first optimum it meets, so the bound only
-ends a search sooner and leaves the witnesses as they are.
+small graphs; each keeps the first optimum it meets, so the bound (and
+the pair search's node bound) only ends a search sooner and leaves the
+witnesses as they are.
 """
 
 from __future__ import annotations
@@ -54,15 +57,19 @@ def _require_connected(g: MultiGraph) -> None:
 
 
 class _UnionFind:
-    __slots__ = ("parent",)
+    """Union by size with no path compression, so ``undo`` can take back
+    the last union that joined two sets; a find costs O(log n)."""
+
+    __slots__ = ("parent", "size", "joined")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.size = [1] * n
+        self.joined: list[int] = []  # the root each union put below another
 
     def find(self, x: int) -> int:
         p = self.parent
         while p[x] != x:
-            p[x] = p[p[x]]
             x = p[x]
         return x
 
@@ -70,8 +77,18 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        size = self.size
+        if size[ra] > size[rb]:
+            ra, rb = rb, ra
         self.parent[ra] = rb
+        size[rb] += size[ra]
+        self.joined.append(ra)
         return True
+
+    def undo(self) -> None:
+        ra = self.joined.pop()
+        self.size[self.parent[ra]] -= self.size[ra]
+        self.parent[ra] = ra
 
 
 def nebesky_bound(g: MultiGraph, cut: Collection[int]) -> int:
@@ -121,11 +138,16 @@ def exact_max_genus_pairs(
     reaches loop-heavy optima quickly).  A pair of parallel edges is taken
     once, at its lower end.  No family exceeds the bridge bound of
     :func:`nebesky_bound`: the search stops as soon as it has chosen that
-    many pairs, and otherwise visits every family it can reach.  It runs
-    on an explicit stack, one entry per chosen pair, so its depth is not
-    bounded by the interpreter's recursion limit.  The pairs chosen and
-    the one tested are unlinked from a copy of g, and linked back, e
-    before f, as the search leaves them.
+    many pairs.  A node holding k > 0 pairs, entered with a best family
+    of more than k, is closed at once when k plus the bridge bound of the
+    work graph W (g minus the k pairs) is at most the best: every family
+    below it is the k pairs plus a removable pair family of the connected
+    graph W, so it holds at most k + gamma_M(W) pairs.  The search keeps
+    the first optimum it meets, so the node bound changes no value or
+    witness.  It runs on an explicit stack, one entry per chosen pair,
+    so its depth is not bounded by the interpreter's recursion limit.
+    The pairs chosen and the one tested are unlinked from a copy of g,
+    and linked back, e before f, as the search leaves them.
     """
     _require_connected(g)
     if g.n_edges > max_edges:
@@ -176,6 +198,9 @@ def exact_max_genus_pairs(
             best_k, best = k, list(chosen)
         if best_k == cap:
             break
+        if best_k > k > 0 and k + nebesky_bound(
+                work, cut_scan(work)[0]) <= best_k:
+            start = len(cands)  # no family below beats best: no child
         starts.append(start)
         # the next child of the innermost open node, closing each node
         # that has none left.  The work graph is connected at every node,
@@ -261,8 +286,10 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
     The deletion branch unlinks the edge from a copy of g, which keeps
     every contracted edge, and is taken only when the copy stays
     connected, so every leaf of the search is a distinct tree.  The
-    search runs on an explicit stack, so its depth (one level per decided
-    edge) is not bounded by the interpreter's recursion limit.
+    contracted edges live in one union-find, whose last union the delete
+    branch undoes, so the first tree costs O(m log n).  The search runs
+    on an explicit stack, so its depth (one level per decided edge) is
+    not bounded by the interpreter's recursion limit.
     """
     _require_connected(g)
     n = g.n_vertices
@@ -270,24 +297,27 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
     work = g.copy()  # g minus the deleted edges
     count = 0
 
-    # Stack entries are (step, union-find of the contracted edges, edge,
-    # index of the first undecided edge).  VISIT branches on a node.  Once
-    # the contract branch of ``edge`` is exhausted, DELETE takes the edge
-    # back out of the tree and tries the delete branch; RESTORE ends that.
+    # Stack entries are (step, edge, index of the first undecided edge).
+    # VISIT branches on a node.  Once the contract branch of ``edge`` is
+    # exhausted, DELETE takes the edge back out of the tree (undoing its
+    # union, the last one left) and tries the delete branch; RESTORE ends
+    # that.
     VISIT, DELETE, RESTORE = 0, 1, 2
+    uf = _UnionFind(n)  # the contracted edges
     chosen: list[int] = []
-    stack = [(VISIT, _UnionFind(n), -1, 0)]
+    stack = [(VISIT, -1, 0)]
     while stack:
-        step, uf, eid, i = stack.pop()
+        step, eid, i = stack.pop()
         if step == RESTORE:
             work._link(eid, *g.endpoints(eid))
             continue
         if step == DELETE:
             chosen.pop()
+            uf.undo()
             work._unlink((eid,))
             if is_connected(work):
-                stack.append((RESTORE, uf, eid, i))
-                stack.append((VISIT, uf, -1, i + 1))
+                stack.append((RESTORE, eid, i))
+                stack.append((VISIT, -1, i + 1))
             else:
                 work._link(eid, *g.endpoints(eid))
             continue
@@ -307,12 +337,10 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
                 break
             i += 1
         # contract branch first: eid in the tree
-        sub = _UnionFind(n)
-        sub.parent = list(uf.parent)
-        sub.union(u, v)
+        uf.union(u, v)
         chosen.append(eid)
-        stack.append((DELETE, uf, eid, i))
-        stack.append((VISIT, sub, -1, i + 1))
+        stack.append((DELETE, eid, i))
+        stack.append((VISIT, -1, i + 1))
 
 
 def _tree_count_exceeds(g: MultiGraph, limit: int) -> bool:
@@ -351,27 +379,25 @@ def xuong_max_genus(
     enumeration order.  The parity of the odd count always matches the
     parity of beta, so the genus is integral.
 
-    Past :func:`_tree_count_exceeds` there is no search: the first tree
-    in enumeration order, Kruskal's by ascending edge id, answers if it
-    reaches the bridge bound (where the search stops) and ``limit`` >= 1;
-    else :class:`LimitExceededError`.  So every graph on which the search
-    would list more than ``limit`` trees is refused.
+    The first tree in enumeration order, Kruskal's by ascending edge id,
+    is tried before anything else: it answers if it reaches the bridge
+    bound (where the search stops) and ``limit`` >= 1.  Only then does
+    :func:`_tree_count_exceeds` refuse, before any search, so every graph
+    on which the search would list more than ``limit`` trees is refused.
     """
     _require_connected(g)
     beta = g.n_edges - g.n_vertices + 1
     least_odd = beta - 2 * nebesky_bound(g, cut_scan(g)[0])
+    uf = _UnionFind(g.n_vertices)
+    first = frozenset(e for e in g.edge_ids() if uf.union(*g._edges[e]))
+    if limit >= 1 and odd_components(g, first) == least_odd:
+        return (beta - least_odd) // 2, XuongCertificate(first, least_odd)
     if _tree_count_exceeds(g, limit):
-        uf = _UnionFind(g.n_vertices)
-        first = frozenset(e for e in g.edge_ids() if uf.union(*g._edges[e]))
-        if limit < 1 or odd_components(g, first) != least_odd:
-            raise LimitExceededError(
-                f"spanning-tree count bound exceeds limit {limit}")
-        trees = [first]
-    else:
-        trees = spanning_trees(g, limit=limit)
+        raise LimitExceededError(
+            f"spanning-tree count bound exceeds limit {limit}")
     best_odd = None
     best_tree = None
-    for tree in trees:
+    for tree in spanning_trees(g, limit=limit):
         odd = odd_components(g, tree)
         if best_odd is None or odd < best_odd:
             best_odd = odd

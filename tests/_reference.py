@@ -252,7 +252,10 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
     over ``AdjacentPair`` candidates, with no edge limit; it recurses
     once per chosen pair.  It stops early only at floor(beta/2), not at
     ``nebesky_bound``: the three package oracles share that bound, so a
-    cap below gamma_M would show only against a search without it."""
+    cap below gamma_M would show only against a search without it.  It
+    has no node bound on purpose: it visits every family below every
+    node, so a node bound in the package oracle that closes a node
+    holding a better family shows here."""
     seen_pairs: set[tuple[int, int]] = set()
     cands: list[AdjacentPair] = []
     for v in g.vertices():
@@ -278,9 +281,6 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
             best = list(chosen)
             if best_k == cap:
                 return True
-        beta = len(work.present) - n + 1
-        if k + beta // 2 <= best_k:
-            return False
         for i in range(start, len(cands)):
             p = cands[i]
             if not (work.has_edge(p.e) and work.has_edge(p.f)):

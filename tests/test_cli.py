@@ -400,6 +400,15 @@ class TestBench:
             capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[1].split()[-2:] == ["2", "2"]
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "oracle_reach.py"),
+             "--sizes", "8,12", "--graphs", "2", "--budget", "1"],
+            capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert rows[0] == ["m", "pairs", "xuong", "rotations"]
+        assert [r[0] for r in rows[1:]] == ["8", "12"]
+        assert all(r[1::2] == ["2/2"] * 3 for r in rows[1:])
 
     def test_unknown_policy_fails_before_any_cell(self, tmp_path,
                                                   monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import chain, combinations, permutations
 
 import pytest
@@ -56,6 +57,19 @@ def heavy_multigraphs():
             n, m, loop_prob=loops, parallel_prob=0.8 - loops, seed=seed))
     gaps = [without_edge(g, g.n_edges // 2) for g in graphs[:8]]
     return graphs + [h for h in gaps if is_connected(h)]
+
+
+def exact_shaped(count, sizes, seed):
+    """Graphs drawn as the benchmark's exact workload draws them: m
+    cycles through ``sizes``, and n is uniform in m//3+1..m//2+2."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        m = sizes[i % len(sizes)]
+        n = rng.randint(m // 3 + 1, m // 2 + 2)
+        graphs.append(gen_random_connected_multigraph(
+            n, m, seed=rng.randrange(2**32)))
+    return graphs
 
 
 FROZEN = [
@@ -129,6 +143,23 @@ class TestSpanningTrees:
         first = next(spanning_trees(g))
         assert first == frozenset(range(2999))
         assert xuong_max_genus(g)[0] == 0
+
+    def test_one_union_find_per_search(self, monkeypatch):
+        # a contraction is undone on the search's one union-find, not
+        # copied into a new one per node
+        built = []
+
+        class Counted(oracle._UnionFind):
+            __slots__ = ()
+
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(oracle, "_UnionFind", Counted)
+        assert sum(1 for _ in spanning_trees(gen_complete(5))) == 125
+        assert next(spanning_trees(cycle(3000))) == frozenset(range(2999))
+        assert built == [5, 3000]
 
 
 class TestOddComponents:
@@ -209,6 +240,21 @@ class TestXuong:
         assert 0 < answered < len(graphs)
         assert xuong_max_genus(k8) == k8_search
 
+    def test_first_tree_answers_before_the_count(self, monkeypatch):
+        # Kruskal's tree by ascending id reaches the bridge bound on K8
+        # and on a cycle, so neither the count bound nor the search runs
+        def no_count(*args):
+            raise AssertionError("_tree_count_exceeds ran")
+
+        _forbid_search(monkeypatch)
+        monkeypatch.setattr(oracle, "_tree_count_exceeds", no_count)
+        k8 = gen_complete(8)
+        genus, cert = xuong_max_genus(k8)
+        assert genus == 10 and cert.odd_components == 1
+        assert cert.tree_edges == frozenset(range(7))  # the star at 0
+        assert xuong_max_genus(cycle(3000)) == (0, oracle.XuongCertificate(
+            frozenset(range(2999)), 1))
+
     def test_parity(self):
         for seed in range(25):
             g = gen_random_connected_multigraph(6, 6 + seed % 6, seed=seed)
@@ -244,6 +290,31 @@ class TestPairSearch:
         for g in heavy_multigraphs():
             k, witness = exact_max_genus_pairs(g)
             assert (k, witness) == _reference.exact_max_genus_pairs(g)
+
+    def test_same_value_and_witness_on_exact_workload_shapes(self):
+        # the reference closes no node, so a node bound that closes one
+        # holding a better family than the best shows here
+        graphs = (exact_shaped(450, range(8, 17), seed=5)
+                  + exact_shaped(12, [20], seed=6))
+        for g in graphs:
+            assert (exact_max_genus_pairs(g, max_edges=20)
+                    == _reference.exact_max_genus_pairs(g))
+
+    def test_node_bound_closes_nodes(self, monkeypatch):
+        # drawn by the exact workload's rule: gamma_M = the bridge bound
+        # = 4, met late in pair order, so most nodes are entered with a
+        # best above their own pair count
+        g = parse_edge_list("0 1\n0 2\n1 3\n2 4\n4 2\n4 2\n"
+                            "1 1\n0 3\n2 0\n4 0\n0 2\n0 3\n")
+        tests = []
+        unlink = graph.MultiGraph._unlink
+        monkeypatch.setattr(graph.MultiGraph, "_unlink",
+                            lambda self, eids: tests.append(eids)
+                            or unlink(self, eids))
+        k, witness = exact_max_genus_pairs(g)
+        assert (k, witness) == _reference.exact_max_genus_pairs(g) and k == 4
+        # one unlink per candidate test; 1279 with no node bound
+        assert len(tests) == 101
 
     def test_one_whole_graph_connectivity_check(self, monkeypatch):
         # candidates are tested by a search from the witness; only the
