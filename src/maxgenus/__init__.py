@@ -67,7 +67,7 @@ _LAZY = {
                    "gen_complete", "gen_dipole",
                    "gen_random_connected_multigraph", "gen_tight_star",
                    "generate"),
-    "oracle": ("XuongCertificate", "exact_max_genus_pairs",
+    "oracle": ("XuongCertificate", "bridge_bound", "exact_max_genus_pairs",
                "exact_max_genus_rotations", "nebesky_bound",
                "odd_components", "spanning_trees", "xuong_max_genus"),
 }
@@ -117,6 +117,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "VerifyResult",
     "XuongCertificate",
+    "bridge_bound",
     "build_embedding",
     "cycle_rank",
     "exact_max_genus_pairs",

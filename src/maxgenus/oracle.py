@@ -22,11 +22,14 @@ All three are exponential; each takes an explicit limit and raises
 :class:`LimitExceededError` beyond it rather than running away; the
 tree and rotation oracles check it before they search (the rotation
 oracle's limit counts every rotation system, pruned or not).
-Each search stops once its best value reaches :func:`nebesky_bound` at
-the bridges, an upper bound on the maximum genus that is tight on most
-small graphs; each keeps the first optimum it meets, so the bound (and
-the pair search's node bound) only ends a search sooner and leaves the
-witnesses as they are.
+Each search stops once its best value reaches :func:`bridge_bound`,
+Nebeský's upper bound on the maximum genus at the bridges, which is
+tight on most small graphs; one DFS finds the bridges and the parities
+of the pieces between them together.  Each search keeps the first
+optimum it meets, so the bound (and the pair search's node bound, the
+same DFS on the graph left at a node) only ends a search sooner and
+leaves the witnesses as they are.  The pair and tree oracles take the
+DFS's reaching every vertex as their connectivity check.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .graph import (
     GraphError,
     LimitExceededError,
     MultiGraph,
-    cut_scan,
     is_connected,
 )
 from .greedy import AdjacentPair, PairSet
@@ -99,8 +101,9 @@ def nebesky_bound(g: MultiGraph, cut: Collection[int]) -> int:
     / 2`` with ``xi_A = c + b - |A| - 1``, where c counts the components
     of g minus A and b those of odd cycle rank.  So every A gives
     ``(beta - xi_A) // 2 >= gamma_M``, and some A attains it.  The empty
-    set gives ``floor(beta / 2)``; the bridges, from :func:`cut_scan`,
-    make xi the number of 2-edge-connected pieces of odd cycle rank.
+    set gives ``floor(beta / 2)``; the bridges make xi the number of
+    2-edge-connected pieces of odd cycle rank, the bound that
+    :func:`bridge_bound` computes in one DFS with no cut set given.
     Ids in ``cut`` that are not edges of g are ignored.  Raises
     :class:`DisconnectedError` if g is not connected.
     """
@@ -124,6 +127,68 @@ def nebesky_bound(g: MultiGraph, cut: Collection[int]) -> int:
     return (m - n + 1 - xi) // 2
 
 
+def bridge_bound(g: MultiGraph) -> int:
+    """``nebesky_bound(g, bridges of g)`` by one iterative DFS from
+    vertex 0, O(n + m).
+
+    Each vertex keeps two sums, added up the tree as the DFS leaves it:
+    the non-tree edges that leave its subtree for a proper ancestor (+1
+    at the end below, -1 at the end above, as in
+    :func:`.graph.cut_scan`), and the non-tree edges of its piece, each
+    counted once at its lower end and a loop once.  A first sum of 0
+    makes the tree edge above a bridge; the non-tree edges below it and
+    not below a deeper bridge are those of one 2-edge-connected piece,
+    whose cycle rank is their count.  So each such subtree, and the
+    root's piece, adds its count's parity to xi, and the bound is
+    ``(beta - xi) // 2``.  Raises :class:`DisconnectedError` if the DFS
+    misses a vertex.
+    """
+    inc = g._inc
+    n = g.n_vertices
+    # 0: unreached, 1: on the DFS path, 2: finished
+    state = bytearray(n)
+    cover = [0] * n  # back edges leaving the subtree, signed as above
+    rank = [0] * n  # non-tree edges of the piece met so far
+    state[0] = 1
+    reached = 1
+    xi = 0
+    stack = [(0, -1, iter(inc[0].items()))]
+    while stack:
+        x, up, it = stack[-1]
+        for d, w in it:
+            if w == x:
+                rank[x] += d & 1  # a loop: one of its two darts
+                continue
+            eid = d >> 1
+            if eid == up:
+                continue
+            seen = state[w]
+            if not seen:
+                state[w] = 1
+                reached += 1
+                stack.append((w, eid, iter(inc[w].items())))
+                break
+            # a reached neighbour is an ancestor while it is on the path,
+            # and a descendant once it is finished
+            if seen == 1:
+                cover[x] += 1
+                rank[x] += 1
+            else:
+                cover[x] -= 1
+        else:
+            stack.pop()
+            state[x] = 2
+            if stack and cover[x]:
+                p = stack[-1][0]
+                cover[p] += cover[x]
+                rank[p] += rank[x]
+            else:  # the root, or the tree edge above x is a bridge
+                xi += rank[x] & 1
+    if reached != n:
+        raise DisconnectedError("the bound needs a connected graph")
+    return (g.n_edges - n + 1 - xi) // 2
+
+
 # ---------------------------------------------------------------------------
 # Route 1: optimal adjacent-pair family (depth-first search)
 # ---------------------------------------------------------------------------
@@ -136,20 +201,20 @@ def exact_max_genus_pairs(
     Depth-first search over pair subsets in a fixed global pair order
     (ascending witness degree, then edge ids; low-degree witnesses first
     reaches loop-heavy optima quickly).  A pair of parallel edges is taken
-    once, at its lower end.  No family exceeds the bridge bound of
-    :func:`nebesky_bound`: the search stops as soon as it has chosen that
-    many pairs.  A node holding k > 0 pairs, entered with a best family
-    of more than k, is closed at once when k plus the bridge bound of the
-    work graph W (g minus the k pairs) is at most the best: every family
-    below it is the k pairs plus a removable pair family of the connected
-    graph W, so it holds at most k + gamma_M(W) pairs.  The search keeps
-    the first optimum it meets, so the node bound changes no value or
-    witness.  It runs on an explicit stack, one entry per chosen pair,
-    so its depth is not bounded by the interpreter's recursion limit.
-    The pairs chosen and the one tested are unlinked from a copy of g,
-    and linked back, e before f, as the search leaves them.
+    once, at its lower end.  No family exceeds :func:`bridge_bound`: the
+    search stops as soon as it has chosen that many pairs.  A node
+    holding k > 0 pairs, entered with a best family of more than k, is
+    closed at once when k plus the bridge bound of the work graph W (g
+    minus the k pairs) is at most the best: every family below it is the
+    k pairs plus a removable pair family of the connected graph W, so it
+    holds at most k + gamma_M(W) pairs.  The search keeps the first
+    optimum it meets, so the node bound changes no value or witness.  It
+    runs on an explicit stack, one entry per chosen pair, so its depth is
+    not bounded by the interpreter's recursion limit.  The pairs chosen
+    and the one tested are unlinked from a copy of g, and linked back, e
+    before f, as the search leaves them.
     """
-    _require_connected(g)
+    cap = bridge_bound(g)  # raises DisconnectedError first
     if g.n_edges > max_edges:
         raise LimitExceededError(
             f"m={g.n_edges} exceeds pair-search limit {max_edges}"
@@ -165,7 +230,6 @@ def exact_max_genus_pairs(
             cands.append((deg, e, f, v))
     cands.sort()
 
-    cap = nebesky_bound(g, cut_scan(g)[0])
     work = g.copy()
     edges, inc, link = work._edges, work._inc, work._link
     ends = g._edges
@@ -198,8 +262,7 @@ def exact_max_genus_pairs(
             best_k, best = k, list(chosen)
         if best_k == cap:
             break
-        if best_k > k > 0 and k + nebesky_bound(
-                work, cut_scan(work)[0]) <= best_k:
+        if best_k > k > 0 and k + bridge_bound(work) <= best_k:
             start = len(cands)  # no family below beats best: no child
         starts.append(start)
         # the next child of the innermost open node, closing each node
@@ -264,14 +327,19 @@ def odd_components(g: MultiGraph, tree_edges: frozenset[int] | set[int]) -> int:
         u, v = g.endpoints(eid)
         if u == v or not uf.union(u, v):
             raise GraphError("not a spanning tree: contains a cycle or loop")
+    return _odd_cotree(g, tree_edges)
+
+
+def _odd_cotree(g: MultiGraph, tree_edges: Collection[int]) -> int:
+    """:func:`odd_components` for a ``tree_edges`` known to be a
+    spanning tree of g, which it does not check."""
+    n = g.n_vertices
     cot = _UnionFind(n)
     edge_count = [0] * n
-    for eid in g.edge_ids():
-        if eid in tree_edges:
-            continue
-        u, v = g.endpoints(eid)
-        cot.union(u, v)
-        edge_count[cot.find(u)] += 1
+    for eid, (u, v) in g._edges.items():
+        if eid not in tree_edges:
+            cot.union(u, v)
+            edge_count[cot.find(u)] += 1
     totals = [0] * n  # edge count per component, at its root
     for v in range(n):
         totals[cot.find(v)] += edge_count[v]
@@ -385,12 +453,11 @@ def xuong_max_genus(
     :func:`_tree_count_exceeds` refuse, before any search, so every graph
     on which the search would list more than ``limit`` trees is refused.
     """
-    _require_connected(g)
     beta = g.n_edges - g.n_vertices + 1
-    least_odd = beta - 2 * nebesky_bound(g, cut_scan(g)[0])
+    least_odd = beta - 2 * bridge_bound(g)  # raises DisconnectedError
     uf = _UnionFind(g.n_vertices)
     first = frozenset(e for e in g.edge_ids() if uf.union(*g._edges[e]))
-    if limit >= 1 and odd_components(g, first) == least_odd:
+    if limit >= 1 and _odd_cotree(g, first) == least_odd:
         return (beta - least_odd) // 2, XuongCertificate(first, least_odd)
     if _tree_count_exceeds(g, limit):
         raise LimitExceededError(
@@ -398,7 +465,7 @@ def xuong_max_genus(
     best_odd = None
     best_tree = None
     for tree in spanning_trees(g, limit=limit):
-        odd = odd_components(g, tree)
+        odd = _odd_cotree(g, tree)
         if best_odd is None or odd < best_odd:
             best_odd = odd
             best_tree = tree
@@ -476,7 +543,7 @@ def exact_max_genus_rotations(
         else:
             levels.append((darts[0], darts[1:], [d ^ 1 for d in darts]))
     best = 0
-    cap = nebesky_bound(g, cut_scan(g)[0])
+    cap = bridge_bound(g)
     c = closed(fixed)
     orders: list = []  # per open level: the faces closed above, its orders
     while best < cap:

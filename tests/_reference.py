@@ -251,9 +251,9 @@ def exact_max_genus_pairs(g: MultiGraph) -> tuple[int, PairSet]:
     """``oracle.exact_max_genus_pairs`` as a recursive branch and bound
     over ``AdjacentPair`` candidates, with no edge limit; it recurses
     once per chosen pair.  It stops early only at floor(beta/2), not at
-    ``nebesky_bound``: the three package oracles share that bound, so a
-    cap below gamma_M would show only against a search without it.  It
-    has no node bound on purpose: it visits every family below every
+    the bridge bound: the three package oracles share ``bridge_bound``,
+    so a cap below gamma_M would show only against a search without it.
+    It has no node bound on purpose: it visits every family below every
     node, so a node bound in the package oracle that closes a node
     holding a better family shows here."""
     seen_pairs: set[tuple[int, int]] = set()
@@ -308,7 +308,7 @@ def exact_max_genus_rotations(g: MultiGraph) -> int:
     ``_face_count``, the count ``genus_of`` makes, with no rotation limit
     and no rotation check: every combination is built from g's own
     darts.  Like :func:`exact_max_genus_pairs`, it stops early only at
-    floor(beta/2), not at the package oracles' shared ``nebesky_bound``.
+    floor(beta/2), not at the package oracles' shared ``bridge_bound``.
     It is unpruned on purpose: it traces every rotation, so a face bound
     in the package oracle that cuts off an optimal subtree shows here."""
     per_vertex: list[list[tuple[int, ...]]] = []

@@ -10,6 +10,7 @@ from maxgenus import (
     GraphError,
     LimitExceededError,
     MultiGraph,
+    bridge_bound,
     cycle_rank,
     exact_max_genus_pairs,
     exact_max_genus_rotations,
@@ -70,6 +71,14 @@ def exact_shaped(count, sizes, seed):
         graphs.append(gen_random_connected_multigraph(
             n, m, seed=rng.randrange(2**32)))
     return graphs
+
+
+@pytest.fixture(scope="module")
+def exact_shapes():
+    """450 graphs of the exact workload's shapes, each with the recursive
+    reference's pair value and witness."""
+    graphs = exact_shaped(450, range(8, 17), seed=5)
+    return [(g, _reference.exact_max_genus_pairs(g)) for g in graphs]
 
 
 FROZEN = [
@@ -291,14 +300,15 @@ class TestPairSearch:
             k, witness = exact_max_genus_pairs(g)
             assert (k, witness) == _reference.exact_max_genus_pairs(g)
 
-    def test_same_value_and_witness_on_exact_workload_shapes(self):
+    def test_same_value_and_witness_on_exact_workload_shapes(
+            self, exact_shapes):
         # the reference closes no node, so a node bound that closes one
         # holding a better family than the best shows here
-        graphs = (exact_shaped(450, range(8, 17), seed=5)
-                  + exact_shaped(12, [20], seed=6))
-        for g in graphs:
-            assert (exact_max_genus_pairs(g, max_edges=20)
-                    == _reference.exact_max_genus_pairs(g))
+        cases = exact_shapes + [
+            (g, _reference.exact_max_genus_pairs(g))
+            for g in exact_shaped(12, [20], seed=6)]
+        for g, want in cases:
+            assert exact_max_genus_pairs(g, max_edges=20) == want
 
     def test_node_bound_closes_nodes(self, monkeypatch):
         # drawn by the exact workload's rule: gamma_M = the bridge bound
@@ -404,6 +414,7 @@ class TestRotations:
 
         monkeypatch.setattr(oracle, "permutations", searched)
         monkeypatch.setattr(oracle, "nebesky_bound", searched)
+        monkeypatch.setattr(oracle, "bridge_bound", searched)
         g = dipole_chain(600)
         with pytest.raises(LimitExceededError):
             exact_max_genus_rotations(g, limit=rotation_count(g) - 1)
@@ -430,7 +441,10 @@ def two_k4s_and_a_bridge():
     return g
 
 
-def bridge_bound(g):
+def two_pass_bound(g):
+    """The bridge bound in two passes, the reference for the one-pass
+    :func:`bridge_bound`: the bridges by ``cut_scan``, then Nebesky's
+    bound at them by ``nebesky_bound``'s union-find pass."""
     return nebesky_bound(g, graph.cut_scan(g)[0])
 
 
@@ -476,6 +490,73 @@ class TestNebeskyBound:
             nebesky_bound(g, ())
         with pytest.raises(DisconnectedError):
             nebesky_bound(g, {0})
+
+
+class TestBridgeBound:
+    def test_equals_the_two_pass_bound(
+            self, exhaustive_corpus, seeded_corpus, exact_shapes):
+        graphs = (exhaustive_corpus + seeded_corpus + heavy_multigraphs()
+                  + [g for g, _ in exact_shapes])
+        for g in graphs:
+            assert bridge_bound(g) == two_pass_bound(g)
+
+    @pytest.mark.parametrize("loops,bound", [(1, 0), (2, 1), (3, 1)])
+    def test_loops_at_one_vertex(self, loops, bound):
+        g = gen_bouquet(loops)
+        assert bridge_bound(g) == two_pass_bound(g) == bound
+
+    def test_a_loop_at_each_end_of_a_bridge(self):
+        # two pieces of cycle rank 1: xi = 2, so the bound is 0, not 1
+        g = parse_edge_list("a a\na b\nb b\n")
+        assert bridge_bound(g) == two_pass_bound(g) == 0
+
+    def test_parallel_pair_beside_a_bridge(self):
+        # 0=1 with the loop at 0 is one piece of cycle rank 2, not two of
+        # rank 1 split by the tree edge its parallel copy covers; 1-2 is
+        # the bridge, and 2 carries a piece of cycle rank 2
+        g = parse_edge_list("0 1\n1 0\n0 0\n1 2\n2 2\n2 2\n")
+        assert graph.cut_scan(g)[0] == {3}
+        assert bridge_bound(g) == two_pass_bound(g) == 2
+
+    def test_deeper_than_the_recursion_limit(self):
+        # a DFS path of 1200 vertices
+        assert bridge_bound(dipole_chain(600)) == 600
+
+    def test_rejects_a_disconnected_graph(self):
+        g = MultiGraph(3)
+        g.add_edge(0, 1)
+        with pytest.raises(DisconnectedError):
+            bridge_bound(g)
+        g = MultiGraph(2)
+        g.add_edge(1, 1)
+        with pytest.raises(DisconnectedError):
+            bridge_bound(g)  # vertex 0 is the isolated one
+
+    def test_the_oracles_make_no_second_pass(self, monkeypatch,
+                                             exact_shapes):
+        # every oracle takes its bridge bound from the one DFS: the scan
+        # and the union-find pass of the two-pass form fail if they run
+        def second_pass(*args):
+            raise AssertionError("a two-pass bound ran")
+
+        calls = []
+        one_pass = oracle.bridge_bound
+        monkeypatch.setattr(oracle, "bridge_bound",
+                            lambda g: calls.append(1) or one_pass(g))
+        monkeypatch.setattr(graph, "cut_scan", second_pass)
+        monkeypatch.setattr(oracle, "cut_scan", second_pass, raising=False)
+        monkeypatch.setattr(oracle, "nebesky_bound", second_pass)
+        refused = 0
+        for g, (gamma, _) in exact_shapes:
+            assert exact_max_genus_pairs(g)[0] == gamma
+            calls.clear()
+            assert xuong_max_genus(g)[0] == gamma
+            assert len(calls) == 1
+            try:
+                assert exact_max_genus_rotations(g) == gamma
+            except LimitExceededError:
+                refused += 1
+        assert refused < len(exact_shapes)
 
 
 def test_values_and_witnesses_pinned():
