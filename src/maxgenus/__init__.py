@@ -51,12 +51,7 @@ from .greedy import (
 )
 from .pipeline import PipelineOutcome, run_pipeline
 from .preprocess import PreprocessResult, merge_pairs, reduce_multiedges
-from .report import (
-    SCHEMA_VERSION,
-    InstanceInfo,
-    RunConfig,
-    RunReport,
-)
+from .report import SCHEMA_VERSION, RunReport
 
 # Exports of the modules the certify path never runs, imported on first
 # access (PEP 562) so that ``import maxgenus`` does not compile them.
@@ -103,7 +98,6 @@ __all__ = [
     "GraphError",
     "GreedyResult",
     "GreedyStats",
-    "InstanceInfo",
     "LimitExceededError",
     "MultiGraph",
     "POLICIES",
@@ -112,7 +106,6 @@ __all__ = [
     "PipelineOutcome",
     "PreprocessResult",
     "RotationSystem",
-    "RunConfig",
     "RunReport",
     "SCHEMA_VERSION",
     "VerifyResult",

@@ -187,7 +187,7 @@ SLOPE_COLUMNS = ("elapsed_s", "tests", "embed_s", "verify_s")
 
 def _cell(r: RunReport) -> dict[str, float]:
     embed, k = r.phase_s["embed"], r.lower
-    return {"n": r.instance.n_vertices, "m": r.instance.n_edges, "k": k,
+    return {"n": r.n_vertices, "m": r.n_edges, "k": k,
             "genus": r.embedding_genus, "elapsed_s": r.elapsed_s,
             **{c: r.stats[c] for c in ("tree_pairs", "tests", "core_bridges")},
             "embed_s": embed, "us_per_pair": 1e6 * embed / max(1, k),
@@ -207,8 +207,8 @@ class BenchSummary:
 def summarize(reports: list[RunReport]) -> BenchSummary:
     groups: dict[str, dict[tuple[int, int], list[dict[str, float]]]] = {}
     for r in reports:
-        size_key = (r.instance.n_vertices, r.instance.n_edges)
-        groups.setdefault(r.config.policy, {}).setdefault(
+        size_key = (r.n_vertices, r.n_edges)
+        groups.setdefault(r.policy, {}).setdefault(
             size_key, []).append(_cell(r))
     rows: dict[str, list[dict[str, float]]] = {}
     slopes: dict[str, dict[str, float | None]] = {}

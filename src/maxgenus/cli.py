@@ -102,8 +102,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     if args.json:
         print(rep.to_json())
         return EXIT_OK
-    inst = rep.instance
-    print(f"n={inst.n_vertices} m={inst.n_edges} beta={inst.cycle_rank}")
+    print(f"n={rep.n_vertices} m={rep.n_edges} beta={rep.cycle_rank}")
     print(f"pairs: {rep.lower} ({rep.preprocess_pairs} preprocessed + "
           f"{rep.lower - rep.preprocess_pairs} greedy)")
     print(f"gamma_M in [{rep.lower}, {rep.upper}]")

@@ -53,11 +53,6 @@ from .graph import (
 from .greedy import AdjacentPair, PairSet
 
 
-def _require_connected(g: MultiGraph) -> None:
-    if not is_connected(g):
-        raise DisconnectedError("exact oracles require a connected graph")
-
-
 class _UnionFind:
     """Union by size with no path compression, so ``undo`` can take back
     the last union that joined two sets; a find costs O(log n)."""
@@ -358,8 +353,13 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
     branch undoes, so the first tree costs O(m log n).  The search runs
     on an explicit stack, so its depth (one level per decided edge) is
     not bounded by the interpreter's recursion limit.
+
+    The search is also the connectivity check.  Only the first descent,
+    Kruskal's tree, can run out of edges, and only when g is
+    disconnected: every later branch keeps the work graph connected, so
+    an undecided edge there still joins two contracted sets.  The first
+    ``next()`` then raises :class:`DisconnectedError`.
     """
-    _require_connected(g)
     n = g.n_vertices
     edges = [e for e in g.edge_ids() if not g.is_loop(e)]
     work = g.copy()  # g minus the deleted edges
@@ -399,6 +399,9 @@ def spanning_trees(g: MultiGraph, *, limit: int = DEFAULT_TREE_LIMIT):
             yield frozenset(chosen)
             continue
         while True:
+            if i == len(edges):
+                raise DisconnectedError(
+                    "exact oracles require a connected graph")
             eid = edges[i]
             u, v = g.endpoints(eid)
             if work.has_edge(eid) and uf.find(u) != uf.find(v):
@@ -508,7 +511,8 @@ def exact_max_genus_rotations(
     closed faces no completion has genus above ``(2 - n + m - c - 1) //
     2``; a subtree is entered only while that beats the best genus found.
     """
-    _require_connected(g)
+    if not is_connected(g):
+        raise DisconnectedError("exact oracles require a connected graph")
     total = rotation_count(g)
     if total > limit:
         raise LimitExceededError(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .graph import CertificationError, MultiGraph
 from .greedy import DEFAULT_POLICY, GenusBounds, PairSet, greedy_max_genus
 from .preprocess import merge_pairs, reduce_multiedges
-from .report import InstanceInfo, RunConfig, RunReport
+from .report import RunReport
 
 
 @dataclass
@@ -34,10 +34,9 @@ def run_pipeline(
     family size.
     """
     t0 = time.perf_counter()
-    pre_ops = 0
     if preprocess:
         pre = reduce_multiedges(g)
-        work, pre_pairs, pre_ops = pre.reduced, pre.pairs, pre.ops
+        work, pre_pairs = pre.reduced, pre.pairs
     else:
         work, pre_pairs = g, PairSet()
     res = greedy_max_genus(work, policy=policy, seed=seed)
@@ -50,14 +49,13 @@ def run_pipeline(
         raise CertificationError(
             f"{be.queries} connectivity probes for {st.tests} tested pairs "
             f"of {st.candidate_pairs} candidates")
-    stats = {**vars(st), **{f"backend_{k}": v for k, v in vars(be).items()},
-             "preprocess_ops": pre_ops}
+    stats = {**vars(st), **{f"backend_{k}": v for k, v in vars(be).items()}}
 
     beta = g.n_edges - g.n_vertices + 1
     bounds = GenusBounds.from_pairs(len(merged.pairs), beta)
     report = RunReport(
-        instance=InstanceInfo(label, g.n_vertices, g.n_edges, beta),
-        config=RunConfig("dfs", policy, seed, preprocess),
+        label=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
+        cycle_rank=beta, policy=policy, seed=seed, preprocess=preprocess,
         lower=bounds.lower,
         upper=bounds.upper,
         pairs=[[e, f, w] for e, f, w in merged.pairs],

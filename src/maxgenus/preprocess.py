@@ -26,19 +26,11 @@ class PreprocessResult:
 
     ``reduced`` is a copy; the input graph is untouched.  Edge ids are
     preserved verbatim: every edge of ``reduced`` keeps its id and its
-    endpoints from the input.  ``ops`` counts grouping and removal steps
-    and stays linear in the edge count.
+    endpoints from the input.
     """
 
     reduced: MultiGraph
     pairs: PairSet
-    ops: int
-
-    def accounting_ok(self, original: MultiGraph) -> bool:
-        return (
-            self.reduced.n_edges + 2 * len(self.pairs.pairs)
-            == original.n_edges
-        )
 
 
 def reduce_multiedges(g: MultiGraph) -> PreprocessResult:
@@ -74,8 +66,7 @@ def reduce_multiedges(g: MultiGraph) -> PreprocessResult:
     # the ids come from g itself, so the copy drops them with no checks
     reduced = g.copy()
     reduced._unlink(eid for p in pairs for eid in (p.e, p.f))
-    ops = g.n_edges + len(pairs)
-    return PreprocessResult(reduced, PairSet(pairs), ops)
+    return PreprocessResult(reduced, PairSet(pairs))
 
 
 def merge_pairs(first: PairSet, second: PairSet) -> PairSet:

@@ -5,28 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class InstanceInfo:
-    label: str
-    n_vertices: int
-    n_edges: int
-    cycle_rank: int
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    backend: str  # always "dfs"; kept so the schema-1 layout stays
-    policy: str
-    seed: int
-    preprocess: bool
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """One greedy run: bounds, certificate pairs, counters, wall time.
+    """One greedy run: the input's size, the run's options, bounds,
+    certificate pairs, counters and wall time.
 
     ``pairs`` holds ``[e, f, witness]`` triples in removal order, the
     preprocessed ones first.  ``stats`` merges greedy counters with the
@@ -35,8 +20,13 @@ class RunReport:
     holds the timed steps after the greedy (``bench``: embed, verify).
     """
 
-    instance: InstanceInfo
-    config: RunConfig
+    label: str
+    n_vertices: int
+    n_edges: int
+    cycle_rank: int
+    policy: str
+    seed: int
+    preprocess: bool
     lower: int
     upper: int
     pairs: list[list[int]]

@@ -8,7 +8,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,9 @@ from hypothesis import event, given, settings, strategies as st
 from maxgenus import (
     POLICIES,
     AdjacentPair,
+    BackendStats,
     GraphError,
+    GreedyStats,
     gen_tight_star,
     parse_edge_list,
     verify_pair_set,
@@ -47,6 +49,16 @@ def run_cli(*argv, stdin=None, check=True):
 
 K4_TEXT = "a b\na c\na d\nb c\nb d\nc d\n"
 
+# the flat schema-2 report: a key added, dropped or nested again fails
+# the layout checks, and ``stats`` holds exactly the greedy's and the
+# backend's counters
+SCHEMA_2_KEYS = {"label", "n_vertices", "n_edges", "cycle_rank", "policy",
+                 "seed", "preprocess", "lower", "upper", "pairs",
+                 "preprocess_pairs", "elapsed_s", "stats", "embedding_genus",
+                 "phase_s", "schema_version"}
+SCHEMA_2_STATS = {f.name for f in fields(GreedyStats)} | {
+    f"backend_{f.name}" for f in fields(BackendStats)}
+
 
 class TestGreedy:
     def test_gen_pipe(self):
@@ -59,19 +71,24 @@ class TestGreedy:
         proc = run_cli("greedy", "--json", "--policy", "loops-first",
                        stdin=K4_TEXT)
         rep = json.loads(proc.stdout)
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["lower"] == 1
         assert rep["upper"] == 1  # beta = 3 caps the sandwich at floor(3/2)
-        assert rep["config"]["policy"] == "loops-first"
+        assert rep["policy"] == "loops-first"
         g = parse_edge_list(K4_TEXT)
         pairs = [AdjacentPair(e, f, w) for e, f, w in rep["pairs"]]
         assert verify_pair_set(g, pairs).ok
+
+    def test_json_report_has_the_schema_2_layout(self):
+        rep = json.loads(run_cli("greedy", "--json", stdin=K4_TEXT).stdout)
+        assert set(rep) == SCHEMA_2_KEYS
+        assert set(rep["stats"]) == SCHEMA_2_STATS
 
     def test_embed_flag_adds_genus(self):
         proc = run_cli("greedy", "--embed", "--check", "--json",
                        stdin=K4_TEXT)
         rep = json.loads(proc.stdout)
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["embedding_genus"] == 1
 
     def test_check_implies_embed(self):
@@ -83,7 +100,7 @@ class TestGreedy:
         cooked = json.loads(run_cli("greedy", "--json", stdin=text).stdout)
         raw = json.loads(
             run_cli("greedy", "--json", "--raw", stdin=text).stdout)
-        assert cooked["schema_version"] == raw["schema_version"] == 1
+        assert cooked["schema_version"] == raw["schema_version"] == 2
         assert cooked["preprocess_pairs"] == 1
         assert raw["preprocess_pairs"] == 0
         assert cooked["lower"] == raw["lower"] == 1
@@ -305,7 +322,9 @@ class TestBench:
         assert "slope" in proc.stdout
         reports = json.loads(dump.read_text())
         assert len(reports) == 2 * 2  # sizes x seeds
-        assert all(r["schema_version"] == 1 for r in reports)
+        assert all(r["schema_version"] == 2 for r in reports)
+        assert all(set(r) == SCHEMA_2_KEYS for r in reports)
+        assert all(set(r["stats"]) == SCHEMA_2_STATS for r in reports)
 
     def test_reports_carry_phase_times(self):
         (rep,) = bench.run_bench(BenchConfig(sizes=(8,)))
@@ -463,7 +482,7 @@ class TestBench:
         cfg = BenchConfig(sizes=(8, 12), seeds=(0, 1),
                           policies=("edge-id", "loops-first"))
         reports = bench.run_bench(cfg)
-        assert [(r.instance.label, r.config.seed, r.config.policy)
+        assert [(r.label, r.seed, r.policy)
                 for r in reports] == [
             (f"random-{size}-s{seed}", seed, policy)
             for size in (8, 12) for seed in (0, 1)

@@ -146,6 +146,27 @@ class TestSpanningTrees:
         with pytest.raises(LimitExceededError):
             list(spanning_trees(gen_complete(5), limit=10))
 
+    def test_rejects_a_disconnected_graph(self):
+        triangle_and_isolated = MultiGraph(4)
+        for v in range(3):
+            triangle_and_isolated.add_edge(v, (v + 1) % 3)
+        two_loops = MultiGraph(2)
+        two_loops.add_edge(0, 0)
+        two_loops.add_edge(1, 1)
+        for g in (MultiGraph(2), triangle_and_isolated, two_loops):
+            trees = spanning_trees(g)
+            with pytest.raises(DisconnectedError):
+                next(trees)
+
+    def test_first_tree_needs_no_connectivity_pass(self, monkeypatch):
+        # the first descent finds a disconnected input by running out of
+        # edges, so Kruskal's tree comes with no whole-graph pass
+        def whole_graph_pass(g):
+            raise AssertionError("is_connected ran")
+
+        monkeypatch.setattr(oracle, "is_connected", whole_graph_pass)
+        assert next(spanning_trees(gen_complete(4))) == frozenset({0, 1, 2})
+
     def test_search_deeper_than_recursion_limit(self):
         # one search level per decided edge: 3000 on the first tree
         g = cycle(3000)
