@@ -10,12 +10,7 @@ small instances can be solved exactly by three independent oracles.
 
 from importlib import import_module
 
-from .connectivity import (
-    BACKENDS,
-    BackendStats,
-    DfsBackend,
-    DynamicBackend,
-)
+from .connectivity import BACKENDS, BackendStats, DfsBackend
 from .embedding import (
     EmbeddingResult,
     EmbeddingState,
@@ -58,6 +53,7 @@ from .report import SCHEMA_VERSION, RunReport
 _LAZY = {
     "bench": ("BenchConfig", "BenchSummary", "fit_loglog_slope",
               "format_summary", "run_bench", "summarize"),
+    "dynamic": ("DynamicBackend",),
     "generators": ("FAMILIES", "gen_bouquet", "gen_circulant",
                    "gen_complete", "gen_dipole",
                    "gen_random_connected_multigraph", "gen_tight_star",

@@ -44,8 +44,8 @@ state, ``EmbeddingState.n_faces``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .graph import (
     CertificationError,
@@ -64,8 +64,7 @@ from .greedy import AdjacentPair, PairSet, _pair_family_tree
 # Rotation systems and faces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(NamedTuple):
     """Cyclic dart order per vertex.  Text form: ``v: e.end e.end ...``"""
 
     order: dict[int, tuple[int, ...]]
@@ -541,8 +540,7 @@ def _require(ok: bool, what: str) -> None:
 # Building a certified embedding from a pair family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(NamedTuple):
     rotation: RotationSystem
     genus: int
     n_faces: int

@@ -103,8 +103,7 @@ class PairSet:
         return [eid for e, f, _ in self.pairs for eid in (e, f)]
 
 
-@dataclass(frozen=True)
-class GenusBounds:
+class GenusBounds(NamedTuple):
     lower: int
     upper: int
 
@@ -113,8 +112,7 @@ class GenusBounds:
         return cls(lower=k, upper=min(2 * k, beta // 2))
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
@@ -137,8 +135,7 @@ class GreedyStats:
     final_pass_tests: int = 0  # always 0, no final pass; readers name it
 
 
-@dataclass
-class GreedyResult:
+class GreedyResult(NamedTuple):
     pairs: PairSet
     bounds: GenusBounds
     residual: MultiGraph

@@ -4,7 +4,7 @@ preprocess, run the greedy, merge the certificates, build a report."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import CertificationError, MultiGraph
 from .greedy import DEFAULT_POLICY, GenusBounds, PairSet, greedy_max_genus
@@ -12,8 +12,7 @@ from .preprocess import merge_pairs, reduce_multiedges
 from .report import RunReport
 
 
-@dataclass
-class PipelineOutcome:
+class PipelineOutcome(NamedTuple):
     report: RunReport
     pairs: PairSet
     bounds: GenusBounds

@@ -14,14 +14,13 @@ with the harvested pairs, is maximal on the original graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import DisconnectedError, GraphError, MultiGraph, is_connected
 from .greedy import AdjacentPair, PairSet
 
 
-@dataclass(frozen=True)
-class PreprocessResult:
+class PreprocessResult(NamedTuple):
     """Reduced graph plus the pairs harvested on the way down.
 
     ``reduced`` is a copy; the input graph is untouched.  Edge ids are

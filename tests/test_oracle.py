@@ -146,6 +146,13 @@ class TestSpanningTrees:
         with pytest.raises(LimitExceededError):
             list(spanning_trees(gen_complete(5), limit=10))
 
+    def test_limit_is_the_most_trees_listed(self):
+        # a 5-cycle has exactly 5 trees: a limit of 5 lists them all, and
+        # only a limit below the count refuses
+        assert len(list(spanning_trees(cycle(5), limit=5))) == 5
+        with pytest.raises(LimitExceededError, match="limit 4$"):
+            list(spanning_trees(cycle(5), limit=4))
+
     def test_rejects_a_disconnected_graph(self):
         triangle_and_isolated = MultiGraph(4)
         for v in range(3):
@@ -284,6 +291,26 @@ class TestXuong:
         assert cert.tree_edges == frozenset(range(7))  # the star at 0
         assert xuong_max_genus(cycle(3000)) == (0, oracle.XuongCertificate(
             frozenset(range(2999)), 1))
+
+    @pytest.mark.parametrize("n,edges,limit", [
+        # non-loop degrees 2, 2, 2: product 4 > 3, C(3, 1) = 3
+        (3, [(0, 1), (0, 2), (0, 0), (2, 1)], 3),
+        # non-loop degrees 2, 4, 4: product 8, C(5, 2) = 10 > 8
+        (3, [(0, 1), (1, 2), (2, 0), (2, 0), (2, 0), (1, 1)], 8),
+    ])
+    def test_one_count_bound_within_the_limit_lets_the_search_run(
+            self, n, edges, limit):
+        # Kruskal's tree misses the bridge bound, and only one of the two
+        # count bounds passes the limit: the tree count is at most the
+        # other, so the search answers
+        g = MultiGraph(n)
+        for u, v in edges:
+            g.add_edge(u, v)
+        kruskal = next(spanning_trees(g))
+        assert odd_components(g, kruskal) > cycle_rank(g) - 2 * bridge_bound(g)
+        genus, cert = xuong_max_genus(g, limit=limit)
+        assert genus == exact_max_genus_pairs(g)[0]
+        assert cert.odd_components == cycle_rank(g) - 2 * genus
 
     def test_parity(self):
         for seed in range(25):
@@ -499,6 +526,19 @@ class TestNebeskyBound:
         assert xuong_max_genus(g)[0] == 2
         assert exact_max_genus_pairs(g)[0] == 2
         assert exact_max_genus_rotations(g) == 2
+
+    def test_four_cycle_with_three_loops(self):
+        # beta = 4 and the bridge bound is 2, but A = the four cycle edges
+        # leaves four pieces, three of odd cycle rank (a loop each), so
+        # xi_A = 4 + 3 - |A| - 1 = 2 and the bound is (4 - 2) / 2 = 1
+        g = cycle(4)
+        for v in range(3):
+            g.add_edge(v, v)
+        assert g.n_edges == 7 and bridge_bound(g) == 2
+        assert nebesky_bound(g, set(range(4))) == 1
+        assert xuong_max_genus(g)[0] == 1
+        assert exact_max_genus_pairs(g)[0] == 1
+        assert exact_max_genus_rotations(g) == 1
 
     def test_ids_outside_the_graph_are_ignored(self):
         g = two_k4s_and_a_bridge()

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import is_dataclass
+from importlib import import_module
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "maxgenus"
@@ -111,13 +113,17 @@ def test_cli_import_starts_no_process_machinery():
     ) == []
 
 
+# the modules ``import maxgenus`` loads: what certifying runs
+CERTIFY_PATH = ("connectivity", "embedding", "graph", "greedy", "pipeline",
+                "preprocess", "report")
+
+
 def test_package_import_loads_only_the_certify_path():
-    # the exact oracles, the generators and the bench harness load on
-    # first use, so a start-up compiles only what certifying runs
+    # the exact oracles, the generators, the bench harness and the
+    # Euler-tour backend load on first use, so a start-up compiles only
+    # what certifying runs
     assert _modules_after("import maxgenus") == [
-        f"maxgenus.{name}" for name in ("connectivity", "embedding", "graph",
-                                        "greedy", "pipeline", "preprocess",
-                                        "report")]
+        f"maxgenus.{name}" for name in CERTIFY_PATH]
 
 
 def test_cli_import_loads_no_oracle_and_no_bench():
@@ -125,6 +131,35 @@ def test_cli_import_loads_no_oracle_and_no_bench():
     assert "maxgenus.oracle" not in loaded
     assert "maxgenus.bench" not in loaded
     assert "maxgenus.generators" not in loaded
+    assert "maxgenus.dynamic" not in loaded
+
+
+def test_certify_path_records_are_named_tuples():
+    # a dataclass generates and compiles its methods when its module
+    # loads; the records that need no dataclass machinery are NamedTuples
+    modules = [import_module(f"maxgenus.{name}") for name in CERTIFY_PATH]
+    found = {name for module in modules for name, obj in vars(module).items()
+             if isinstance(obj, type) and is_dataclass(obj)
+             and obj.__module__ == module.__name__}
+    assert found == {"PairSet", "GreedyStats", "BackendStats", "RunReport"}
+
+
+def test_dynamic_backend_loads_on_first_use():
+    # the Euler-tour backend's module loads only when the greedy asks for
+    # it, and gives the pairs of the default backend
+    assert _fresh_output(
+        "import sys\n"
+        "import maxgenus\n"
+        "g = maxgenus.gen_random_connected_multigraph(12, 30, seed=3)\n"
+        "dfs = maxgenus.greedy_max_genus(g, policy='edge-id')\n"
+        "print('maxgenus.dynamic' in sys.modules)\n"
+        "dyn = maxgenus.greedy_max_genus(g, policy='edge-id',\n"
+        "                                backend='dynamic')\n"
+        "print('maxgenus.dynamic' in sys.modules, dyn.pairs == dfs.pairs,\n"
+        "      len(dfs.pairs) > 0)\n"
+        "from maxgenus import dynamic\n"
+        "print(maxgenus.DynamicBackend is dynamic.DynamicBackend)\n"
+    ) == ["False", "True", "True", "True", "True"]
 
 
 def test_every_export_resolves():
