@@ -144,8 +144,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
             print(f"method={name} gamma_M={values[name]}")
         else:
             print(f"method={name} skipped: {skipped[name]}")
-    bridges = cut_scan(g)[0]
-    print(f"upper bound = {oracle.nebesky_bound(g, bridges)} "
+    bridges, _, odd, _ = cut_scan(g)  # g is connected: the oracles ran
+    print(f"upper bound = {(g.n_edges - g.n_vertices + 1 - odd) // 2} "
           f"(bridges: {len(bridges)})")
     if not values:
         raise LimitExceededError("all exact methods exceeded their limits")

@@ -26,8 +26,8 @@ its probe says what they hold and why its answers from them are exact.
 A failed search adds the bridge its dry side shows, if any.  Once failed
 searches since the last scan have expanded ``SCAN_FACTOR`` times n + m
 vertices, the probe runs :func:`~maxgenus.graph.cut_scan`
-(``scan_cuts``): one iterative DFS, O(n + m), that records every bridge
-and every tree edge covered by exactly one non-tree edge.
+(``scan_cuts``) and keeps its bridges and its cut pairs: each tree edge
+covered by exactly one non-tree edge, with that edge.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ class DfsBackend:
         :func:`~maxgenus.graph.cut_scan` on the present graph."""
         self.stats.scans += 1
         self._dry_work = 0
-        self.bridges, self.cut_key = cut_scan(self._g)
+        self.bridges, self.cut_key, _, _ = cut_scan(self._g)
 
 
 # ---------------------------------------------------------------------------

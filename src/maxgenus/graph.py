@@ -301,9 +301,11 @@ def bfs_tree(g: MultiGraph, excluded: Container[int] = ()) -> set[int]:
     return tree
 
 
-def cut_scan(g: MultiGraph) -> tuple[set[int], dict[int, int]]:
-    """Every bridge of g, and every cut pair {tree edge, its only covering
-    edge} of one DFS forest, by one iterative DFS, O(n + m).
+def cut_scan(g: MultiGraph) -> tuple[set[int], dict[int, int], int, int]:
+    """Every bridge of g, every cut pair {tree edge, its only covering
+    edge} of one DFS forest, the number of 2-edge-connected pieces of odd
+    cycle rank and the number of components, by one iterative DFS from
+    each unreached root, O(n + m).
 
     For the tree edge above x, the non-tree edges that leave x's subtree
     for a proper ancestor are counted (and their ids XORed): +1 at each
@@ -311,8 +313,12 @@ def cut_scan(g: MultiGraph) -> tuple[set[int], dict[int, int]]:
     makes the tree edge a bridge; a count of 1 makes it and the covering
     edge, whose id the XOR is, the boundary of x's subtree.  Such a pair
     {t, b} is recorded as ``cut_key[t] = b`` and ``cut_key[b] = b``.
-    Loops are skipped and, on the way back, only the tree edge's own id,
-    so a parallel copy covers it.  Returns ``(bridges, cut_key)``.
+    Only the tree edge's own id is skipped on the way back, so a parallel
+    copy covers it.  A second sum counts each non-tree edge once, at its
+    lower end, and a loop once, up to the next bridge: the cycle rank of
+    a piece.  Each subtree cut off by a bridge, and each root's piece,
+    adds its parity to ``odd_pieces``, Nebeský's xi at the bridges.
+    Returns ``(bridges, cut_key, odd_pieces, components)``.
     """
     inc = g._inc
     n = g.n_vertices
@@ -320,18 +326,24 @@ def cut_scan(g: MultiGraph) -> tuple[set[int], dict[int, int]]:
     state = bytearray(n)
     count = [0] * n
     xor = [0] * n
+    rank = [0] * n  # non-tree edges of the piece met so far
     bridges: set[int] = set()
     cut_key: dict[int, int] = {}
+    odd = components = 0
     for root in range(n):
         if state[root]:
             continue
+        components += 1
         state[root] = 1
         stack = [(root, -1, iter(inc[root].items()))]
         while stack:
             x, up, it = stack[-1]
             for d, w in it:
+                if w == x:
+                    rank[x] += d & 1  # a loop: one of its two darts
+                    continue
                 eid = d >> 1
-                if eid == up or w == x:
+                if eid == up:
                     continue
                 seen = state[w]
                 if not seen:
@@ -341,21 +353,24 @@ def cut_scan(g: MultiGraph) -> tuple[set[int], dict[int, int]]:
                 # a reached neighbour is an ancestor while it is on the
                 # path, and a descendant once it is finished
                 count[x] += 1 if seen == 1 else -1
+                rank[x] += seen & 1  # 1 at the lower end, 0 at the upper
                 xor[x] ^= eid
             else:
                 stack.pop()
                 state[x] = 2
-                if not stack:
-                    continue
                 c = count[x]
-                if c == 0:
-                    bridges.add(up)
-                elif c == 1:
-                    cut_key[up] = cut_key[xor[x]] = xor[x]
-                p = stack[-1][0]
-                count[p] += c
-                xor[p] ^= xor[x]
-    return bridges, cut_key
+                if stack and c:
+                    if c == 1:
+                        cut_key[up] = cut_key[xor[x]] = xor[x]
+                    p = stack[-1][0]
+                    count[p] += c
+                    xor[p] ^= xor[x]
+                    rank[p] += rank[x]
+                else:  # the root, or the tree edge above x is a bridge
+                    odd += rank[x] & 1
+                    if stack:
+                        bridges.add(up)
+    return bridges, cut_key, odd, components
 
 
 def cycle_rank(g: MultiGraph) -> int:
@@ -372,11 +387,12 @@ def is_cactus(g: MultiGraph) -> bool:
     Read from one :func:`cut_scan`: every non-loop edge must be a bridge or
     keyed, and no vertex may meet two keys, a loop keying itself.  Then the
     fundamental cycles are vertex-disjoint, each keyed by its non-tree
-    edge.  Raises :class:`DisconnectedError` on disconnected input.
+    edge.  Raises :class:`DisconnectedError` if the scan counts two
+    components or more.
     """
-    if not is_connected(g):
+    bridges, cut_key, _, components = cut_scan(g)
+    if components != 1:
         raise DisconnectedError("is_cactus requires a connected graph")
-    bridges, cut_key = cut_scan(g)
     for v, darts in enumerate(g._inc):
         cycles = set()
         for d, w in darts.items():

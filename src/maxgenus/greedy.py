@@ -29,10 +29,10 @@ on what is left.  Phase 1 only deletes edges, so the argument above
 covers it: every pair present at the end was still tested by phase 2.
 
 The pass (phase 2, or the only pass of the other policies) probes only
-the core: the residual R it starts on minus the bridges B of R, found by
-one :func:`~maxgenus.graph.cut_scan`.  A bridge lies on no cycle, and
-deleting edges creates none, so a pair holding a bridge of R can never
-be removed; the pass builds its candidates from core edges only.
+the core: the residual R it starts on minus the bridges B of R, the
+first field of one :func:`~maxgenus.graph.cut_scan`.  A bridge lies on
+no cycle, and deleting edges creates none, so a pair holding one can
+never be removed; the pass builds its candidates from core edges only.
 Dropping an edge before pairing keeps the relative order of the pairs
 left, so the deterministic orders are those of R.  For a pair {e, f}
 of core edges the answer is the same on the core as on R: R minus a set
@@ -322,7 +322,7 @@ def greedy_max_genus(
     be, bridges, order = None, set(), []
     if beta >= 2:  # else the pass makes no probe
         # the pass probes only the core: the residual minus its bridges
-        bridges, cut_key = cut_scan(residual)
+        bridges, cut_key, _, _ = cut_scan(residual)
         be = BACKENDS[backend](residual, bridges)
         if backend == "dfs":  # the scan's cut pairs hold no bridge
             be.cut_key = cut_key

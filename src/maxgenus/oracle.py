@@ -23,13 +23,12 @@ All three are exponential; each takes an explicit limit and raises
 tree and rotation oracles check it before they search (the rotation
 oracle's limit counts every rotation system, pruned or not).
 Each search stops once its best value reaches :func:`bridge_bound`,
-Nebeský's upper bound on the maximum genus at the bridges, which is
-tight on most small graphs; one DFS finds the bridges and the parities
-of the pieces between them together.  Each search keeps the first
-optimum it meets, so the bound (and the pair search's node bound, the
-same DFS on the graph left at a node) only ends a search sooner and
-leaves the witnesses as they are.  The pair and tree oracles take the
-DFS's reaching every vertex as their connectivity check.
+Nebeský's upper bound at the bridges, tight on most small graphs, read
+from :func:`.graph.cut_scan`, the package's one low-link DFS.  Each
+search keeps the first optimum it meets, so the bound (and the pair
+search's node bound, the same scan of the graph left at a node) only
+ends a search sooner and leaves the witnesses as they are.  The pair and
+tree oracles take the scan's component count as their connectivity check.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .graph import (
     GraphError,
     LimitExceededError,
     MultiGraph,
+    cut_scan,
     is_connected,
 )
 from .greedy import AdjacentPair, PairSet
@@ -98,7 +98,7 @@ def nebesky_bound(g: MultiGraph, cut: Collection[int]) -> int:
     ``(beta - xi_A) // 2 >= gamma_M``, and some A attains it.  The empty
     set gives ``floor(beta / 2)``; the bridges make xi the number of
     2-edge-connected pieces of odd cycle rank, the bound that
-    :func:`bridge_bound` computes in one DFS with no cut set given.
+    :func:`bridge_bound` reads from one scan with no cut set given.
     Ids in ``cut`` that are not edges of g are ignored.  Raises
     :class:`DisconnectedError` if g is not connected.
     """
@@ -123,65 +123,12 @@ def nebesky_bound(g: MultiGraph, cut: Collection[int]) -> int:
 
 
 def bridge_bound(g: MultiGraph) -> int:
-    """``nebesky_bound(g, bridges of g)`` by one iterative DFS from
-    vertex 0, O(n + m).
-
-    Each vertex keeps two sums, added up the tree as the DFS leaves it:
-    the non-tree edges that leave its subtree for a proper ancestor (+1
-    at the end below, -1 at the end above, as in
-    :func:`.graph.cut_scan`), and the non-tree edges of its piece, each
-    counted once at its lower end and a loop once.  A first sum of 0
-    makes the tree edge above a bridge; the non-tree edges below it and
-    not below a deeper bridge are those of one 2-edge-connected piece,
-    whose cycle rank is their count.  So each such subtree, and the
-    root's piece, adds its count's parity to xi, and the bound is
-    ``(beta - xi) // 2``.  Raises :class:`DisconnectedError` if the DFS
-    misses a vertex.
-    """
-    inc = g._inc
-    n = g.n_vertices
-    # 0: unreached, 1: on the DFS path, 2: finished
-    state = bytearray(n)
-    cover = [0] * n  # back edges leaving the subtree, signed as above
-    rank = [0] * n  # non-tree edges of the piece met so far
-    state[0] = 1
-    reached = 1
-    xi = 0
-    stack = [(0, -1, iter(inc[0].items()))]
-    while stack:
-        x, up, it = stack[-1]
-        for d, w in it:
-            if w == x:
-                rank[x] += d & 1  # a loop: one of its two darts
-                continue
-            eid = d >> 1
-            if eid == up:
-                continue
-            seen = state[w]
-            if not seen:
-                state[w] = 1
-                reached += 1
-                stack.append((w, eid, iter(inc[w].items())))
-                break
-            # a reached neighbour is an ancestor while it is on the path,
-            # and a descendant once it is finished
-            if seen == 1:
-                cover[x] += 1
-                rank[x] += 1
-            else:
-                cover[x] -= 1
-        else:
-            stack.pop()
-            state[x] = 2
-            if stack and cover[x]:
-                p = stack[-1][0]
-                cover[p] += cover[x]
-                rank[p] += rank[x]
-            else:  # the root, or the tree edge above x is a bridge
-                xi += rank[x] & 1
-    if reached != n:
+    """``nebesky_bound(g, bridges of g)`` = ``(beta - odd_pieces) // 2``
+    from one :func:`.graph.cut_scan`, which also checks g connected."""
+    _, _, odd_pieces, components = cut_scan(g)
+    if components != 1:
         raise DisconnectedError("the bound needs a connected graph")
-    return (g.n_edges - n + 1 - xi) // 2
+    return (g.n_edges - g.n_vertices + 1 - odd_pieces) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ for checking the backends' probes (:class:`MirrorGraph`, which never
 deletes from or restores into a ``MultiGraph``), pair insertion for checking
 ``EmbeddingState``'s corner list, the corner list's merge step on one
 flat list for checking its blocks, and plain forms of the pair check,
-the edge-list parser, the pair oracle (recursive, over a
-:class:`MirrorGraph`), the rotation oracle (traced by ``genus_of``'s face
-count) and the rotation check (by sorting each vertex's darts) for
-checking the faster ones."""
+the edge-list parser, the bridges (a component count per deleted edge),
+the pair oracle (recursive, over a :class:`MirrorGraph`), the rotation
+oracle (traced by ``genus_of``'s face count) and the rotation check (by
+sorting each vertex's darts) for checking the faster ones."""
 
 from __future__ import annotations
 
@@ -78,6 +78,13 @@ class MirrorGraph:
     def connected(self, u: int, v: int) -> bool:
         return v in self._reach(u)
 
+    def components(self) -> int:
+        left, count = set(range(self.n)), 0
+        while left:
+            left -= self._reach(left.pop())
+            count += 1
+        return count
+
     def connected_all(self) -> bool:
         return len(self._reach(0)) == self.n
 
@@ -91,6 +98,20 @@ class MirrorGraph:
             return True
         self.present |= {e, f}
         return False
+
+
+def brute_bridges(g: MultiGraph) -> set[int]:
+    """The edges of g whose deletion adds a component, by a plain count
+    of the components left, one edge at a time."""
+    mirror = MirrorGraph(g)
+    whole = mirror.components()
+    out = set()
+    for eid in g.edge_ids():
+        mirror.delete_edge(eid)
+        if mirror.components() > whole:
+            out.add(eid)
+        mirror.insert_edge(eid)
+    return out
 
 
 class ReferenceEmbedding:

@@ -429,6 +429,15 @@ class TestBench:
         assert [r[0] for r in rows[1:]] == ["8", "12"]
         assert all(r[1::2] == ["2/2"] * 3 for r in rows[1:])
 
+    def test_mutant_catalogue_runs_one_entry(self):
+        # one entry, one pytest process in a copy of the checkout; the
+        # whole catalogue is run by hand, outside the suite
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "mutants.py"), "scan-loop-twice"],
+            capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.split() == ["killed", "scan-loop-twice"]
+
     def test_unknown_policy_fails_before_any_cell(self, tmp_path,
                                                   monkeypatch, capsys):
         with pytest.raises(GraphError, match="bogus"):

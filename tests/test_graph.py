@@ -10,12 +10,15 @@ from maxgenus import (
     ParseError,
     cycle_rank,
     format_edge_list,
+    gen_bouquet,
     is_cactus,
     is_connected,
     parse_edge_list,
     xuong_max_genus,
 )
-from maxgenus.graph import bfs_tree, format_dart, parse_dart
+from maxgenus import graph
+from maxgenus.graph import bfs_tree, cut_scan, format_dart, parse_dart
+from maxgenus.oracle import nebesky_bound
 
 import _reference
 
@@ -185,6 +188,80 @@ class TestConnectivity:
         assert is_connected(MultiGraph(1))
 
 
+def disjoint_union(*graphs):
+    g = MultiGraph(sum(h.n_vertices for h in graphs))
+    base = 0
+    for h in graphs:
+        for eid in h.edge_ids():
+            u, v = h.endpoints(eid)
+            g.add_edge(base + u, base + v)
+        base += h.n_vertices
+    return g
+
+
+def two_k4s_a_bridge_and_a_lone_vertex():
+    g = MultiGraph(9)
+    for base in (0, 4):
+        for u in range(base, base + 4):
+            for v in range(u + 1, base + 4):
+                g.add_edge(u, v)
+    g.add_edge(3, 4)
+    return g
+
+
+def parallel_pair():
+    g = MultiGraph(2)
+    g.add_edge(0, 1)
+    g.add_edge(1, 0)
+    return g
+
+
+def check_cuts(g):
+    """cut_scan's bridges are those found by brute force, and each of its
+    cut pairs is two edges, neither a bridge, whose deletion splits a
+    component, keyed by the one that is its own key."""
+    bridges, cut_key, _, components = cut_scan(g)
+    assert bridges == _reference.brute_bridges(g)
+    mirror = _reference.MirrorGraph(g)
+    for t, b in cut_key.items():
+        assert cut_key[b] == b and not {t, b} & bridges
+        if t != b:
+            mirror.delete_edge(t)
+            mirror.delete_edge(b)
+            assert mirror.components() > components
+            mirror.insert_edge(t)
+            mirror.insert_edge(b)
+
+
+class TestCutScan:
+    # (graph, components, odd pieces); the two K4s have cycle rank 3 each
+    SHAPES = [
+        (two_k4s_a_bridge_and_a_lone_vertex, 2, 2),
+        (lambda: gen_bouquet(2), 1, 0),
+        (parallel_pair, 1, 1),
+        (lambda: disjoint_union(two_k4s_a_bridge_and_a_lone_vertex(),
+                                gen_bouquet(2), parallel_pair()), 4, 3),
+        (lambda: disjoint_union(parallel_pair(), gen_bouquet(1),
+                                MultiGraph(1), triangle()), 4, 3),
+    ]
+
+    @pytest.mark.parametrize("make,components,odd", SHAPES)
+    def test_disconnected_multigraphs(self, make, components, odd):
+        g = make()
+        _, _, odd_pieces, count = cut_scan(g)
+        assert (count == 1) == is_connected(g)
+        assert count == components and odd_pieces == odd
+        check_cuts(g)
+
+    def test_odd_pieces_are_nebeskys_xi_at_the_bridges(
+            self, exhaustive_corpus, seeded_corpus):
+        for g in exhaustive_corpus + seeded_corpus:
+            bridges, _, odd_pieces, components = cut_scan(g)
+            assert components == 1
+            assert odd_pieces == cycle_rank(g) - 2 * nebesky_bound(g, bridges)
+            check_cuts(g)
+
+
 class TestCactus:
     def test_positives(self):
         assert is_cactus(MultiGraph(1))
@@ -221,6 +298,21 @@ class TestCactus:
         g = MultiGraph(2)
         with pytest.raises(DisconnectedError):
             is_cactus(g)
+
+    def test_takes_connectivity_from_the_scan(self, monkeypatch):
+        graphs = [tree_of_cycles(seed) for seed in range(100)]
+        graphs += [MultiGraph(1), gen_bouquet(1), gen_bouquet(2),
+                   parallel_pair()]
+        verdicts = [is_cactus(g) for g in graphs]
+
+        def second_pass(g):
+            raise AssertionError("is_cactus made a connectivity pass")
+
+        monkeypatch.setattr(graph, "is_connected", second_pass)
+        monkeypatch.setattr(graph, "_component_count", second_pass)
+        assert [is_cactus(g) for g in graphs] == verdicts
+        with pytest.raises(DisconnectedError):
+            is_cactus(two_k4s_a_bridge_and_a_lone_vertex())
 
     def test_agrees_with_exact_genus_zero_on_trees_of_cycles(self):
         graphs = [tree_of_cycles(seed) for seed in range(400)]

@@ -35,7 +35,7 @@ from maxgenus.greedy import DEFAULT_POLICY, candidate_pairs
 
 from _corpus import circulant_from_shuffled_text, random_corpus
 import _reference
-from _reference import MirrorGraph
+from _reference import MirrorGraph, brute_bridges
 
 
 def has_removable_pair(g):
@@ -456,14 +456,6 @@ def phase_two_residual(g, policy):
     if policy == "tree-first":
         greedy._pair_cotree_edges(residual, PairSet())
     return residual
-
-
-def brute_bridges(g):
-    out = set()
-    for eid in g.edge_ids():
-        if not is_connected(g.copy(without={eid})):
-            out.add(eid)
-    return out
 
 
 # Multigraphs whose pendant trees carry loops and parallel edges, so the

@@ -460,9 +460,12 @@ class TestRotations:
         def searched(*args):
             raise AssertionError("searched past the limit")
 
+        # a bound or scan run before the limit check fails here too
         monkeypatch.setattr(oracle, "permutations", searched)
         monkeypatch.setattr(oracle, "nebesky_bound", searched)
         monkeypatch.setattr(oracle, "bridge_bound", searched)
+        monkeypatch.setattr(oracle, "cut_scan", searched)
+        monkeypatch.setattr(graph, "cut_scan", searched)
         g = dipole_chain(600)
         with pytest.raises(LimitExceededError):
             exact_max_genus_rotations(g, limit=rotation_count(g) - 1)
@@ -492,7 +495,9 @@ def two_k4s_and_a_bridge():
 def two_pass_bound(g):
     """The bridge bound in two passes, the reference for the one-pass
     :func:`bridge_bound`: the bridges by ``cut_scan``, then Nebesky's
-    bound at them by ``nebesky_bound``'s union-find pass."""
+    bound at them by ``nebesky_bound``'s union-find pass.  Both read the
+    same scan's bridges, so this checks the scan's piece parities
+    against the union-find's."""
     return nebesky_bound(g, graph.cut_scan(g)[0])
 
 
@@ -595,28 +600,44 @@ class TestBridgeBound:
 
     def test_the_oracles_make_no_second_pass(self, monkeypatch,
                                              exact_shapes):
-        # every oracle takes its bridge bound from the one DFS: the scan
-        # and the union-find pass of the two-pass form fail if they run
+        # every oracle takes its bridge bound from one scan: the union-find
+        # pass of the two-pass form fails if it runs, and each bound is
+        # exactly one cut_scan
         def second_pass(*args):
             raise AssertionError("a two-pass bound ran")
 
-        calls = []
-        one_pass = oracle.bridge_bound
+        bounds, scans = [], []
+        one_pass, scan = oracle.bridge_bound, graph.cut_scan
+
+        def counted(g):
+            scans.append(1)
+            return scan(g)
+
+        def calls():
+            made = (len(bounds), len(scans))
+            bounds.clear()
+            scans.clear()
+            return made
+
         monkeypatch.setattr(oracle, "bridge_bound",
-                            lambda g: calls.append(1) or one_pass(g))
-        monkeypatch.setattr(graph, "cut_scan", second_pass)
-        monkeypatch.setattr(oracle, "cut_scan", second_pass, raising=False)
+                            lambda g: bounds.append(1) or one_pass(g))
+        monkeypatch.setattr(graph, "cut_scan", counted)
+        monkeypatch.setattr(oracle, "cut_scan", counted)
         monkeypatch.setattr(oracle, "nebesky_bound", second_pass)
         refused = 0
         for g, (gamma, _) in exact_shapes:
             assert exact_max_genus_pairs(g)[0] == gamma
-            calls.clear()
+            made_bounds, made_scans = calls()
+            assert made_bounds == made_scans >= 1
             assert xuong_max_genus(g)[0] == gamma
-            assert len(calls) == 1
+            assert calls() == (1, 1)
             try:
                 assert exact_max_genus_rotations(g) == gamma
             except LimitExceededError:
                 refused += 1
+                assert calls() == (0, 0)
+            else:
+                assert calls() == (1, 1)
         assert refused < len(exact_shapes)
 
 
