@@ -48,6 +48,8 @@ class Mutant(NamedTuple):
 
 SCAN = "src/maxgenus/graph.py"
 ORACLE = "src/maxgenus/oracle.py"
+GREEDY = "src/maxgenus/greedy.py"
+EMBED = "src/maxgenus/embedding.py"
 
 MUTANTS = [
     # graph.cut_scan: a loop adds 1 to its piece's cycle rank, once
@@ -75,6 +77,28 @@ MUTANTS = [
            "    return product > limit and binom > limit\n",
            "    return product > limit or binom > limit\n",
            ("tests/test_oracle.py::TestXuong",)),
+    # a text holding a # has its lines cut at the first one
+    Mutant("parse-comment-cut-dropped", SCAN,
+           '    if "#" in text:\n'
+           '        lines = [raw.split("#", 1)[0] for raw in lines]\n',
+           "",
+           ("tests/test_graph.py::test_property_parse_matches_the_reference",)),
+    # the family check refuses f when an earlier pair holds it
+    Mutant("pair-check-f-duplicate", GREEDY,
+           "        if f in seen:\n"
+           '            return seen, f"duplicate-edge:{f}"\n',
+           "",
+           ("tests/test_greedy.py::TestVerify",)),
+    # the leftover edges are neither tree nor pair edges
+    Mutant("leftover-keeps-pair-edges", EMBED,
+           "sorted(edges.keys() - tree - pair_edges)",
+           "sorted(edges.keys() - tree)",
+           ("tests/test_embedding.py::TestBuildEmbedding",)),
+    # the second edge's far-end dart links back from its successor
+    Mutant("pair-splice-prev-link", EMBED,
+           "        sp[cv] = d1\n",
+           "        sp[cv] = p\n",
+           ("tests/test_embedding.py::TestBuildEmbedding",)),
 ]
 
 

@@ -16,9 +16,10 @@ slopes are least-squares log-log fits against the edge count.
 
 from __future__ import annotations
 
+import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .embedding import build_embedding, genus_of
 from .generators import FAMILIES, check_probabilities, check_size, generate
@@ -221,6 +222,24 @@ def summarize(reports: list[RunReport]) -> BenchSummary:
             slopes[policy] = {c: fit_loglog_slope(
                 [(row["m"], row[c]) for row in fitted]) for c in SLOPE_COLUMNS}
     return BenchSummary(rows, slopes)
+
+
+def summary_json(cfg: BenchConfig, summary: BenchSummary) -> str:
+    """The config, the rows and the slopes as JSON text, nothing else, so
+    two runs differ only in their numbers; every number is rounded to 6
+    decimals."""
+
+    def rounded(value):
+        return value if value is None else round(value, 6)
+
+    return json.dumps({
+        "config": asdict(cfg),
+        "rows": {policy: [{c: rounded(v) for c, v in row.items()}
+                          for row in rows]
+                 for policy, rows in sorted(summary.rows.items())},
+        "slopes": {policy: {c: rounded(v) for c, v in slopes.items()}
+                   for policy, slopes in sorted(summary.slopes.items())},
+    }, indent=2) + "\n"
 
 
 def format_summary(summary: BenchSummary) -> str:

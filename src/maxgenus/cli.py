@@ -192,7 +192,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import BenchConfig, format_summary, run_bench, summarize
+    from .bench import (BenchConfig, format_summary, run_bench, summarize,
+                        summary_json)
 
     cfg = BenchConfig.parse(_read_text(args.config))
     reports = run_bench(cfg)
@@ -201,7 +202,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                              sort_keys=True)
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-    print(format_summary(summarize(reports)))
+    summary = summarize(reports)
+    if args.summary:
+        with open(args.summary, "w", encoding="utf-8") as fh:
+            fh.write(summary_json(cfg, summary))
+    print(format_summary(summary))
     return EXIT_OK
 
 
@@ -267,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", metavar="CONFIG")
     p.add_argument("--json", metavar="FILE",
                    help="also dump all reports as JSON")
+    p.add_argument("--summary", metavar="FILE",
+                   help="also write the config, rows and slopes as JSON")
     p.set_defaults(func=cmd_bench)
     return ap
 

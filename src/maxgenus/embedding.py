@@ -43,7 +43,7 @@ state, ``EmbeddingState.n_faces``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from math import isqrt
 from typing import NamedTuple
 
@@ -134,23 +134,24 @@ def _canonical_cycle(cyc: list[int]) -> tuple[int, ...]:
 
 
 def _face_count(
-    darts: Iterable[int], sigma_next: Mapping[int, int] | Sequence[int]
+    darts: Collection[int], sigma_next: Mapping[int, int] | Sequence[int]
 ) -> int:
     """Orbit count of ``d -> sigma_next[d ^ 1]`` over ``darts``, which
-    the map must carry into themselves.  No validation.
+    the map must carry into themselves.  No validation.  ``darts`` is
+    read twice, once for its largest dart: visited darts are marked in a
+    list indexed by dart, which is faster than a set or a bytearray.
 
     :func:`genus_of` passes its successor map as both;
     :class:`EmbeddingState` passes its embedded darts and its list."""
-    seen: set[int] = set()
+    seen = [False] * (max(darts, default=-1) + 1)
     count = 0
     for d in darts:
-        if d in seen:
-            continue
-        count += 1
-        x = d
-        while x not in seen:
-            seen.add(x)
-            x = sigma_next[x ^ 1]
+        if not seen[d]:
+            count += 1
+            x = d
+            while not seen[x]:
+                seen[x] = True
+                x = sigma_next[x ^ 1]
     return count
 
 
@@ -351,27 +352,6 @@ class EmbeddingState:
             where[d] = moved
         return bi + 1
 
-    def _join(self, s: int) -> None:
-        """Merge the blocks on either side of seam ``s`` if together they
-        hold at most ``block_cap`` darts, moving the smaller one."""
-        blocks = self.corners
-        if not 0 < s < len(blocks):
-            return
-        left, right = blocks[s - 1], blocks[s]
-        if len(left) + len(right) > self.block_cap:
-            return
-        where = self.where
-        if len(left) >= len(right):
-            left += right
-            for d in right:
-                where[d] = left
-            del blocks[s]
-        else:
-            right[:0] = left
-            for d in left:
-                where[d] = right
-            del blocks[s - 1]
-
     def _merge_corners(self, x: int, y: int, z: int) -> bool:
         """Whether the first dart z lies on the arc [y, x) of the one face
         rather than on [x, y), read from the positions of the first darts
@@ -380,28 +360,57 @@ class EmbeddingState:
         Also updates ``corners`` for the pair that asks: x, y and z cut
         the face into three arcs, and the merged face meets them in the
         reverse cyclic order, which swapping the two arcs that do not wrap
-        around the end of the list gives.  A position is a (block index,
-        offset) pair; the blocks are cut at the three darts, rightmost
-        first, the two arcs swap as runs of whole blocks, and the blocks
-        that meet at the three new seams merge if they fit in one.
+        around the end of the list gives.  A position is the int block
+        index · ``block_cap`` + offset, so positions compare as ints, and
+        a few comparisons put the three in order.  The blocks are cut at
+        the three darts, rightmost first, the two arcs swap as runs of
+        whole blocks, and at each of the three new seams, right to left,
+        the two blocks that meet merge, the smaller moving, if together
+        they hold at most ``block_cap`` darts.
         """
-        blocks, where = self.corners, self.where
+        blocks, where, cap = self.corners, self.where, self.block_cap
         bx, by, bz = where[x], where[y], where[z]
-        i = (blocks.index(bx), bx.index(x))
-        j = (blocks.index(by), by.index(y))
-        k = (blocks.index(bz), bz.index(z))
-        (lb, lo), (mb, mo), (hb, ho) = sorted((i, j, k))
+        i = blocks.index(bx) * cap + bx.index(x)
+        j = blocks.index(by) * cap + by.index(y)
+        k = blocks.index(bz) * cap + bz.index(z)
+        # z is on [y, x) iff i, j, k are in cyclic order
+        if i < j:
+            if j < k:
+                first, second, third, on_yx = i, j, k, True
+            elif i < k:
+                first, second, third, on_yx = i, k, j, False
+            else:
+                first, second, third, on_yx = k, i, j, True
+        elif i < k:
+            first, second, third, on_yx = j, i, k, False
+        elif j < k:
+            first, second, third, on_yx = j, k, i, True
+        else:
+            first, second, third, on_yx = k, j, i, False
+        lo, mo, ho = first % cap, second % cap, third % cap
         # a cut inside a block adds one before every later cut
-        hi = self._cut(hb, ho)
-        mid = self._cut(mb, mo)
+        hi = self._cut(third // cap, ho)
+        mid = self._cut(second // cap, mo)
         hi += mo > 0
-        low = self._cut(lb, lo)
+        low = self._cut(first // cap, lo)
         mid += lo > 0
         hi += lo > 0
         blocks[low:hi] = blocks[mid:hi] + blocks[low:mid]
         for s in (hi, low + hi - mid, low):
-            self._join(s)
-        return j < k < i or k < i < j or i < j < k
+            if 0 < s < len(blocks):
+                left, right = blocks[s - 1], blocks[s]
+                if len(left) + len(right) <= cap:
+                    if len(left) >= len(right):
+                        left += right
+                        for d in right:
+                            where[d] = left
+                        del blocks[s]
+                    else:
+                        right[:0] = left
+                        for d in left:
+                            where[d] = right
+                        del blocks[s - 1]
+        return on_yx
 
     # -- insertion ---------------------------------------------------------
 
@@ -452,19 +461,33 @@ class EmbeddingState:
         its far end's face is the one-dart face {``after``}, and if b = a,
         z = y lies on [y, x); either way the witness end goes before
         ``after``.  Only the first loop of a dartless state starts on a
-        bare vertex.
+        bare vertex: its first dart makes a one-dart rotation there, and
+        ``corners`` is dropped as :meth:`_splice_edge` drops it.  The
+        four splices are :meth:`_splice` written out in place, each
+        with a dart as ``ref``.
         """
-        sn, fd, splice = self.sigma_next, self.first_dart, self._splice
-        eu, ev = self.ends[e]
-        fu, fv = self.ends[f]
+        sn, sp, fd = self.sigma_next, self.sigma_prev, self.first_dart
+        ends = self.ends
+        eu, ev = ends[e]
+        fu, fv = ends[f]
         d0 = 2 * e
         x = fd[eu]
-        if x < 0:
-            self._splice_edge(e, -1, -1)
-        else:
-            splice(d0, x)
-            splice(d0 + 1, fd[ev])
-            self.m_emb += 1
+        if x < 0:  # the first loop of a dartless state: d0 alone at eu
+            sn[d0] = sp[d0] = fd[eu] = d0
+            self.corners = None
+        else:  # d0 before x
+            p = sp[x]
+            sn[p] = d0
+            sp[d0] = p
+            sn[d0] = x
+            sp[x] = d0
+        # d0 + 1 before first_dart[ev]
+        r = fd[ev]
+        p = sp[r]
+        sn[p] = d0 + 1
+        sp[d0 + 1] = p
+        sn[d0 + 1] = r
+        sp[r] = d0 + 1
         if eu == w:
             d_w, a = d0, ev
         else:
@@ -480,9 +503,20 @@ class EmbeddingState:
                 after, fd[a], ref_b)
             ref_w = after if on_d_w_face else d_w
         cu, cv = (ref_w, ref_b) if fu == w else (ref_b, ref_w)
-        splice(2 * f, cu)
-        splice(2 * f + 1, cv)
-        self.m_emb += 1
+        # 2·f before cu, then 2·f + 1 before cv
+        d1 = 2 * f
+        p = sp[cu]
+        sn[p] = d1
+        sp[d1] = p
+        sn[d1] = cu
+        sp[cu] = d1
+        d1 += 1
+        p = sp[cv]
+        sn[p] = d1
+        sp[d1] = p
+        sn[d1] = cv
+        sp[cv] = d1
+        self.m_emb += 2
 
     # -- auditing ----------------------------------------------------------
 
@@ -563,10 +597,11 @@ def build_embedding(
     carries a dart, since for n >= 2 the tree spans every vertex (for
     n = 1 every edge is a loop, and only the first starts bare).  Each
     pair raises the genus by exactly one.  Then it splices each leftover
-    edge in at ``first_dart`` of its ends (a bare vertex, -1, is the one
-    vertex of a graph of loops); a leftover edge splits or merges faces,
-    so it never lowers the genus.  The genus comes from one trace of the
-    final rotations.
+    edge, by ascending id from one set difference (g's edges minus the
+    tree and the pair edges), in at ``first_dart`` of its ends (a bare
+    vertex, -1, is the one vertex of a graph of loops); a leftover edge
+    splits or merges faces, so it never lowers the genus.  The genus
+    comes from one trace of the final rotations.
     Raises :class:`CertificationError` if an edge is missing, the traced
     Euler characteristic is odd or above 2, or the genus ends below the
     pair count.  ``check=True`` audits the darts each insertion touches,
@@ -586,12 +621,11 @@ def build_embedding(
         if check:
             st._audit_edges((e, f))
     edges, fd = g._edges, st.first_dart
-    for eid in g.edge_ids():
-        if eid not in tree and eid not in pair_edges:
-            u, v = edges[eid]
-            st._splice_edge(eid, fd[u], fd[v])
-            if check:
-                st._audit_edges((eid,))
+    for eid in sorted(edges.keys() - tree - pair_edges):
+        u, v = edges[eid]
+        st._splice_edge(eid, fd[u], fd[v])
+        if check:
+            st._audit_edges((eid,))
     if st.m_emb != g.n_edges:
         raise CertificationError(f"embedded {st.m_emb} of {g.n_edges} edges")
     n_faces = st.n_faces

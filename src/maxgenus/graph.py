@@ -213,31 +213,43 @@ def parse_edge_list(text: str) -> MultiGraph:
     first-appearance order; the mapping is kept on ``graph.labels``.
     Raises :class:`ParseError` (with line number) on malformed lines and on
     empty input, since an empty graph has no embedding.
+
+    One loop over the lines of ``str.splitlines``, each split into labels
+    by ``str.split``; only a text holding a ``#`` has its lines cut at
+    the first one first.  The endpoint ids go into one flat list, u and v
+    of edge e at 2·e and 2·e + 1, the dart order.  The first malformed
+    line is found again by ``list.index`` for its line number: every line
+    before it that reads the same would have failed first.
     """
     index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ParseError(
-                f"expected two vertex labels, got {len(parts)}", line_no
-            )
-        a, b = parts
-        u = index.setdefault(a, len(index))
-        edges.append((u, index.setdefault(b, len(index))))
+    ends: list[int] = []
+    add = ends.append
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for raw in lines:
+        parts = raw.split()
+        if len(parts) == 2:
+            a, b = parts
+            add(index.setdefault(a, len(index)))
+            add(index.setdefault(b, len(index)))
+        elif parts:
+            raise ParseError(f"expected two vertex labels, got {len(parts)}",
+                             lines.index(raw) + 1)
     if not index:
         raise ParseError("empty graph: no edges or vertices")
     # the ids come from ``index``, so they are in range: no add_edge checks
     g = MultiGraph(len(index))
-    g._edges = dict(enumerate(edges))
+    pairs = iter(ends)
+    g._edges = edges = dict(enumerate(zip(pairs, pairs)))
     g._next_id = len(edges)
     inc = g._inc
-    for eid, (u, v) in enumerate(edges):
-        inc[u][2 * eid] = v
-        inc[v][2 * eid + 1] = u
-    g.labels = {i: label for label, i in index.items()}
+    d = 0
+    for u, v in edges.values():
+        inc[u][d] = v
+        inc[v][d + 1] = u
+        d += 2
+    g.labels = dict(enumerate(index))
     return g
 
 

@@ -158,17 +158,23 @@ def candidate_pairs(g: MultiGraph, v: int,
 def _pair_edge_set(g: MultiGraph, pairs: PairSet) -> tuple[set[int], str | None]:
     """The edge ids of ``pairs``, and the reason of the first existence,
     disjointness or adjacency check they fail (None if they pass all).
-    One pass over ``g._edges``: a family that passes needs no further
-    check to be inserted pair by pair."""
+    One pass over the pairs, each checking e and then f, written out:
+    a family that passes needs no further check to be inserted pair by
+    pair."""
     edges = g._edges
     seen: set[int] = set()
+    add = seen.add
     for e, f, w in pairs:
-        for eid in (e, f):
-            if eid not in edges:
-                return seen, f"missing-edge:{eid}"
-            if eid in seen:
-                return seen, f"duplicate-edge:{eid}"
-            seen.add(eid)
+        if e not in edges:
+            return seen, f"missing-edge:{e}"
+        if e in seen:
+            return seen, f"duplicate-edge:{e}"
+        add(e)
+        if f not in edges:
+            return seen, f"missing-edge:{f}"
+        if f in seen:
+            return seen, f"duplicate-edge:{f}"
+        add(f)
         if not (w in edges[e] and w in edges[f]):
             return seen, f"not-adjacent:{e},{f}@{w}"
     return seen, None

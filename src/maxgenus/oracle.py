@@ -457,13 +457,18 @@ def exact_max_genus_rotations(
     an unassigned vertex's darts lie on at least one more, so with c
     closed faces no completion has genus above ``(2 - n + m - c - 1) //
     2``; a subtree is entered only while that beats the best genus found.
+
+    The count comes first.  A graph it refuses gets one connectivity
+    pass, so a disconnected one raises :class:`DisconnectedError`, not
+    :class:`LimitExceededError`; a graph it admits is checked by the
+    scan of :func:`bridge_bound`, its one whole-graph pass.
     """
-    if not is_connected(g):
-        raise DisconnectedError("exact oracles require a connected graph")
-    total = rotation_count(g)
-    if total > limit:
+    if rotation_count(g) > limit:
+        if not is_connected(g):
+            raise DisconnectedError("exact oracles require a connected graph")
         raise LimitExceededError(
             f"rotation-system count exceeds limit {limit}")
+    cap = bridge_bound(g)
     n, m = g.n_vertices, g.n_edges
     top = 2 - n + m
     phi = [-1] * (2 * g._next_id)  # -1: the successor is not yet set
@@ -494,7 +499,6 @@ def exact_max_genus_rotations(
         else:
             levels.append((darts[0], darts[1:], [d ^ 1 for d in darts]))
     best = 0
-    cap = bridge_bound(g)
     c = closed(fixed)
     orders: list = []  # per open level: the faces closed above, its orders
     while best < cap:

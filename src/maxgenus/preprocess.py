@@ -62,10 +62,8 @@ def reduce_multiedges(g: MultiGraph) -> PreprocessResult:
         for i in range(0, len(ids) - len(ids) % 2, 2):
             pairs.append(AdjacentPair(ids[i], ids[i + 1], v))
 
-    # the ids come from g itself, so the copy drops them with no checks
-    reduced = g.copy()
-    reduced._unlink(eid for p in pairs for eid in (p.e, p.f))
-    return PreprocessResult(reduced, PairSet(pairs))
+    harvested = {eid for e, f, _ in pairs for eid in (e, f)}
+    return PreprocessResult(g.copy(without=harvested), PairSet(pairs))
 
 
 def merge_pairs(first: PairSet, second: PairSet) -> PairSet:

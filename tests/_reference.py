@@ -240,25 +240,23 @@ def pair_edge_set(g: MultiGraph, pairs) -> tuple[set[int], str | None]:
     return seen, None
 
 
-def parse_edge_list(text: str) -> MultiGraph:
-    """``graph.parse_edge_list`` by one ``add_edge`` call per line."""
+def reference_parse_edge_list(text: str) -> MultiGraph:
+    """``graph.parse_edge_list`` as a plain line-by-line loop: every line
+    cut at its first ``#`` and numbered as it is read, then one
+    ``add_edge`` call per edge."""
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(
                 f"expected two vertex labels, got {len(parts)}", line_no
             )
-        uv = []
-        for label in parts:
-            if label not in index:
-                index[label] = len(index)
-            uv.append(index[label])
-        edges.append((uv[0], uv[1]))
+        a, b = parts
+        u = index.setdefault(a, len(index))
+        edges.append((u, index.setdefault(b, len(index))))
     if not index:
         raise ParseError("empty graph: no edges or vertices")
     g = MultiGraph(len(index))

@@ -8,7 +8,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -325,6 +325,22 @@ class TestBench:
         assert all(r["schema_version"] == 2 for r in reports)
         assert all(set(r) == SCHEMA_2_KEYS for r in reports)
         assert all(set(r["stats"]) == SCHEMA_2_STATS for r in reports)
+
+    def test_summary_holds_config_rows_and_slopes(self, tmp_path):
+        cfg = tmp_path / "bench.conf"
+        cfg.write_text("family=circulant\nsizes=8,16\npreprocess=false\n")
+        out = tmp_path / "BENCH_tiny.json"
+        run_cli("bench", str(cfg), "--summary", str(out))
+        summary = json.loads(out.read_text())
+        assert set(summary) == {"config", "rows", "slopes"}
+        assert summary["config"] == json.loads(json.dumps(
+            asdict(BenchConfig(family="circulant", sizes=(8, 16),
+                               preprocess=False))))
+        (rows,) = summary["rows"].values()
+        assert [row["m"] for row in rows] == [16, 32]
+        assert all(list(row) == list(bench.COLUMNS) for row in rows)
+        (slopes,) = summary["slopes"].values()
+        assert list(slopes) == list(bench.SLOPE_COLUMNS)
 
     def test_reports_carry_phase_times(self):
         (rep,) = bench.run_bench(BenchConfig(sizes=(8,)))

@@ -456,6 +456,28 @@ class TestRotations:
         assert exact_max_genus_rotations(g, limit=rotation_count(g)) == 600
         assert len(opened) == 1200
 
+    def test_a_searched_graph_makes_one_whole_graph_pass(self, monkeypatch):
+        # within the limit, bridge_bound's scan is the connectivity check
+        # and no component count runs; past it, one count tells a
+        # disconnected graph from one that is too large
+        counts, scans = [], []
+        count, scan = graph._component_count, oracle.cut_scan
+        monkeypatch.setattr(graph, "_component_count",
+                            lambda g: counts.append(1) or count(g))
+        monkeypatch.setattr(oracle, "cut_scan",
+                            lambda g: scans.append(1) or scan(g))
+        assert exact_max_genus_rotations(gen_complete(4)) == 1
+        assert (len(counts), len(scans)) == (0, 1)
+        bouquet_and_isolated = MultiGraph(2)  # 7! rotations at vertex 0
+        for _ in range(4):
+            bouquet_and_isolated.add_edge(0, 0)
+        with pytest.raises(DisconnectedError):
+            exact_max_genus_rotations(bouquet_and_isolated, limit=10)
+        assert (len(counts), len(scans)) == (1, 1)
+        with pytest.raises(DisconnectedError):
+            exact_max_genus_rotations(bouquet_and_isolated)
+        assert (len(counts), len(scans)) == (1, 2)
+
     def test_limit_is_checked_before_any_search(self, monkeypatch):
         def searched(*args):
             raise AssertionError("searched past the limit")
